@@ -68,7 +68,11 @@ class AgreementCurve:
 
 
 def wilson_interval(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clipped to [0, 1]."""
+    """Wilson score interval for a binomial proportion, clipped to [0, 1].
+
+    The bound at an extreme count is set exactly (lo = 0 at k = 0, hi = 1
+    at k = n): the formula's rounding could leave it just past k/n.
+    """
     if n < 1 or not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     z = float(ndtri(0.5 + conf / 2.0))
@@ -77,7 +81,9 @@ def wilson_interval(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if k == 0 else max(0.0, center - half)
+    hi = 1.0 if k == n else min(1.0, center + half)
+    return lo, hi
 
 
 def cosine_to_final(series: np.ndarray) -> np.ndarray:

@@ -323,6 +323,10 @@ def _cmd_phase_diagram(args) -> int:
                 }
             )
         else:
+            print(
+                f"oudiff: phase cell g={cell.g!r}, theta={cell.theta!r}: {cell.error}",
+                file=sys.stderr,
+            )
             rows.append(
                 {
                     "g": cell.g, "theta": cell.theta, "regime": "error",

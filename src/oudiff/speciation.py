@@ -11,13 +11,16 @@ parameters with sup_t kappa <= 1 never leave the noise regime.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blockmat import Block2, block_inverse
 from .errors import (
+    DegenerateDrift,
     DegenerateRate,
     InvalidArgument,
     UnstableAtTime,
@@ -25,11 +28,12 @@ from .errors import (
 )
 from .moments import (
     Anisotropic,
-    AngledMeans,
     MixtureInit,
     ModeMeans,
     ModelSpec,
     Symmetric,
+    _expm1_ratio,
+    _require_time,
     diffusion_kernel,
     kernel_K,
     mode_kernels,
@@ -107,25 +111,47 @@ def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
     raise UnsupportedShape("kappa needs a constant coupling kind")
 
 
+def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
+    """kappa_symmetric_closed as a function of t alone.
+
+    The eigenmodes and mode norms are computed once, so a bisection loop
+    pays only the per-time closed form.
+    """
+    if not isinstance(spec.coupling, Symmetric):
+        raise UnsupportedShape("closed form requires symmetric coupling")
+    if not init.equal_variance:
+        raise UnsupportedShape(
+            "mode kernels require sigma_x == sigma_y; the unequal case has "
+            "no eigenmode factorization"
+        )
+    modes = spec.modes()
+    tau_p, tau_m = modes.tau_plus, modes.tau_minus
+    lam_p, lam_m = modes.lambda_plus, modes.lambda_minus
+    mp2, mm2 = init.mode_norms()
+    s2 = init.sigma2_x
+    sw2 = spec.sigma_w2
+
+    def at(t: float) -> float:
+        _require_time(t)
+        decay_p = math.exp(-tau_p * t)
+        decay_m = math.exp(-tau_m * t)
+        cp = s2 * decay_p + sw2 * _expm1_ratio(tau_p, t)
+        cm = s2 * decay_m + sw2 * _expm1_ratio(tau_m, t)
+        denom_p = cp * (lam_p * cp + sw2)
+        denom_m = cm * (lam_m * cm + sw2)
+        if denom_p <= 0.0 or denom_m <= 0.0:
+            raise UnstableAtTime(t)
+        return sw2 * (decay_p * mp2 / denom_p + decay_m * mm2 / denom_m)
+
+    return at
+
+
 def kappa_symmetric_closed(spec: ModelSpec, init: MixtureInit, t: float) -> float:
     """Eigenmode closed form: kappa = sW2 * (SNR_plus + SNR_minus).
 
     SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).
     """
-    if not isinstance(spec.coupling, Symmetric):
-        raise UnsupportedShape("closed form requires symmetric coupling")
-    cp, cm = mode_kernels(spec, init, t)
-    modes = spec.modes()
-    sw2 = spec.sigma_w2
-    denom_p = cp * (modes.lambda_plus * cp + sw2)
-    denom_m = cm * (modes.lambda_minus * cm + sw2)
-    if denom_p <= 0.0 or denom_m <= 0.0:
-        raise UnstableAtTime(t)
-    mp2, mm2 = init.mode_norms()
-    return sw2 * (
-        math.exp(-modes.tau_plus * t) * mp2 / denom_p
-        + math.exp(-modes.tau_minus * t) * mm2 / denom_m
-    )
+    return _symmetric_kappa(spec, init)(t)
 
 
 def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
@@ -184,11 +210,14 @@ def stability_check(
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _scan_grid(t_max: float, linear_points: int = 512) -> np.ndarray:
-    """Linear scan grid refined geometrically toward t=0."""
+    """Linear scan grid refined geometrically toward t=0 (cached, read-only)."""
     linear = np.linspace(0.0, t_max, linear_points)
     geometric = t_max * 0.5 ** np.arange(1, 41)
-    return np.unique(np.concatenate([linear, geometric]))
+    grid = np.unique(np.concatenate([linear, geometric]))
+    grid.flags.writeable = False
+    return grid
 
 
 def _poly_tail_k_vec(a: np.ndarray) -> np.ndarray:
@@ -211,6 +240,49 @@ def _poly_tail_h_vec(a: np.ndarray) -> np.ndarray:
         term = term * (-a) * (n - 1) / (n * (n - 3))
         series = series + term
     return np.where(a < 0.5, series, direct)
+
+
+def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
+    """Anisotropic kappa(t) through the closed-form K(t), on broadcast arrays.
+
+    C(t), det C, D(t) and the numerators N_ij take the broadcast shape of
+    ``g`` and ``ts``; only the mean terms broadcast further against the
+    channel statistics ``stats = (mxx, myy, mxy)``.  Returns kappa and the
+    mask, in the shape of (g, ts), of times at which D(t) vanishes and
+    the drift operator is degenerate.
+    """
+    a = 2.0 * beta * ts
+    u = -np.expm1(-a)
+    kk = _poly_tail_k_vec(a)
+    hh = _poly_tail_h_vec(a)
+    q11 = sw2 * u / (2.0 * beta)
+    q12 = sw2 * g * kk / (4.0 * beta * beta)
+    q22 = sw2 * (u / (2.0 * beta) + g * g * hh / (4.0 * beta**3))
+    decay2 = np.exp(-2.0 * beta * ts)
+    c11 = decay2 * sx2 + q11
+    c12 = decay2 * g * ts * sx2 + q12
+    c22 = decay2 * (sy2 + g * g * ts * ts * sx2) + q22
+    delta = c11 * c22 - c12 * c12
+    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
+    d_scale = (
+        beta * beta * np.abs(delta)
+        + beta * sw2 * (np.abs(c11) + np.abs(c22))
+        + np.abs(g) * sw2 * np.abs(c12)
+        + sw2 * sw2
+    )
+    degenerate = np.abs(dd) < 1e-12 * d_scale
+    n11 = sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22
+    n12 = c12 * (beta * (c11 + c22) - g * c12 - sw2)
+    n21 = beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22
+    n22 = sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12
+    mxx, myy, mxy = stats
+    mxx_t = decay2 * mxx
+    mxy_t = decay2 * (mxy + g * ts * mxx)
+    myy_t = decay2 * (myy + 2.0 * g * ts * mxy + g * g * ts * ts * mxx)
+    quad = n11 * mxx_t + (n12 + n21) * mxy_t + n22 * myy_t
+    # kappa is meaningless where D(t) vanishes; callers discard those points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sw2 * quad * (1.0 / (delta * dd)), degenerate
 
 
 def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarray:
@@ -239,51 +311,117 @@ def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarra
         return out
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape("kappa needs a constant coupling kind")
-    from .errors import DegenerateDrift
-
-    beta = spec.beta
-    g = spec.coupling.g
-    a = 2.0 * beta * ts
-    u = -np.expm1(-a)
-    kk = _poly_tail_k_vec(a)
-    hh = _poly_tail_h_vec(a)
-    q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * g * kk / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * hh / (4.0 * beta**3))
-    decay2 = np.exp(-2.0 * beta * ts)
-    sx2, sy2 = init.sigma2_x, init.sigma2_y
-    c11 = decay2 * sx2 + q11
-    c12 = decay2 * g * ts * sx2 + q12
-    c22 = decay2 * (sy2 + g * g * ts * ts * sx2) + q22
-    delta = c11 * c22 - c12 * c12
-    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
-    d_scale = (
-        beta * beta * np.abs(delta)
-        + beta * sw2 * (np.abs(c11) + np.abs(c22))
-        + abs(g) * sw2 * np.abs(c12)
-        + sw2 * sw2
+    values, bad = _aniso_kappa(
+        spec.beta, sw2, init.sigma2_x, init.sigma2_y, spec.coupling.g, ts,
+        init.channel_stats(),
     )
-    bad = np.abs(dd) < 1e-12 * d_scale
     if np.any(bad):
         raise DegenerateDrift(float(ts[np.argmax(bad)]))
-    n11 = sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22
-    n12 = c12 * (beta * (c11 + c22) - g * c12 - sw2)
-    n21 = beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22
-    n22 = sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12
-    inv = 1.0 / (delta * dd)
-    mxx, myy, mxy = init.channel_stats()
-    mxx_t = decay2 * mxx
-    mxy_t = decay2 * (mxy + g * ts * mxx)
-    myy_t = decay2 * (myy + 2.0 * g * ts * mxy + g * g * ts * ts * mxx)
-    quad = n11 * mxx_t + (n12 + n21) * mxy_t + n22 * myy_t
-    return sw2 * quad * inv
+    return values
 
 
-def _kappa_scalar(spec: ModelSpec, init: MixtureInit, t: float) -> float:
-    """Fast scalar kappa for the bisection loop."""
-    if isinstance(spec.coupling, Symmetric):
-        return kappa_symmetric_closed(spec, init, t)
-    return kappa(spec, init, t)
+def _search_window(spec: ModelSpec, t_max_search: float | None) -> float:
+    if t_max_search is None:
+        return 10.0 / spec.beta
+    if t_max_search <= 0.0:
+        raise InvalidArgument("t_max_search must be positive")
+    if not math.isfinite(t_max_search):
+        raise InvalidArgument("t_max_search must be finite")
+    return float(t_max_search)
+
+
+def _scan(values: np.ndarray):
+    """Reduce kappa on the scan grid along its last axis.
+
+    Returns kappa(0), the grid supremum, whether kappa >= 1 at the end of
+    the window, and the index i of the last grid step with kappa >= 1 at
+    grid[i - 1] and kappa < 1 at grid[i] (0 when there is none).
+    """
+    above = values >= 1.0
+    cross = above[..., :-1] & ~above[..., 1:]
+    last = cross.shape[-1] - np.argmax(cross[..., ::-1], axis=-1)
+    bracket = np.where(cross.any(axis=-1), last, 0)
+    return values[..., 0], values.max(axis=-1), above[..., -1], bracket
+
+
+def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int):
+    """The result or error a scan settles on its own; None when bisection must."""
+    if sup_kappa <= 1.0 + SUP_TOL:
+        return SpeciationResult(
+            t_s=None, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_NO_SPECIATION
+        )
+    if bracket:
+        return None
+    if above_end:
+        return InvalidArgument(
+            "kappa > 1 at the end of the search window; increase t_max_search"
+        )
+    return InvalidArgument("no kappa = 1 crossing found in the window")
+
+
+def _aniso_speciation(
+    spec_template: ModelSpec,
+    init_template: MixtureInit,
+    gs,
+    stats,
+    t_max_search: float,
+) -> list:
+    """Anisotropic speciation for every pair of a coupling in ``gs`` and
+    channel statistics ``(mxx, myy, mxy)`` in ``stats``.
+
+    C(t), D(t) and N_ij depend on the coupling and time only, so one grid
+    scan per coupling covers all statistics at once.  A single
+    bisection then sharpens every bracket together, each cell stopping on
+    its own once |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings.
+    Returns a SpeciationResult or the cell's error for each pair, in
+    (g, stats) order.
+    """
+    beta, sw2 = spec_template.beta, spec_template.sigma_w2
+    sx2, sy2 = init_template.sigma2_x, init_template.sigma2_y
+    grid = _scan_grid(t_max_search)
+    columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
+    outcomes = []
+    pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
+    for g in gs:
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, columns)
+        if np.any(bad):
+            outcomes.extend([DegenerateDrift(float(grid[np.argmax(bad)]))] * len(stats))
+            continue
+        for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
+            outcome = _scan_outcome(*scanned)
+            if outcome is None:
+                kappa0, sup_kappa, _, bracket = scanned
+                pending.append((len(outcomes), g, j, kappa0, sup_kappa, bracket))
+            outcomes.append(outcome)
+    if not pending:
+        return outcomes
+
+    cell, g, j, kappa0, sup_kappa, bracket = (np.array(x) for x in zip(*pending))
+    mean_stats = columns[:, j, 0]
+    lo, hi = grid[bracket - 1], grid[bracket]
+    t_root = lo.copy()
+    active = np.arange(cell.size)
+    for _ in range(80):
+        mid = 0.5 * (lo[active] + hi[active])
+        val, bad = _aniso_kappa(
+            beta, sw2, sx2, sy2, g[active], mid, mean_stats[:, active]
+        )
+        t_root[active] = mid
+        for k in active[bad]:
+            outcomes[cell[k]] = DegenerateDrift(float(t_root[k]))
+        up = val >= 1.0
+        lo[active] = np.where(up, mid, lo[active])
+        hi[active] = np.where(up, hi[active], mid)
+        active = active[~(bad | (np.abs(val - 1.0) <= 0.1 * KAPPA_TOL))]
+        if not active.size:
+            break
+    for k, c in enumerate(cell.tolist()):
+        if outcomes[c] is None:
+            outcomes[c] = SpeciationResult(
+                t_s=float(t_root[k]), kappa0=float(kappa0[k]),
+                sup_kappa=float(sup_kappa[k]), regime=REGIME_SPECIATES,
+            )
+    return outcomes
 
 
 def speciation_time(
@@ -299,10 +437,14 @@ def speciation_time(
     supremum of kappa stays below 1, and the unstable regime with the
     first violation time when tail confinement fails inside the window.
     """
-    if t_max_search is None:
-        t_max_search = 10.0 / spec.beta
-    if t_max_search <= 0.0:
-        raise InvalidArgument("t_max_search must be positive")
+    t_max_search = _search_window(spec, t_max_search)
+    if isinstance(spec.coupling, Anisotropic):
+        (outcome,) = _aniso_speciation(
+            spec, init, [spec.coupling.g], [init.channel_stats()], t_max_search
+        )
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     grid = _scan_grid(t_max_search)
     try:
@@ -315,34 +457,19 @@ def speciation_time(
             regime=REGIME_UNSTABLE,
             unstable_t=exc.t,
         )
+    kappa0, sup_kappa, above_end, bracket = (r.item() for r in _scan(values))
+    outcome = _scan_outcome(kappa0, sup_kappa, above_end, bracket)
+    if isinstance(outcome, Exception):
+        raise outcome
+    if outcome is not None:
+        return outcome
 
-    kappa0 = float(values[0])
-    sup_kappa = float(values.max())
-    if sup_kappa <= 1.0 + SUP_TOL:
-        return SpeciationResult(
-            t_s=None, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_NO_SPECIATION
-        )
-
-    # largest bracket with kappa >= 1 on the left and < 1 on the right
-    above = values >= 1.0
-    bracket = None
-    for i in range(grid.size - 1, 0, -1):
-        if above[i - 1] and not above[i]:
-            bracket = (grid[i - 1], grid[i], values[i - 1], values[i])
-            break
-    if bracket is None:
-        if above[-1]:
-            raise InvalidArgument(
-                "kappa > 1 at the end of the search window; increase "
-                "t_max_search"
-            )
-        raise InvalidArgument("no kappa = 1 crossing found in the window")
-
-    lo, hi = bracket[0], bracket[1]
+    kappa_at = _symmetric_kappa(spec, init)
+    lo, hi = grid[bracket - 1].item(), grid[bracket].item()
     t_root = lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        val = _kappa_scalar(spec, init, mid)
+        val = kappa_at(mid)
         t_root = mid
         if abs(val - 1.0) <= 0.1 * KAPPA_TOL:
             break
@@ -351,7 +478,7 @@ def speciation_time(
         else:
             hi = mid
     return SpeciationResult(
-        t_s=float(t_root), kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_SPECIATES
+        t_s=t_root, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_SPECIATES
     )
 
 
@@ -434,38 +561,42 @@ def phase_diagram(
 ) -> list[PhaseCell]:
     """Sweep speciation over a (g, theta) grid with anisotropic coupling.
 
-    Cells are evaluated independently and reported in (g, theta) order;
-    per-cell failures are recorded in the cell rather than aborting the
-    sweep.  Each cell also carries the kappa(0) = 1 boundary estimate
+    All cells are solved together in one batched scan and bisection
+    (``_aniso_speciation``) and reported in (g, theta) order; per-cell
+    failures are recorded in the cell rather than aborting the sweep.
+    Each cell also carries the kappa(0) = 1 boundary estimate
     g_crit(theta) where cos(theta) > 0.
     """
     if isinstance(init_template.mean_spec, ModeMeans):
         raise UnsupportedShape("phase diagram sweeps angled means")
-    cells: list[PhaseCell] = []
-    for g in g_grid:
-        for theta in theta_grid:
-            init = MixtureInit(
-                sigma2_x=init_template.sigma2_x,
-                sigma2_y=init_template.sigma2_y,
-                mean_spec=AngledMeans(
-                    m_x2=init_template.mean_spec.m_x2,
-                    m_y2=init_template.mean_spec.m_y2,
-                    theta=float(theta),
-                ),
-                dim_d=init_template.dim_d,
-            )
-            spec = ModelSpec(
-                beta=spec_template.beta,
-                coupling=Anisotropic(float(g)),
-                sigma_w2=spec_template.sigma_w2,
-                dim_d=spec_template.dim_d,
-            )
-            gc = g_crit_aligned(spec, init, float(theta))
-            try:
-                result = speciation_time(spec, init, t_max_search)
-                cells.append(PhaseCell(float(g), float(theta), result, gc))
-            except Exception as exc:  # per-cell errors never abort the sweep
-                cells.append(
-                    PhaseCell(float(g), float(theta), None, gc, error=str(exc))
-                )
+    # replace() runs the constructors' validation on every g and theta
+    gs = [
+        replace(spec_template, coupling=Anisotropic(float(g))).coupling.g
+        for g in g_grid
+    ]
+    inits = [
+        replace(init_template, mean_spec=replace(init_template.mean_spec, theta=float(theta)))
+        for theta in theta_grid
+    ]
+    thetas = [init.mean_spec.theta for init in inits]
+    g_crits = [
+        g_crit_aligned(spec_template, init, theta) for init, theta in zip(inits, thetas)
+    ]
+    try:
+        window = _search_window(spec_template, t_max_search)
+    except InvalidArgument as exc:  # recorded in every cell like any cell error
+        outcomes = [exc] * (len(gs) * len(thetas))
+    else:
+        outcomes = _aniso_speciation(
+            spec_template, init_template, gs,
+            [init.channel_stats() for init in inits], window,
+        )
+    cells = []
+    for (g, (theta, gc)), outcome in zip(
+        itertools.product(gs, zip(thetas, g_crits)), outcomes
+    ):
+        if isinstance(outcome, Exception):
+            cells.append(PhaseCell(g, theta, None, gc, error=str(outcome)))
+        else:
+            cells.append(PhaseCell(g, theta, outcome, gc))
     return cells

@@ -108,6 +108,25 @@ class TestSweeps:
         assert first[2] == "speciates"
         assert float(first[5]) == pytest.approx(1.5)
 
+    def test_phase_diagram_reports_failed_cells(self, tmp_path, capsys):
+        argv = ["phase-diagram", "--g-points", "3", "--theta-points", "2",
+                "--t-max-search", "0.1"]
+        assert dispatch(argv) == 0
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        failed = [(row[0], row[1]) for row in rows if row[2] == "error"]
+        assert failed
+        assert err.splitlines() == [
+            f"oudiff: phase cell g={g}, theta={theta}: kappa > 1 at the end of "
+            "the search window; increase t_max_search"
+            for g, theta in failed
+        ]
+        # the messages go to stderr only: the CSV is the same with --out
+        path = tmp_path / "pd.csv"
+        assert dispatch(argv + ["--out", str(path)]) == 0
+        assert path.read_text() == out
+        assert capsys.readouterr() == ("", err)
+
     def test_toy_csv_schema(self, tmp_path):
         cfg = {
             "theta_points": 2, "g0_set": [0.5], "schedules": ["constant"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oudiff.errors import DegenerateRate, InvalidArgument
+from oudiff.errors import DegenerateDrift, DegenerateRate, InvalidArgument
 from oudiff.moments import (
     Anisotropic,
     AngledMeans,
@@ -268,6 +268,19 @@ class TestPhaseDiagram:
         keys = [(c.g, c.theta) for c in cells]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "t_max, message",
+        [(0.0, "t_max_search must be positive"),
+         (float("nan"), "t_max_search must be finite"),
+         (float("inf"), "t_max_search must be finite")],
+    )
+    def test_invalid_window_recorded_in_every_cell(self, t_max, message):
+        spec, init = aniso(0.0)
+        cells = phase_diagram(spec, init, [0.0, 1.0], [0.0, math.pi], t_max)
+        assert [c.error for c in cells] == [message] * 4
+        with pytest.raises(InvalidArgument, match=message):
+            speciation_time(spec, init, t_max)
+
     def test_errors_recorded_not_raised(self):
         # r = beta makes kappa0 degenerate but the sweep must not abort;
         # cells at sW2 == s2 still evaluate kappa numerically
@@ -275,3 +288,70 @@ class TestPhaseDiagram:
         init = MixtureInit(1.0, 1.0, AngledMeans(1.0, 1.0, 0.0))
         cells = phase_diagram(spec, init, [0.5], [0.0], 8.0)
         assert len(cells) == 1
+
+
+def _oracle_cell(spec, init, t_max):
+    """Scan and bisection of one cell on the scalar Block2 kappa()."""
+    grid = np.unique(np.concatenate(
+        [np.linspace(0.0, t_max, 512), t_max * 0.5 ** np.arange(1, 41)]
+    )).tolist()
+    try:
+        values = [kappa(spec, init, t) for t in grid]
+        if max(values) <= 1.0 + 1e-12:
+            return REGIME_NO_SPECIATION, None
+        if values[-1] >= 1.0:
+            return ("kappa > 1 at the end of the search window; increase "
+                    "t_max_search"), None
+        i = max(i for i in range(1, len(grid)) if values[i - 1] >= 1.0 > values[i])
+        lo, hi = grid[i - 1], grid[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            val = kappa(spec, init, mid)
+            if abs(val - 1.0) <= 1e-11:
+                break
+            lo, hi = (mid, hi) if val >= 1.0 else (lo, mid)
+        return REGIME_SPECIATES, mid
+    except DegenerateDrift as exc:
+        return str(exc), None
+
+
+class TestPhaseDiagramOracle:
+    """The batched phase-diagram solver against a per-cell scalar solver."""
+
+    @pytest.mark.parametrize(
+        "sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds",
+        [
+            # speciating, no-speciation and window-end error cells
+            (2.0, 1.0, 1.0, 1.0, 1.0, np.linspace(0.0, 2.0, 5),
+             [0.0, math.pi / 3, math.pi / 2, math.pi], 0.6,
+             {REGIME_SPECIATES, REGIME_NO_SPECIATION, "kappa > 1"}),
+            # D(t) vanishes at t = 0 (sW2 = beta s2): every cell degenerate
+            (1.0, 1.0, 1.0, 1.0, 1.0, [0.5], [0.0, math.pi], 8.0,
+             {"degenerate drift operator"}),
+            # D(t) changes sign inside the window: bisection meets the pole
+            (2.822308634965454, 0.8720205523304678, 4.704762063185329,
+             1.8390099031591214, 2.751893114372708, [-8.0, -6.0, 1.0, 4.0],
+             [0.0, math.pi / 2, math.pi], 5.0,
+             {REGIME_SPECIATES, "degenerate drift operator"}),
+        ],
+    )
+    def test_matches_scalar_bisection(
+        self, sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds
+    ):
+        spec = ModelSpec(1.0, Anisotropic(0.0), sw2)
+        init = MixtureInit(sx2, sy2, AngledMeans(m_x2, m_y2, 0.0))
+        cells = phase_diagram(spec, init, g_grid, theta_grid, t_max)
+        assert len(cells) == len(g_grid) * len(theta_grid)
+        seen = set()
+        for cell in cells:
+            want, t_s = _oracle_cell(
+                ModelSpec(1.0, Anisotropic(cell.g), sw2),
+                MixtureInit(sx2, sy2, AngledMeans(m_x2, m_y2, cell.theta)),
+                t_max,
+            )
+            got = cell.error if cell.result is None else cell.result.regime
+            assert got == want, (cell.g, cell.theta)
+            seen.add(want.split(" at")[0])
+            if t_s is not None:
+                assert abs(cell.result.t_s - t_s) <= 1e-10
+        assert seen == kinds

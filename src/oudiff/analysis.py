@@ -25,6 +25,7 @@ from .moments import (
 )
 from .sampler import (
     ConditionalRunConfig,
+    _check_sizes,
     conditional_log_density,
     conditional_reverse_sample,
     materialize_means,
@@ -213,6 +214,9 @@ class ToyExperimentConfig:
     seed: int = 0
     chunk: int = 250
 
+    def __post_init__(self):
+        _check_sizes(self, ("theta_points", "trials", "steps", "dim_d", "chunk"))
+
     def thetas(self) -> np.ndarray:
         return np.linspace(0.0, math.pi, self.theta_points)
 
@@ -250,9 +254,15 @@ def _toy_run_cell(config: ToyExperimentConfig, theta_idx: int, g0: float, kind: 
     return toy_metrics((out["x0"], out["y0"]), out["init"], out["moments0"])
 
 
-def _toy_worker(args):
-    config, theta_idx, g0, kind = args
-    return _toy_run_cell(config, theta_idx, g0, kind)
+def _map_cells(fn, args: list[tuple], jobs: int) -> list:
+    """fn(*a) for every argument tuple, in order; over worker processes when
+    jobs > 1."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*args)))
+    return [fn(*a) for a in args]
 
 
 def run_toy_experiment(config: ToyExperimentConfig, jobs: int = 1) -> list[MetricRecord]:
@@ -263,26 +273,15 @@ def run_toy_experiment(config: ToyExperimentConfig, jobs: int = 1) -> list[Metri
     ordered by (theta, g0, schedule) regardless of worker count.
     """
     thetas = config.thetas()
-    baseline_args = [
-        (config, i, 0.0, "constant") for i in range(len(thetas))
-    ]
     cell_specs = [
         (i, g0, kind)
         for i in range(len(thetas))
         for g0 in config.g0_set
         for kind in config.schedules
     ]
-    cell_args = [(config, i, g0, kind) for (i, g0, kind) in cell_specs]
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            baselines = list(pool.map(_toy_worker, baseline_args))
-            cells = list(pool.map(_toy_worker, cell_args))
-    else:
-        baselines = [_toy_worker(a) for a in baseline_args]
-        cells = [_toy_worker(a) for a in cell_args]
+    runs = [(i, 0.0, "constant") for i in range(len(thetas))] + cell_specs
+    results = _map_cells(_toy_run_cell, [(config, *run) for run in runs], jobs)
+    baselines, cells = results[: len(thetas)], results[len(thetas):]
 
     records = []
     for (i, g0, kind), rec in zip(cell_specs, cells):
@@ -321,6 +320,11 @@ class CloneConfig:
     conf: float = 0.95
     score: str = "population"
     empirical_n: int = 64
+
+    def __post_init__(self):
+        _check_sizes(
+            self, ("repeats", "batch", "steps", "baseline_factor", "empirical_n")
+        )
 
 
 class _ModeChannels:
@@ -527,6 +531,9 @@ class CloneSweepConfig:
     clone: CloneConfig = field(default_factory=CloneConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        _check_sizes(self, ("dim_d", "scan_count"))
+
 
 @dataclass(frozen=True)
 class CloneCellResult:
@@ -575,22 +582,13 @@ def _clone_cell(config: CloneSweepConfig, g_idx: int) -> CloneCellResult:
     )
 
 
-def _clone_worker(args):
-    config, g_idx = args
-    return _clone_cell(config, g_idx)
-
-
 def run_clone_experiment(
     config: CloneSweepConfig, jobs: int = 1
 ) -> list[CloneCellResult]:
     """Sweep clone agreement over the coupling list, per-cell rng streams."""
-    args = [(config, i) for i in range(len(config.g_list))]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_clone_worker, args))
-    return [_clone_worker(a) for a in args]
+    return _map_cells(
+        _clone_cell, [(config, i) for i in range(len(config.g_list))], jobs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,20 @@ def _resolve_seed(args, config: dict) -> int:
     return 0
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+def _load_config(args, allowed: set[str], flags: tuple[str, ...]) -> dict:
+    """The --config JSON object with every given flag in ``flags`` laid over it."""
+    config = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(config) - allowed
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for name in flags:
+        if getattr(args, name) is not None:
+            config[name] = getattr(args, name)
     return config
 
 
@@ -147,12 +151,13 @@ def _mean_spec(args):
     )
 
 
+def _coupling(args):
+    return Symmetric(args.g) if args.coupling == "symmetric" else Anisotropic(args.g)
+
+
 def _build_model(args, dim_d=1):
-    coupling = (
-        Symmetric(args.g) if args.coupling == "symmetric" else Anisotropic(args.g)
-    )
     spec = ModelSpec(
-        beta=args.beta, coupling=coupling, sigma_w2=args.sigma_w2, dim_d=dim_d
+        beta=args.beta, coupling=_coupling(args), sigma_w2=args.sigma_w2, dim_d=dim_d
     )
     init = MixtureInit(
         sigma2_x=args.sigma2, sigma2_y=args.sigma2,
@@ -217,10 +222,7 @@ def _cmd_speciation(args) -> int:
 
 def _cmd_collapse(args) -> int:
     # only the ratio s2/sW2 enters, so the internal model fixes sW2 = 1
-    coupling = (
-        Symmetric(args.g) if args.coupling == "symmetric" else Anisotropic(args.g)
-    )
-    spec = ModelSpec(beta=args.beta, coupling=coupling, sigma_w2=1.0)
+    spec = ModelSpec(beta=args.beta, coupling=_coupling(args), sigma_w2=1.0)
     init = MixtureInit(
         sigma2_x=args.ratio, sigma2_y=args.ratio, mean_spec=ModeMeans(0.0, 0.0)
     )
@@ -268,22 +270,16 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-PHASE_FIELDS = {
+PHASE_FLAGS = (
     "beta", "sigma_w2", "sigma2", "m_x2", "m_y2",
     "g_min", "g_max", "g_points", "theta_min", "theta_max", "theta_points",
-    "t_max_search", "seed",
-}
+    "t_max_search",
+)
 
 
 def _cmd_phase_diagram(args) -> int:
-    config = _load_config(args.config, PHASE_FIELDS)
-
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return config.get(name, default)
-
+    config = _load_config(args, {*PHASE_FLAGS, "seed"}, PHASE_FLAGS)
+    pick = config.get
     beta = pick("beta", 1.0)
     sigma_w2 = pick("sigma_w2", 2.0)
     sigma2 = pick("sigma2", 1.0)
@@ -340,14 +336,14 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_sample(args) -> int:
     dim = args.dim
     spec, init = _build_model(args, dim_d=dim)
+    seed = _resolve_seed(args, {})
     resolved = {
         "command": "sample", "mode": args.mode, "paths": args.paths,
-        "steps": args.steps, "horizon": args.horizon, "dim": dim,
-        "seed": _resolve_seed(args, {}),
+        "steps": args.steps, "horizon": args.horizon, "dim": dim, "seed": seed,
     }
     if args.dry_run:
         return _dry_run(args, resolved)
-    rng = np.random.default_rng(np.random.SeedSequence([_resolve_seed(args, {})]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     if args.mode == "forward":
         traj = forward_sample(
             spec, init, args.steps, rng,
@@ -393,11 +389,7 @@ TOY_FIELDS = {
 
 
 def _cmd_toy(args) -> int:
-    config = _load_config(args.config, TOY_FIELDS)
-    for name in ("trials", "steps", "theta_points"):
-        flag = getattr(args, name)
-        if flag is not None:
-            config[name] = flag
+    config = _load_config(args, TOY_FIELDS, ("trials", "steps", "theta_points"))
     config["seed"] = _resolve_seed(args, config)
     if "g0_set" in config:
         config["g0_set"] = tuple(config["g0_set"])
@@ -433,11 +425,7 @@ CLONE_FIELDS = {
 
 
 def _cmd_clone(args) -> int:
-    config = _load_config(args.config, CLONE_FIELDS)
-    for name in ("repeats", "batch", "steps"):
-        flag = getattr(args, name)
-        if flag is not None:
-            config[name] = flag
+    config = _load_config(args, CLONE_FIELDS, ("repeats", "batch", "steps"))
     seed = _resolve_seed(args, config)
     config.pop("seed", None)
     clone_kwargs = {

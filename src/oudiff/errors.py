@@ -26,7 +26,7 @@ class UnstableAtTime(OudiffError):
 
     def __init__(self, t: float, message: str | None = None):
         self.t = float(t)
-        super().__init__(message or f"reverse drift not confining at t={t!r}")
+        super().__init__(message or f"reverse drift not confining at t={self.t!r}")
 
 
 class DegenerateDrift(OudiffError):
@@ -34,7 +34,7 @@ class DegenerateDrift(OudiffError):
 
     def __init__(self, t: float, message: str | None = None):
         self.t = float(t)
-        super().__init__(message or f"degenerate drift operator at t={t!r}")
+        super().__init__(message or f"degenerate drift operator at t={self.t!r}")
 
 
 class DegenerateRate(OudiffError, ArithmeticError):

@@ -25,7 +25,6 @@ from .errors import (
     InvalidArgument,
     KernelDegenerate,
     NotPositiveDefinite,
-    UnsupportedShape,
 )
 from .moments import (
     Anisotropic,
@@ -72,19 +71,33 @@ def mode_shaped_noise(g: float, dim: int, rng: np.random.Generator, size=None):
 
 
 # ---------------------------------------------------------------------------
+# run configurations
+
+
+def _check_sizes(config, sizes: tuple[str, ...]) -> None:
+    """Reject a config whose named sizes are below 1 or whose horizon is not
+    finite and positive (configs without a horizon skip that check)."""
+    for name in sizes:
+        value = getattr(config, name)
+        if not value >= 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {value!r}")
+    horizon = getattr(config, "horizon", 1.0)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise InvalidArgument(f"horizon must be finite and > 0, got {horizon!r}")
+
+
+# ---------------------------------------------------------------------------
 # mean materialization and initial draws
 
 
-def materialize_means(init: MixtureInit) -> tuple[np.ndarray, np.ndarray]:
-    """Full d-vectors (mu_x, mu_y) from the per-dimension plane coordinates.
+def _plane_means(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full d-vectors (mu_x, mu_y) from per-dimension plane coordinates.
 
     The signal plane is spanned by the first two coordinate directions;
     norms scale as sqrt(d) so the per-dimension squared norms equal the
-    configured statistics.
+    plane statistics.
     """
-    d = init.dim_d
-    px, py = init.mean_plane()
-    if d < 2 and (abs(px[1]) > 0.0 or abs(py[1]) > 0.0):
+    if d < 2 and (px[1] != 0.0 or py[1] != 0.0):
         raise InvalidArgument("dim_d must be >= 2 to hold two mean directions")
     root_d = math.sqrt(d)
     mu_x = np.zeros(d)
@@ -95,6 +108,11 @@ def materialize_means(init: MixtureInit) -> tuple[np.ndarray, np.ndarray]:
         mu_x[1] = root_d * px[1]
         mu_y[1] = root_d * py[1]
     return mu_x, mu_y
+
+
+def materialize_means(init: MixtureInit) -> tuple[np.ndarray, np.ndarray]:
+    """Full d-vectors (mu_x, mu_y) of the initial mixture means."""
+    return _plane_means(*init.mean_plane(), init.dim_d)
 
 
 @dataclass
@@ -199,29 +217,46 @@ class Trajectory:
         return self.states[-1]
 
 
-def _as_start_states(init_or_points, spec, rng, n_paths):
-    if isinstance(init_or_points, MixtureInit):
-        return draw_mixture(init_or_points, n_paths, rng).points
-    z0 = np.atleast_2d(np.asarray(init_or_points, dtype=float))
-    if z0.shape[-1] != 2 * spec.dim_d:
+def _start_states(start, d: int) -> np.ndarray:
+    z = np.array(np.atleast_2d(np.asarray(start, dtype=float)))
+    if z.shape[-1] != 2 * d:
         raise InvalidArgument("start states must have 2*dim_d components")
-    return np.repeat(z0, n_paths, axis=0) if z0.shape[0] == 1 and n_paths > 1 else z0
+    return z
 
 
-def _snap_indices(record_times, grid) -> dict[int, list[float]]:
-    """Map each requested scan time to its nearest grid index.
+class _Recorder:
+    """Collects a sampler's recorded states on its time grid.
 
-    Cache entries are keyed by the requested time so lookups by the
-    caller's own values never miss; the stored state sits at the snapped
-    grid time.
+    Keeps the endpoints (every grid state with ``record_path``) and a scan
+    snapshot for each requested time in ``record_times``.  Each requested
+    time snaps to its nearest grid index; cache entries are keyed by the
+    requested time so lookups by the caller's own values never miss, and
+    times that snap to one index share one snapshot.
     """
-    snapped: dict[int, list[float]] = {}
-    if record_times is None:
-        return snapped
-    for t in record_times:
-        idx = int(np.argmin(np.abs(grid - t)))
-        snapped.setdefault(idx, []).append(float(t))
-    return snapped
+
+    def __init__(self, grid: np.ndarray, record_times=(), record_path: bool = False):
+        self.grid = grid
+        self.record_path = record_path
+        self.cache_at: dict[int, list[float]] = {}
+        lo, hi = float(min(grid[0], grid[-1])), float(max(grid[0], grid[-1]))
+        for t in record_times or ():
+            if not lo <= t <= hi:
+                raise InvalidArgument(f"record time {t!r} outside [{lo!r}, {hi!r}]")
+            idx = int(np.argmin(np.abs(grid - t)))
+            self.cache_at.setdefault(idx, []).append(float(t))
+        self.times, self.states, self.scan_cache = [], [], {}
+
+    def __call__(self, k: int, z: np.ndarray) -> None:
+        if self.record_path or k in (0, len(self.grid) - 1):
+            self.times.append(self.grid[k])
+            self.states.append(z.copy())
+        if k in self.cache_at:
+            snap = z.copy()
+            for key in self.cache_at[k]:
+                self.scan_cache[key] = snap
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(np.array(self.times), np.stack(self.states), self.scan_cache)
 
 
 def forward_sample(
@@ -231,54 +266,42 @@ def forward_sample(
     rng: np.random.Generator,
     *,
     horizon: float = 2.0,
-    schedule: ScheduleSpec | None = None,
     n_paths: int = 1,
     record_times=(),
     record_path: bool = False,
 ) -> Trajectory:
-    """Euler-Maruyama forward paths of dZ = M Z dt + sW dW on [0, horizon]."""
+    """Euler-Maruyama forward paths of dZ = M Z dt + sW dW on [0, horizon].
+
+    A scheduled coupling enters through ``spec.relaxation(t)``.
+    """
     if steps < 1:
         raise InvalidArgument("steps must be >= 1")
-    if isinstance(spec.coupling, Symmetric):
-        if schedule is not None:
-            raise UnsupportedShape("schedules apply to the anisotropic structure")
-        if not spec.is_stable:
-            raise InvalidArgument("forward sampling refuses |g| >= beta")
+    if isinstance(spec.coupling, Symmetric) and not spec.is_stable:
+        raise InvalidArgument("forward sampling refuses |g| >= beta")
 
     d = spec.dim_d
     h = horizon / steps
     grid = np.linspace(0.0, horizon, steps + 1)
-    z = np.array(_as_start_states(init_or_points, spec, rng, n_paths), dtype=float)
+    if isinstance(init_or_points, MixtureInit):
+        z = draw_mixture(init_or_points, n_paths, rng).points
+    else:
+        z = _start_states(init_or_points, d)
+        if z.shape[0] == 1 and n_paths > 1:
+            z = np.repeat(z, n_paths, axis=0)
     sw = math.sqrt(spec.sigma_w2)
     sqrt_h = math.sqrt(h)
 
-    def m_at(t: float) -> Block2:
-        if schedule is not None:
-            return Block2(-spec.beta, 0.0, coupling_value(schedule, t, horizon), -spec.beta)
-        return spec.relaxation(t)
-
-    cache_at = _snap_indices(record_times, grid)
-    rec_times, rec_states, scan_cache = [], [], {}
-
-    def record(k: int):
-        if record_path or k in (0, steps):
-            rec_times.append(grid[k])
-            rec_states.append(z.copy())
-        if k in cache_at:
-            snap = z.copy()
-            for key in cache_at[k]:
-                scan_cache[key] = snap
-
-    record(0)
+    record = _Recorder(grid, record_times, record_path)
+    record(0, z)
     for k in range(steps):
-        m = m_at(float(grid[k]))
+        m = spec.relaxation(float(grid[k]))
         x, y = split_channels(z, d)
         dx, dy = m.apply(x, y)
         noise = sw * sqrt_h * rng.standard_normal(z.shape)
         z = z + h * np.concatenate([dx, dy], axis=-1) + noise
-        record(k + 1)
+        record(k + 1, z)
 
-    return Trajectory(np.array(rec_times), np.stack(rec_states), scan_cache)
+    return record.trajectory()
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +318,7 @@ def _population_parts(spec, init, t, moments):
     cinv = block_inverse(ms.c)
     if ms.c.a11 <= 0.0 or ms.c.det <= 0.0:
         raise NotPositiveDefinite(f"diffusion kernel not SPD at t={t!r}")
-    d = init.dim_d
-    root_d = math.sqrt(d)
-    mu = np.zeros(2 * d)
-    plane = np.stack([ms.mu_x, ms.mu_y])
-    if d < 2 and (plane[0, 1] != 0.0 or plane[1, 1] != 0.0):
-        raise InvalidArgument("dim_d must be >= 2 to hold two mean directions")
-    mu[0] = root_d * plane[0, 0]
-    mu[d] = root_d * plane[1, 0]
-    if d >= 2:
-        mu[1] = root_d * plane[0, 1]
-        mu[d + 1] = root_d * plane[1, 1]
+    mu = np.concatenate(_plane_means(ms.mu_x, ms.mu_y, init.dim_d))
     return ms, cinv, mu
 
 
@@ -380,18 +393,10 @@ def empirical_score(
     q = transition_cov(spec, t)
     qinv = block_inverse(q)
     e = mat_exp(spec.relaxation(t), t)
-    px, py = split_channels(dataset.points, d)
-    dx, dy = e.apply(px, py)
-    drifted = np.concatenate([dx, dy], axis=1)  # (n, 2d)
+    drifted = _block_apply_state(e, dataset.points, d)  # (n, 2d)
 
     delta = zb[:, None, :] - drifted[None, :, :]  # (m, n, 2d)
-    qinv_delta = np.concatenate(
-        [
-            qinv.a11 * delta[..., :d] + qinv.a12 * delta[..., d:],
-            qinv.a21 * delta[..., :d] + qinv.a22 * delta[..., d:],
-        ],
-        axis=-1,
-    )
+    qinv_delta = _block_apply_state(qinv, delta, d)
     log_k = -0.5 * np.sum(delta * qinv_delta, axis=-1)  # (m, n)
     log_k -= log_k.max(axis=1, keepdims=True)
     w = np.exp(log_k)
@@ -428,61 +433,49 @@ def reverse_sample(
     noise_mode: str = "iid",
     record_times=(),
     record_path: bool = False,
-    denoise_last: bool = True,
 ) -> Trajectory:
     """Euler-Maruyama integration of the reverse SDE from horizon to 0.
 
     Starts from the stationary law of the forward process unless ``start``
     is given.  ``noise_mode`` is "iid" (default) or "mode_shaped", which
-    correlates the channel noise with covariance -g per dimension.
+    correlates the channel noise with covariance -g per dimension.  The
+    final step adds no noise.
     """
     if steps < 1:
         raise InvalidArgument("steps must be >= 1")
+    if noise_mode not in ("iid", "mode_shaped"):
+        raise InvalidArgument(f"unknown noise_mode {noise_mode!r}")
     d = spec.dim_d
     if start is None:
         z = sample_block_gaussian(stationary_cov(spec), n_paths, d, rng)
     else:
-        z = np.array(np.atleast_2d(np.asarray(start, dtype=float)))
-        if z.shape[-1] != 2 * d:
-            raise InvalidArgument("start states must have 2*dim_d components")
+        z = _start_states(start, d)
 
     h = horizon / steps
     sqrt_h = math.sqrt(h)
     sw = math.sqrt(spec.sigma_w2)
     sw2 = spec.sigma_w2
     grid = horizon * (1.0 - np.arange(steps + 1) / steps)
-    cache_at = _snap_indices(record_times, grid)
-    rec_times, rec_states, scan_cache = [], [], {}
-
-    def record(k: int):
-        if record_path or k in (0, steps):
-            rec_times.append(grid[k])
-            rec_states.append(z.copy())
-        if k in cache_at:
-            snap = z.copy()
-            for key in cache_at[k]:
-                scan_cache[key] = snap
 
     def draw_noise(t: float) -> np.ndarray:
         if noise_mode == "iid":
             return rng.standard_normal(z.shape)
-        if noise_mode == "mode_shaped":
-            g = abs(spec.coupling_at(t))
-            ea, eb = mode_shaped_noise(g, d, rng, size=z.shape[0])
-            return np.concatenate([ea, eb], axis=1)
-        raise InvalidArgument(f"unknown noise_mode {noise_mode!r}")
+        g = abs(spec.coupling_at(t))
+        ea, eb = mode_shaped_noise(g, d, rng, size=z.shape[0])
+        return np.concatenate([ea, eb], axis=1)
 
-    record(0)
+    record = _Recorder(grid, record_times, record_path)
+    record(0, z)
     for k in range(steps):
         t = float(grid[k])
         m = spec.relaxation(t)
         drift = -_block_apply_state(m, z, d) + sw2 * score(z, t)
         z = z + h * drift
-        if not (denoise_last and k == steps - 1):
+        if k < steps - 1:
             z = z + sw * sqrt_h * draw_noise(t)
-        record(k + 1)
+        record(k + 1, z)
 
-    return Trajectory(np.array(rec_times), np.stack(rec_states), scan_cache)
+    return record.trajectory()
 
 
 def flow_sample(
@@ -505,9 +498,7 @@ def flow_sample(
     if not 0.0 <= t_end < horizon:
         raise InvalidArgument("need 0 <= t_end < horizon")
     d = spec.dim_d
-    z = np.array(np.atleast_2d(np.asarray(start, dtype=float)))
-    if z.shape[-1] != 2 * d:
-        raise InvalidArgument("start states must have 2*dim_d components")
+    z = _start_states(start, d)
     grid = np.linspace(horizon, t_end, steps + 1)
     h = (horizon - t_end) / steps
 
@@ -517,7 +508,8 @@ def flow_sample(
             spec, init, state, t
         )
 
-    rec_times, rec_states = [grid[0]], [z.copy()]
+    record = _Recorder(grid, record_path=record_path)
+    record(0, z)
     for k in range(steps):
         t = float(grid[k])
         t_mid = max(t - 0.5 * h, 0.0)
@@ -527,18 +519,23 @@ def flow_sample(
         k3 = rhs(z + 0.5 * h * k2, t_mid)
         k4 = rhs(z + h * k3, t_next)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record_path or k == steps - 1:
-            rec_times.append(t_next)
-            rec_states.append(z.copy())
+        record(k + 1, z)
 
-    return Trajectory(np.array(rec_times), np.stack(rec_states), {})
+    return record.trajectory()
 
 
 # ---------------------------------------------------------------------------
 # conditional generation (anisotropic coupling)
 
 
-def _conditional_parts(spec, init, x, t, moments):
+def conditional_components(
+    spec: ModelSpec,
+    init: MixtureInit,
+    x: np.ndarray,
+    t: float,
+    moments: MomentState | None = None,
+):
+    """Mixture representation of P_t(y | x): weights, component means, variance."""
     ms = moments if moments is not None else diffusion_kernel(spec, init, t)
     c11, c12, c22 = ms.c.a11, ms.c.a12, ms.c.a22
     if c11 <= 0.0:
@@ -546,15 +543,7 @@ def _conditional_parts(spec, init, x, t, moments):
     c_yx = c22 - c12 * c12 / c11
     if c_yx <= 0.0:
         raise NotPositiveDefinite(f"conditional variance {c_yx!r} not positive")
-    d = init.dim_d
-    root_d = math.sqrt(d)
-    if d < 2 and (ms.mu_x[1] != 0.0 or ms.mu_y[1] != 0.0):
-        raise InvalidArgument("dim_d must be >= 2 to hold two mean directions")
-    mu_x = np.zeros(d)
-    mu_y = np.zeros(d)
-    mu_x[0], mu_y[0] = root_d * ms.mu_x[0], root_d * ms.mu_y[0]
-    if d >= 2:
-        mu_x[1], mu_y[1] = root_d * ms.mu_x[1], root_d * ms.mu_y[1]
+    mu_x, mu_y = _plane_means(ms.mu_x, ms.mu_y, init.dim_d)
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
     gain = c12 / c11
@@ -575,17 +564,6 @@ def _conditional_parts(spec, init, x, t, moments):
     return w, means, c_yx
 
 
-def conditional_components(
-    spec: ModelSpec,
-    init: MixtureInit,
-    x: np.ndarray,
-    t: float,
-    moments: MomentState | None = None,
-):
-    """Mixture representation of P_t(y | x): weights, component means, variance."""
-    return _conditional_parts(spec, init, x, t, moments)
-
-
 def conditional_score(
     spec: ModelSpec,
     init: MixtureInit,
@@ -597,7 +575,7 @@ def conditional_score(
     """Exact conditional score grad_y log P_t(y | x)."""
     single = np.asarray(y).ndim == 1
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    w, means, c_yx = _conditional_parts(spec, init, x, t, moments)
+    w, means, c_yx = conditional_components(spec, init, x, t, moments)
     resid = y[:, None, :] - means  # (m, 2, d)
     log_r = np.log(np.maximum(w, 1e-300)) - 0.5 * np.sum(resid**2, axis=2) / c_yx
     log_r -= log_r.max(axis=1, keepdims=True)
@@ -618,7 +596,7 @@ def conditional_log_density(
     """Normalized log P_t(y | x) of the conditional mixture."""
     single = np.asarray(y).ndim == 1
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    w, means, c_yx = _conditional_parts(spec, init, x, t, moments)
+    w, means, c_yx = conditional_components(spec, init, x, t, moments)
     d = means.shape[-1]
     resid = y[:, None, :] - means
     log_comp = (
@@ -646,6 +624,9 @@ class ConditionalRunConfig:
     steps: int = 800
     trials: int = 2000
     chunk: int = 250
+
+    def __post_init__(self):
+        _check_sizes(self, ("dim_d", "steps", "trials", "chunk"))
 
     def model(self) -> tuple[ModelSpec, MixtureInit]:
         coupling = (
@@ -711,7 +692,7 @@ def conditional_reverse_sample(
             x_path[k + 1] = x
 
         # exact conditional mixture draw at t = horizon
-        w, means, c_yx = _conditional_parts(
+        w, means, c_yx = conditional_components(
             spec, init, x_path[n_steps], horizon, moments[n_steps]
         )
         pick_plus = rng.uniform(size=m) < w[:, 0]

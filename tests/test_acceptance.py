@@ -518,6 +518,7 @@ def toy_sweep():
     return rec, grid_dt, cell_dt
 
 
+@pytest.mark.slow
 def test_criterion_11_toy_conditional_signs(toy_sweep):
     rec, grid_dt, cell_dt = toy_sweep
     r_pi_05 = rec(math.pi, 0.5, "constant")
@@ -539,6 +540,7 @@ def test_criterion_11_toy_conditional_signs(toy_sweep):
     )
 
 
+@pytest.mark.slow
 def test_toy_midangle_deltas_smaller_than_extremes(toy_sweep):
     # the coupling bias direction scales with cos(theta), so the orthogonal
     # row sits well inside the aligned/anti-aligned extremes

@@ -27,7 +27,7 @@ from oudiff.moments import (
     Symmetric,
     diffusion_kernel,
 )
-from oudiff.sampler import materialize_means
+from oudiff.sampler import ConditionalRunConfig, materialize_means
 
 
 class TestWilson:
@@ -203,6 +203,42 @@ class TestToyMetrics:
         ms = diffusion_kernel(ModelSpec(1.0, Anisotropic(0.0), 2.0, dim_d=d), init, 0.0)
         with pytest.raises(UndefinedLabel):
             toy_metrics((np.ones((5, d)), np.ones((5, d))), init, ms)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ToyExperimentConfig(theta_points=0),
+            lambda: ToyExperimentConfig(trials=0),
+            lambda: ToyExperimentConfig(steps=-3),
+            lambda: ToyExperimentConfig(dim_d=0),
+            lambda: ToyExperimentConfig(chunk=0),
+            lambda: ToyExperimentConfig(horizon=0.0),
+            lambda: ToyExperimentConfig(horizon=math.inf),
+            lambda: CloneConfig(repeats=0),
+            lambda: CloneConfig(batch=0),
+            lambda: CloneConfig(steps=0),
+            lambda: CloneConfig(baseline_factor=0),
+            lambda: CloneConfig(empirical_n=0),
+            lambda: CloneConfig(horizon=math.nan),
+            lambda: CloneSweepConfig(dim_d=0),
+            lambda: CloneSweepConfig(scan_count=0),
+            lambda: ConditionalRunConfig(steps=0),
+            lambda: ConditionalRunConfig(trials=0),
+            lambda: ConditionalRunConfig(chunk=0),
+            lambda: ConditionalRunConfig(dim_d=0),
+            lambda: ConditionalRunConfig(horizon=-1.0),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, make):
+        with pytest.raises(InvalidArgument):
+            make()
+
+    def test_defaults_accepted(self):
+        ToyExperimentConfig()
+        CloneSweepConfig(clone=CloneConfig())
+        ConditionalRunConfig()
 
 
 class TestToyExperiment:

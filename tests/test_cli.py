@@ -167,6 +167,37 @@ class TestSweeps:
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary[0]["g"] == 0.0
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("toy-conditional", {"steps": 0}),
+            ("toy-conditional", {"chunk": 0}),
+            ("clone-speciation", {"steps": 0}),
+        ],
+    )
+    def test_non_positive_size_exits_2(self, tmp_path, capsys, command, bad):
+        # the check runs when the config is built, before any sampling or
+        # worker pool, so a zero chunk cannot loop
+        cfg = (
+            {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+             "trials": 4, "steps": 4, "dim_d": 2, "chunk": 4}
+            if command == "toy-conditional"
+            else {"g_list": [0.0], "dim_d": 2, "scan_count": 2,
+                  "repeats": 1, "batch": 4, "steps": 4}
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, **bad}))
+        code = dispatch(
+            [command, "--config", str(cfg_path), "--jobs", "2",
+             "--out", str(tmp_path / "o.csv"),
+             *(["--summary-out", str(tmp_path / "s.json")]
+               if command == "clone-speciation" else [])]
+        )
+        assert code == 2
+        name = next(iter(bad))
+        assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_field": 1}))

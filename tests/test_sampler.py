@@ -10,10 +10,12 @@ from oudiff.moments import (
     MixtureInit,
     ModeMeans,
     ModelSpec,
+    Scheduled,
     ScheduleSpec,
     Symmetric,
     diffusion_kernel,
     mean_at,
+    moments_ode,
 )
 from oudiff.sampler import (
     ConditionalRunConfig,
@@ -147,6 +149,88 @@ class TestForward:
         mxx, myy, mxy = ms.mean_stats()
         assert np.mean(x * x) == pytest.approx(ms.c.a11 + mxx, abs=0.05)
         assert np.mean(x * y) == pytest.approx(ms.c.a12 + mxy, abs=0.05)
+
+    def test_scheduled_late_switch_matches_moment_ode(self):
+        # "late" keeps the coupling on for t <= t0 = 1 and off after, so at
+        # the horizon the cross-moment sits between the never-on (0.018)
+        # and always-on (0.546) closed forms
+        spec = ModelSpec(1.0, Scheduled(ScheduleSpec("late", 1.0, 1.0)), 2.0, dim_d=4)
+        init = MixtureInit(1.0, 1.0, AngledMeans(1.0, 1.0, 0.0), dim_d=4)
+        rng = np.random.default_rng(21)
+        traj = forward_sample(spec, init, 400, rng, horizon=2.0, n_paths=20000)
+        x, y = split_channels(traj.final, 4)
+        ms = moments_ode(spec, init, np.linspace(0.0, 2.0, 401))[-1]
+        mxx, myy, mxy = ms.mean_stats()
+        assert np.mean(x * x) == pytest.approx(ms.c.a11 + mxx, abs=0.05)
+        assert np.mean(x * y) == pytest.approx(ms.c.a12 + mxy, abs=0.05)
+        assert np.mean(y * y) == pytest.approx(ms.c.a22 + myy, abs=0.05)
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("t", [5.0, math.nan, -1.0, math.inf])
+    def test_out_of_window_record_time_raises(self, t):
+        spec, init = sym_model(d=2)
+        with pytest.raises(InvalidArgument, match="record time"):
+            forward_sample(
+                spec, init, 10, np.random.default_rng(0), horizon=2.0,
+                record_times=(1.0, t),
+            )
+        with pytest.raises(InvalidArgument, match="record time"):
+            reverse_sample(
+                spec, population_score_fn(spec, init), 10,
+                np.random.default_rng(0), horizon=2.0, record_times=(t,),
+            )
+
+    def test_window_edges_accepted(self):
+        spec, init = sym_model(d=2)
+        traj = forward_sample(
+            spec, init, 10, np.random.default_rng(0), horizon=2.0, n_paths=3,
+            record_times=(0.0, 2.0),
+        )
+        assert np.array_equal(traj.scan_cache[0.0], traj.states[0])
+        assert np.array_equal(traj.scan_cache[2.0], traj.final)
+
+    def test_times_on_one_grid_index_share_a_snapshot(self):
+        # grid spacing 0.2: 1.0 and 1.04 both snap to t = 1.0
+        spec, init = sym_model(d=2)
+        fwd = forward_sample(
+            spec, init, 10, np.random.default_rng(1), horizon=2.0, n_paths=4,
+            record_times=(1.0, 1.04), record_path=True,
+        )
+        rev = reverse_sample(
+            spec, population_score_fn(spec, init), 10, np.random.default_rng(1),
+            horizon=2.0, n_paths=4, record_times=(1.0, 1.04), record_path=True,
+        )
+        for traj in (fwd, rev):
+            assert traj.scan_cache[1.0] is traj.scan_cache[1.04]
+            k = int(np.argmin(np.abs(traj.times - 1.0)))
+            assert np.array_equal(traj.scan_cache[1.0], traj.states[k])
+
+    def test_endpoints_only_without_record_path(self):
+        spec, init = sym_model(d=2)
+        fwd = forward_sample(
+            spec, init, 10, np.random.default_rng(2), horizon=2.0, n_paths=4,
+        )
+        rev = reverse_sample(
+            spec, population_score_fn(spec, init), 10, np.random.default_rng(2),
+            horizon=2.0, n_paths=4,
+        )
+        assert np.array_equal(fwd.times, [0.0, 2.0])
+        assert np.array_equal(rev.times, [2.0, 0.0])
+        for traj in (fwd, rev):
+            assert traj.states.shape == (2, 4, 4)
+            assert traj.scan_cache == {}
+
+    def test_flow_record_path_in_grid_order(self):
+        spec, init = sym_model(d=2)
+        start = np.random.default_rng(3).standard_normal((5, 4))
+        traj = flow_sample(spec, init, 7, start, t_end=0.5, record_path=True)
+        assert np.array_equal(traj.times, np.linspace(2.0, 0.5, 8))
+        assert traj.states.shape == (8, 5, 4)
+        assert np.array_equal(traj.states[0], start)
+        short = flow_sample(spec, init, 7, start, t_end=0.5)
+        assert np.array_equal(short.times, [2.0, 0.5])
+        assert np.array_equal(short.final, traj.final)
 
 
 class TestPopulationScore:
@@ -313,6 +397,16 @@ class TestReverse:
             medians.append(np.median(w.max(axis=1)))
         assert all(b >= a - 1e-9 for a, b in zip(medians, medians[1:]))
         assert medians[-1] > 0.99
+
+    def test_unknown_noise_mode_rejected_on_entry(self):
+        # with one step the only step is the noiseless one, so no noise
+        # draw would ever reach the mode dispatch
+        spec, init = sym_model(d=2)
+        with pytest.raises(InvalidArgument, match="noise_mode"):
+            reverse_sample(
+                spec, population_score_fn(spec, init), 1,
+                np.random.default_rng(0), noise_mode="shaped",
+            )
 
     def test_sigma_w_zero_unconstructible(self):
         with pytest.raises(InvalidArgument):

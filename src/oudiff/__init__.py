@@ -33,6 +33,7 @@ from .moments import (
     mean_at,
     mode_kernels,
     moments_ode,
+    moments_rk4,
     transition_cov,
 )
 from .sampler import (
@@ -40,6 +41,7 @@ from .sampler import (
     DatasetEmpirical,
     Trajectory,
     conditional_log_density,
+    conditional_reverse_group,
     conditional_reverse_sample,
     conditional_score,
     coupling_value,

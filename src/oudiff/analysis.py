@@ -25,9 +25,10 @@ from .moments import (
 )
 from .sampler import (
     ConditionalRunConfig,
+    _check_size,
     _check_sizes,
     conditional_log_density,
-    conditional_reverse_sample,
+    conditional_reverse_group,
     materialize_means,
     split_channels,
 )
@@ -240,27 +241,39 @@ def _toy_cell_config(config: ToyExperimentConfig, theta: float, g0: float, kind:
     )
 
 
-def _toy_run_cell(config: ToyExperimentConfig, theta_idx: int, g0: float, kind: str):
-    """One sweep cell; the rng stream depends only on (seed, theta index).
+def _toy_run_group(config: ToyExperimentConfig, theta_idx: int, runs) -> list[MetricRecord]:
+    """The sweep cells ``runs`` = ((g0, kind), ...) at one theta, run as one group.
 
-    Sharing the stream across every cell at the same theta (including the
-    g0 = 0 baseline) makes the deltas a common-random-number comparison:
-    the same draws feed both runs because the draw order is identical.
+    The rng stream depends only on (seed, theta index).  Sharing it across
+    every cell at the same theta (including the g0 = 0 baseline) makes the
+    deltas a common-random-number comparison: the same draws feed every
+    run because the draw order is identical, so the group draws them once.
     """
     theta = float(config.thetas()[theta_idx])
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, theta_idx]))
-    cell = _toy_cell_config(config, theta, g0, kind)
-    out = conditional_reverse_sample(cell, rng)
-    return toy_metrics((out["x0"], out["y0"]), out["init"], out["moments0"])
+    cells = [_toy_cell_config(config, theta, g0, kind) for g0, kind in runs]
+    out = conditional_reverse_group(cells, rng)
+    return [
+        toy_metrics((out["x0"], y0), out["init"], moments0)
+        for y0, moments0 in zip(out["y0"], out["moments0"])
+    ]
+
+
+def _toy_run_cell(config: ToyExperimentConfig, theta_idx: int, g0: float, kind: str):
+    """One sweep cell: a group of one, with the same result as in the full sweep."""
+    return _toy_run_group(config, theta_idx, ((g0, kind),))[0]
 
 
 def _map_cells(fn, args: list[tuple], jobs: int) -> list:
-    """fn(*a) for every argument tuple, in order; over worker processes when
-    jobs > 1."""
-    if jobs > 1:
+    """fn(*a) for every argument tuple, in order; over at most one worker
+    process per task when jobs > 1, in this process when that is one."""
+    _check_size("jobs", jobs)
+    workers = min(jobs, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*args)))
     return [fn(*a) for a in args]
 
@@ -269,39 +282,37 @@ def run_toy_experiment(config: ToyExperimentConfig, jobs: int = 1) -> list[Metri
     """Full (theta, g0, schedule) sweep with deltas against the g0=0 baseline.
 
     Emits one record per coupled cell with both absolute metrics and
-    deltas; the baseline run shares the cell's random stream.  Results are
-    ordered by (theta, g0, schedule) regardless of worker count.
+    deltas; the baseline run shares the cell's random stream.  The cells
+    of one theta run together as one group, so ``jobs`` beyond
+    ``theta_points`` adds nothing.  Results are ordered by (theta, g0,
+    schedule) regardless of worker count.
     """
     thetas = config.thetas()
-    cell_specs = [
-        (i, g0, kind)
-        for i in range(len(thetas))
-        for g0 in config.g0_set
-        for kind in config.schedules
-    ]
-    runs = [(i, 0.0, "constant") for i in range(len(thetas))] + cell_specs
-    results = _map_cells(_toy_run_cell, [(config, *run) for run in runs], jobs)
-    baselines, cells = results[: len(thetas)], results[len(thetas):]
+    coupled = [(g0, kind) for g0 in config.g0_set for kind in config.schedules]
+    runs = ((0.0, "constant"), *coupled)
+    groups = _map_cells(
+        _toy_run_group, [(config, i, runs) for i in range(len(thetas))], jobs
+    )
 
     records = []
-    for (i, g0, kind), rec in zip(cell_specs, cells):
-        base = baselines[i]
-        records.append(
-            MetricRecord(
-                coordinates={"theta": float(thetas[i]), "g0": g0, "schedule": kind},
-                values={
-                    "d_accuracy": rec.values["accuracy"] - base.values["accuracy"],
-                    "d_mse": rec.values["mse"] - base.values["mse"],
-                    "d_nll": rec.values["nll"] - base.values["nll"],
-                    "accuracy": rec.values["accuracy"],
-                    "mse": rec.values["mse"],
-                    "nll": rec.values["nll"],
-                },
-                ci_low=rec.ci_low,
-                ci_high=rec.ci_high,
-                n_effective=rec.n_effective,
+    for i, (base, *cells) in enumerate(groups):
+        for (g0, kind), rec in zip(coupled, cells):
+            records.append(
+                MetricRecord(
+                    coordinates={"theta": float(thetas[i]), "g0": g0, "schedule": kind},
+                    values={
+                        "d_accuracy": rec.values["accuracy"] - base.values["accuracy"],
+                        "d_mse": rec.values["mse"] - base.values["mse"],
+                        "d_nll": rec.values["nll"] - base.values["nll"],
+                        "accuracy": rec.values["accuracy"],
+                        "mse": rec.values["mse"],
+                        "nll": rec.values["nll"],
+                    },
+                    ci_low=rec.ci_low,
+                    ci_high=rec.ci_high,
+                    n_effective=rec.n_effective,
+                )
             )
-        )
     return records
 
 

@@ -35,6 +35,7 @@ from .moments import (
     Symmetric,
 )
 from .sampler import (
+    _check_size,
     flow_sample,
     forward_sample,
     population_score_fn,
@@ -558,6 +559,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_size("jobs", args.jobs)
         return args.func(args)
     except OSError as exc:
         print(f"oudiff: i/o failure: {exc}", file=sys.stderr)

@@ -224,6 +224,20 @@ class MomentState:
     q: Block2
     c: Block2
 
+    @staticmethod
+    def from_arrays(
+        t: float, mu: np.ndarray, c: np.ndarray, q: np.ndarray
+    ) -> "MomentState":
+        """State from a (2, 2) mean-plane array (rows: channel) and C, Q blocks."""
+        return MomentState(
+            t=float(t),
+            mu_x=mu[0].copy(),
+            mu_y=mu[1].copy(),
+            s=Block2.from_array(c - q),
+            q=Block2.from_array(q),
+            c=Block2.from_array(c),
+        )
+
     def mean_stats(self) -> tuple[float, float, float]:
         return (
             float(self.mu_x @ self.mu_x),
@@ -415,20 +429,25 @@ def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
 # scheduled coupling: RK4 moment integration
 
 
-def _ode_rhs(m: np.ndarray, sw2: float, mu: np.ndarray, c: np.ndarray, q: np.ndarray):
-    noise = sw2 * np.eye(2)
+def _ode_rhs(
+    m: np.ndarray, noise: np.ndarray, mu: np.ndarray, c: np.ndarray, q: np.ndarray
+):
+    mt = np.swapaxes(m, -1, -2)
     dmu = m @ mu
-    dc = m @ c + c @ m.T + noise
-    dq = m @ q + q @ m.T + noise
+    dc = m @ c + c @ mt + noise
+    dq = m @ q + q @ mt + noise
     return dmu, dc, dq
 
 
-def moments_ode(spec: ModelSpec, init: MixtureInit, grid) -> list[MomentState]:
-    """Integrate the mean and covariance ODEs on a time grid with RK4.
+def moments_rk4(specs, init: MixtureInit, grid):
+    """RK4 moments of a stack of specs that share one initial law and grid.
 
-    Handles any coupling kind; for constant coupling the result agrees
-    with the closed forms to integrator accuracy.  The grid must be
-    strictly increasing and start at 0.
+    Returns ``(mu, c, q)``, each shaped ``(len(grid), len(specs), 2, 2)``:
+    ``mu[k, j]`` holds the mean plane coordinates of spec j at ``grid[k]``
+    (rows: channel x, y), and ``c``/``q`` its symmetrised C and Q blocks
+    (S = C - Q).  Each spec is integrated with its own relaxation matrix
+    and noise; the arithmetic per spec is that of a stack of one, so spec
+    j's states do not depend on which other specs share the stack.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -437,39 +456,53 @@ def moments_ode(spec: ModelSpec, init: MixtureInit, grid) -> list[MomentState]:
         raise InvalidArgument("grid must start at t=0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise InvalidArgument("grid must be strictly increasing")
-
-    mux0, muy0 = init.mean_plane()
-    mu = np.stack([mux0, muy0])  # rows: channel, cols: plane coordinate
-    c = init.sigma0().as_array()
-    q = np.zeros((2, 2))
-
-    def snapshot(t: float) -> MomentState:
-        cs = 0.5 * (c + c.T)
-        qs = 0.5 * (q + q.T)
-        return MomentState(
-            t=float(t),
-            mu_x=mu[0].copy(),
-            mu_y=mu[1].copy(),
-            s=Block2.from_array(cs - qs),
-            q=Block2.from_array(qs),
-            c=Block2.from_array(cs),
-        )
-
-    sw2 = spec.sigma_w2
-    out = [snapshot(grid[0])]
+    n_cells = len(specs)
+    if n_cells < 1:
+        raise InvalidArgument("moments_rk4 needs at least one spec")
+    # schedules are piecewise constant: freezing the coupling at the step
+    # midpoint integrates each constant segment exactly when the switch
+    # time lies on a grid point
+    m_steps = np.empty((grid.size - 1, n_cells, 2, 2))
     for k in range(grid.size - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        h = t1 - t0
-        # schedules are piecewise constant: freezing the coupling at the
-        # step midpoint integrates each constant segment exactly when the
-        # switch time lies on a grid point
-        m = spec.relaxation(0.5 * (t0 + t1)).as_array()
-        k1 = _ode_rhs(m, sw2, mu, c, q)
-        k2 = _ode_rhs(m, sw2, mu + 0.5 * h * k1[0], c + 0.5 * h * k1[1], q + 0.5 * h * k1[2])
-        k3 = _ode_rhs(m, sw2, mu + 0.5 * h * k2[0], c + 0.5 * h * k2[1], q + 0.5 * h * k2[2])
-        k4 = _ode_rhs(m, sw2, mu + h * k3[0], c + h * k3[1], q + h * k3[2])
-        mu = mu + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        c = c + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        q = q + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        out.append(snapshot(t1))
-    return out
+        t_mid = 0.5 * (grid[k] + grid[k + 1])
+        for j, spec in enumerate(specs):
+            m_steps[k, j] = spec.relaxation(t_mid).as_array()
+    noise = np.array([spec.sigma_w2 for spec in specs])[:, None, None] * np.eye(2)
+
+    mu = np.empty((grid.size, n_cells, 2, 2))
+    c = np.empty_like(mu)
+    q = np.empty_like(mu)
+    mu[0] = np.stack(init.mean_plane())  # rows: channel, cols: plane coordinate
+    c[0] = init.sigma0().as_array()
+    q[0] = 0.0
+    for k in range(grid.size - 1):
+        h = grid[k + 1] - grid[k]
+        m = m_steps[k]
+        mu_k, c_k, q_k = mu[k], c[k], q[k]
+        k1 = _ode_rhs(m, noise, mu_k, c_k, q_k)
+        k2 = _ode_rhs(
+            m, noise, mu_k + 0.5 * h * k1[0], c_k + 0.5 * h * k1[1], q_k + 0.5 * h * k1[2]
+        )
+        k3 = _ode_rhs(
+            m, noise, mu_k + 0.5 * h * k2[0], c_k + 0.5 * h * k2[1], q_k + 0.5 * h * k2[2]
+        )
+        k4 = _ode_rhs(m, noise, mu_k + h * k3[0], c_k + h * k3[1], q_k + h * k3[2])
+        mu[k + 1] = mu_k + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        c[k + 1] = c_k + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        q[k + 1] = q_k + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    return mu, 0.5 * (c + np.swapaxes(c, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
+
+
+def moments_ode(spec: ModelSpec, init: MixtureInit, grid) -> list[MomentState]:
+    """Integrate the mean and covariance ODEs on a time grid with RK4.
+
+    Handles any coupling kind; for constant coupling the result agrees
+    with the closed forms to integrator accuracy.  The grid must be
+    strictly increasing and start at 0.  This is ``moments_rk4`` for a
+    stack of one spec, one ``MomentState`` per grid time.
+    """
+    mu, c, q = moments_rk4([spec], init, grid)
+    return [
+        MomentState.from_arrays(t, mu[k, 0], c[k, 0], q[k, 0])
+        for k, t in enumerate(np.asarray(grid, dtype=float))
+    ]

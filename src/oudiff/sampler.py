@@ -15,7 +15,7 @@ keeps the terminal state on the posterior mean as the step count grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ from .moments import (
     ScheduleSpec,
     Symmetric,
     diffusion_kernel,
-    moments_ode,
+    moments_rk4,
     transition_cov,
 )
 
@@ -74,13 +74,20 @@ def mode_shaped_noise(g: float, dim: int, rng: np.random.Generator, size=None):
 # run configurations
 
 
+def _check_size(name: str, value) -> None:
+    """Reject a size that is not an integer >= 1.  A bool is not a size,
+    though Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if not value >= 1:
+        raise InvalidArgument(f"{name} must be >= 1, got {value!r}")
+
+
 def _check_sizes(config, sizes: tuple[str, ...]) -> None:
-    """Reject a config whose named sizes are below 1 or whose horizon is not
-    finite and positive (configs without a horizon skip that check)."""
+    """Reject a config whose named sizes fail ``_check_size`` or whose horizon
+    is not finite and positive (configs without a horizon skip that check)."""
     for name in sizes:
-        value = getattr(config, name)
-        if not value >= 1:
-            raise InvalidArgument(f"{name} must be >= 1, got {value!r}")
+        _check_size(name, getattr(config, name))
     horizon = getattr(config, "horizon", 1.0)
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvalidArgument(f"horizon must be finite and > 0, got {horizon!r}")
@@ -95,18 +102,21 @@ def _plane_means(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     The signal plane is spanned by the first two coordinate directions;
     norms scale as sqrt(d) so the per-dimension squared norms equal the
-    plane statistics.
+    plane statistics.  Coordinates sit on the last axis; leading axes
+    (one per cell of a stack) carry through to the result.
     """
-    if d < 2 and (px[1] != 0.0 or py[1] != 0.0):
+    px = np.asarray(px)
+    py = np.asarray(py)
+    if d < 2 and (np.any(px[..., 1] != 0.0) or np.any(py[..., 1] != 0.0)):
         raise InvalidArgument("dim_d must be >= 2 to hold two mean directions")
     root_d = math.sqrt(d)
-    mu_x = np.zeros(d)
-    mu_y = np.zeros(d)
-    mu_x[0] = root_d * px[0]
-    mu_y[0] = root_d * py[0]
+    mu_x = np.zeros(px.shape[:-1] + (d,))
+    mu_y = np.zeros(py.shape[:-1] + (d,))
+    mu_x[..., 0] = root_d * px[..., 0]
+    mu_y[..., 0] = root_d * py[..., 0]
     if d >= 2:
-        mu_x[1] = root_d * px[1]
-        mu_y[1] = root_d * py[1]
+        mu_x[..., 1] = root_d * px[..., 1]
+        mu_y[..., 1] = root_d * py[..., 1]
     return mu_x, mu_y
 
 
@@ -528,6 +538,79 @@ def flow_sample(
 # conditional generation (anisotropic coupling)
 
 
+def _normalized_exp(log_p: np.ndarray) -> np.ndarray:
+    """Softmax over a last axis of length two, shifted by the larger entry;
+    overwrites ``log_p``."""
+    log_p -= np.maximum(log_p[..., :1], log_p[..., 1:])
+    p = np.exp(log_p)
+    p /= p[..., :1] + p[..., 1:]
+    return p
+
+
+def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray, t):
+    """P_t(y | x) as a two-component mixture: class weights, means, variance.
+
+    The one implementation of the conditional mixture algebra.  Scalars
+    ``c11, c12, c22`` and plane coordinates ``px, py`` of shape (2,)
+    describe one cell, with ``x`` shaped (m, d); for a stack of cells pass
+    the blocks shaped (cells, 1, 1) and the coordinates (cells, 1, 2), and
+    every result gains that leading cell axis.  Returns the weights
+    (..., m, 2), the (+, -) component means as two (..., m, d) arrays and
+    the conditional variance c_yx.
+    """
+    if np.any(c11 <= 0.0):
+        raise NotPositiveDefinite(f"C11 = {c11!r} not positive at t={t!r}")
+    c_yx = c22 - c12 * c12 / c11
+    if np.any(c_yx <= 0.0):
+        raise NotPositiveDefinite(f"conditional variance {c_yx!r} not positive")
+    mu_x, mu_y = _plane_means(px, py, d)
+    gain = c12 / c11
+    dev = [x - s * mu_x for s in (+1.0, -1.0)]
+    # posterior class log-weights from the conditioning channel
+    log_w = np.concatenate(
+        [-0.5 * np.sum(v**2, axis=-1, keepdims=True) / c11 for v in dev], axis=-1
+    )
+    w = _normalized_exp(log_w)
+    means = []
+    for s, v in zip((+1.0, -1.0), dev):
+        mean = gain * v
+        mean += s * mu_y
+        means.append(mean)
+    return w, means, c_yx
+
+
+def _mixture_terms(w, means, c_yx, y):
+    """Residuals y - mean per component, floored class log-weights and the
+    per-component quadratic form (..., m, 2) of a ``_mixture`` at y."""
+    resid = [
+        np.subtract(y, mean, out=mean if mean.shape == y.shape else None)
+        for mean in means
+    ]
+    quad = np.concatenate(
+        [0.5 * np.sum(r**2, axis=-1, keepdims=True) / c_yx for r in resid], axis=-1
+    )
+    return resid, np.log(np.maximum(w, 1e-300)), quad
+
+
+def _mixture_score(w, means, c_yx, y):
+    """grad_y log of a ``_mixture`` at y, over the same leading axes."""
+    resid, log_w, quad = _mixture_terms(w, means, c_yx, y)
+    r = _normalized_exp(log_w - quad)
+    score = r[..., 0, None] * resid[0]
+    score += r[..., 1, None] * resid[1]
+    score += 0.0  # np.sum's +0.0 start: a sum of two -0.0 reads +0.0
+    np.negative(score, out=score)
+    score /= c_yx
+    return score
+
+
+def _cell_mixture(spec, init: MixtureInit, x, t: float, moments):
+    """``_mixture`` of one cell at time t; its moments default to the closed form."""
+    ms = moments if moments is not None else diffusion_kernel(spec, init, t)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x, t)
+
+
 def conditional_components(
     spec: ModelSpec,
     init: MixtureInit,
@@ -535,33 +618,10 @@ def conditional_components(
     t: float,
     moments: MomentState | None = None,
 ):
-    """Mixture representation of P_t(y | x): weights, component means, variance."""
-    ms = moments if moments is not None else diffusion_kernel(spec, init, t)
-    c11, c12, c22 = ms.c.a11, ms.c.a12, ms.c.a22
-    if c11 <= 0.0:
-        raise NotPositiveDefinite(f"C11 = {c11!r} not positive at t={t!r}")
-    c_yx = c22 - c12 * c12 / c11
-    if c_yx <= 0.0:
-        raise NotPositiveDefinite(f"conditional variance {c_yx!r} not positive")
-    mu_x, mu_y = _plane_means(ms.mu_x, ms.mu_y, init.dim_d)
-
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    gain = c12 / c11
-    # posterior class log-weights from the conditioning channel
-    log_w = np.stack(
-        [
-            -0.5 * np.sum((x - s * mu_x) ** 2, axis=1) / c11
-            for s in (+1.0, -1.0)
-        ],
-        axis=1,
-    )
-    log_w -= log_w.max(axis=1, keepdims=True)
-    w = np.exp(log_w)
-    w /= w.sum(axis=1, keepdims=True)
-    means = np.stack(
-        [s * mu_y + gain * (x - s * mu_x) for s in (+1.0, -1.0)], axis=1
-    )  # (m, 2, d)
-    return w, means, c_yx
+    """Mixture representation of P_t(y | x): weights (m, 2), component
+    means (m, 2, d) and the conditional variance."""
+    w, means, c_yx = _cell_mixture(spec, init, x, t, moments)
+    return w, np.stack(means, axis=-2), c_yx
 
 
 def conditional_score(
@@ -575,13 +635,7 @@ def conditional_score(
     """Exact conditional score grad_y log P_t(y | x)."""
     single = np.asarray(y).ndim == 1
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    w, means, c_yx = conditional_components(spec, init, x, t, moments)
-    resid = y[:, None, :] - means  # (m, 2, d)
-    log_r = np.log(np.maximum(w, 1e-300)) - 0.5 * np.sum(resid**2, axis=2) / c_yx
-    log_r -= log_r.max(axis=1, keepdims=True)
-    r = np.exp(log_r)
-    r /= r.sum(axis=1, keepdims=True)
-    score = -np.sum(r[:, :, None] * resid, axis=1) / c_yx
+    score = _mixture_score(*_cell_mixture(spec, init, x, t, moments), y)
     return score[0] if single else score
 
 
@@ -596,16 +650,11 @@ def conditional_log_density(
     """Normalized log P_t(y | x) of the conditional mixture."""
     single = np.asarray(y).ndim == 1
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    w, means, c_yx = conditional_components(spec, init, x, t, moments)
-    d = means.shape[-1]
-    resid = y[:, None, :] - means
-    log_comp = (
-        np.log(np.maximum(w, 1e-300))
-        - 0.5 * d * math.log(2.0 * math.pi * c_yx)
-        - 0.5 * np.sum(resid**2, axis=2) / c_yx
-    )
-    peak = log_comp.max(axis=1)
-    out = peak + np.log(np.sum(np.exp(log_comp - peak[:, None]), axis=1))
+    w, means, c_yx = _cell_mixture(spec, init, x, t, moments)
+    _, log_w, quad = _mixture_terms(w, means, c_yx, y)
+    log_comp = log_w - 0.5 * init.dim_d * math.log(2.0 * math.pi * c_yx) - quad
+    peak = log_comp.max(axis=-1)
+    out = peak + np.log(np.sum(np.exp(log_comp - peak[..., None]), axis=-1))
     return out[0] if single else out
 
 
@@ -649,25 +698,52 @@ class ConditionalRunConfig:
         return spec, init
 
 
-def conditional_reverse_sample(
-    config: ConditionalRunConfig, rng: np.random.Generator
-) -> dict:
-    """Generate (x0, y~0) pairs with the exact conditional score.
+def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
+    """Generate (x0, y~0) pairs for a group of cells off one random stream.
 
-    The conditioning path X is simulated exactly with autonomous OU
-    transitions; the target channel is then integrated backward from an
-    exact draw of P_T(y | X_T) under the schedule-consistent drift
-    -beta y + g(t) X_t - sW2 grad_y log P_t(y | X_t), read with the
-    negative-time-step convention.
+    The cells may differ only in their coupling schedule.  A cell run alone
+    draws the same numbers in the same order whatever its schedule, and the
+    conditioning path X is autonomous under one-way coupling, so the group
+    draws once, simulates one X path and integrates y for every cell as one
+    (cells, m, d) array, with the cells' moments from one stacked RK4.
+    Cell j of the result is bit-identical to running ``configs[j]`` alone
+    from the same generator state.
+
+    Returns the shared ``x0`` (trials, d), ``labels`` and ``init``, and per
+    cell ``y0`` (cells, trials, d), ``moments0`` and ``specs`` (lists).
     """
-    spec, init = config.model()
+    configs = list(configs)
+    if not configs:
+        raise InvalidArgument("a conditional group needs at least one cell")
+    config = configs[0]
+    if any(replace(c, schedule=config.schedule) != config for c in configs):
+        raise InvalidArgument("cells of one group may differ only in their schedule")
+    models = [c.model() for c in configs]
+    specs = [spec for spec, _ in models]
+    init = models[0][1]
     d = config.dim_d
     n_steps = config.steps
     horizon = config.horizon
     h = horizon / n_steps
     grid = np.linspace(0.0, horizon, n_steps + 1)
 
-    moments = moments_ode(spec, init, grid)
+    mu, c, q = moments_rk4(specs, init, grid)
+    moments0 = [
+        MomentState.from_arrays(grid[0], mu[0, j], c[0, j], q[0, j])
+        for j in range(len(specs))
+    ]
+    # per grid index: blocks shaped (cells, 1, 1), plane coordinates
+    # (cells, 1, 2), to broadcast over the (cells, m, d) state
+    c11, c12, c22 = (c[:, :, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 1)))
+    px, py = mu[:, :, None, 0], mu[:, :, None, 1]
+    # the x channel does not see the coupling (the relaxation adds exact
+    # zeros to it), so C11 and mu_x normally agree bit for bit across the
+    # cells; then the class weights, which read only those, are computed
+    # once per step and broadcast
+    if np.all(c11 == c11[:, :1]) and np.all(px == px[:, :1]):
+        c11, px = c11[:, :1], px[:, :1]
+    g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
+    g = g[:, :, None, None]
     mu_x0, _ = materialize_means(init)
 
     beta = config.beta
@@ -675,6 +751,9 @@ def conditional_reverse_sample(
     sw2 = config.sigma_w2
     decay = math.exp(-beta * h)
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
+
+    def mixture(idx: int, x: np.ndarray, t: float):
+        return _mixture(c11[idx], c12[idx], c22[idx], px[idx], py[idx], d, x, t)
 
     xs_out, ys_out, s_out = [], [], []
     remaining = config.trials
@@ -692,23 +771,24 @@ def conditional_reverse_sample(
             x_path[k + 1] = x
 
         # exact conditional mixture draw at t = horizon
-        w, means, c_yx = conditional_components(
-            spec, init, x_path[n_steps], horizon, moments[n_steps]
-        )
-        pick_plus = rng.uniform(size=m) < w[:, 0]
-        y = np.where(pick_plus[:, None], means[:, 0, :], means[:, 1, :])
-        y = y + math.sqrt(c_yx) * rng.standard_normal((m, d))
+        w, means, c_yx = mixture(n_steps, x_path[n_steps], horizon)
+        pick_plus = rng.uniform(size=m) < w[..., 0]
+        y = np.where(pick_plus[..., None], means[0], means[1])
+        y = y + np.sqrt(c_yx) * rng.standard_normal((m, d))
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
             t = float(grid[idx])
-            ms = moments[idx]
-            g_t = spec.coupling_at(t)
             x_t = x_path[idx]
-            score = conditional_score(spec, init, x_t, y, t, ms)
-            y = y + h * (beta * y - g_t * x_t + sw2 * score)
+            score = _mixture_score(*mixture(idx, x_t, t), y)
+            # y + h (beta y - g_t x_t + sW2 score), evaluated in place
+            drift = beta * y
+            drift -= g[idx] * x_t
+            drift += sw2 * score
+            drift *= h
+            y += drift
             if k < n_steps - 1:
-                y = y + sw * math.sqrt(h) * rng.standard_normal((m, d))
+                y += sw * math.sqrt(h) * rng.standard_normal((m, d))
 
         xs_out.append(x0)
         ys_out.append(y)
@@ -716,9 +796,32 @@ def conditional_reverse_sample(
 
     return {
         "x0": np.concatenate(xs_out),
-        "y0": np.concatenate(ys_out),
+        "y0": np.concatenate(ys_out, axis=1),
         "labels": np.concatenate(s_out),
-        "moments0": moments[0],
-        "spec": spec,
+        "moments0": moments0,
+        "specs": specs,
         "init": init,
+    }
+
+
+def conditional_reverse_sample(
+    config: ConditionalRunConfig, rng: np.random.Generator
+) -> dict:
+    """Generate (x0, y~0) pairs with the exact conditional score.
+
+    The conditioning path X is simulated exactly with autonomous OU
+    transitions; the target channel is then integrated backward from an
+    exact draw of P_T(y | X_T) under the schedule-consistent drift
+    -beta y + g(t) X_t - sW2 grad_y log P_t(y | X_t), read with the
+    negative-time-step convention.  This is ``conditional_reverse_group``
+    for a group of one cell.
+    """
+    out = conditional_reverse_group([config], rng)
+    return {
+        "x0": out["x0"],
+        "y0": out["y0"][0],
+        "labels": out["labels"],
+        "moments0": out["moments0"][0],
+        "spec": out["specs"][0],
+        "init": out["init"],
     }

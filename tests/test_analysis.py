@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from oudiff import analysis
 from oudiff.analysis import (
     CloneConfig,
     CloneSweepConfig,
@@ -235,6 +237,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             make()
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: ToyExperimentConfig(trials=2.5), "trials"),
+            (lambda: ToyExperimentConfig(steps=4.0), "steps"),
+            (lambda: ToyExperimentConfig(theta_points=True), "theta_points"),
+            (lambda: CloneConfig(batch=2.5), "batch"),
+            (lambda: CloneConfig(repeats=True), "repeats"),
+            (lambda: CloneSweepConfig(scan_count=3.5), "scan_count"),
+            (lambda: ConditionalRunConfig(chunk=10.0), "chunk"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, make, field):
+        with pytest.raises(InvalidArgument, match=f"{field} must be an integer"):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        ToyExperimentConfig(trials=np.int64(3), steps=np.int32(2))
+
     def test_defaults_accepted(self):
         ToyExperimentConfig()
         CloneSweepConfig(clone=CloneConfig())
@@ -267,6 +288,92 @@ class TestToyExperiment:
             assert rec.values["d_accuracy"] == 0.0
             assert rec.values["d_mse"] == pytest.approx(0.0, abs=1e-12)
             assert rec.values["d_nll"] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBatchedToySweep:
+    CONFIG = ToyExperimentConfig(
+        theta_points=2, g0_set=(0.5, 1.0), schedules=("constant", "late", "early"),
+        trials=25, steps=14, dim_d=5, chunk=10, t0=0.7, seed=11,
+    )  # three chunks, odd d, t0 between grid points
+
+    @staticmethod
+    def per_cell_records(cfg):
+        """The sweep's records built from one _toy_run_cell per cell."""
+        records = []
+        for i, theta in enumerate(cfg.thetas()):
+            base = analysis._toy_run_cell(cfg, i, 0.0, "constant").values
+            for g0 in cfg.g0_set:
+                for kind in cfg.schedules:
+                    rec = analysis._toy_run_cell(cfg, i, g0, kind)
+                    v = rec.values
+                    records.append(analysis.MetricRecord(
+                        coordinates={"theta": float(theta), "g0": g0, "schedule": kind},
+                        values={
+                            "d_accuracy": v["accuracy"] - base["accuracy"],
+                            "d_mse": v["mse"] - base["mse"],
+                            "d_nll": v["nll"] - base["nll"],
+                            **v,
+                        },
+                        ci_low=rec.ci_low, ci_high=rec.ci_high,
+                        n_effective=rec.n_effective,
+                    ))
+        return records
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_groups_equal_per_cell_runs(self, jobs):
+        want = self.per_cell_records(self.CONFIG)
+        got = run_toy_experiment(self.CONFIG, jobs=jobs)
+        assert got == want
+        assert len({r.values["mse"] for r in got}) == len(got)
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestMapCells:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakePool.sizes = []
+        # _map_cells imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+
+    @pytest.mark.parametrize(
+        "jobs, tasks, size", [(8, 3, 3), (2, 5, 2), (2, 1, None), (1, 4, None)]
+    )
+    def test_at_most_one_worker_per_task(self, jobs, tasks, size):
+        out = analysis._map_cells(pow, [(i, 2) for i in range(tasks)], jobs)
+        assert out == [i * i for i in range(tasks)]
+        assert FakePool.sizes == ([] if size is None else [size])
+
+    def test_toy_sweep_fans_out_theta_groups(self):
+        cfg = ToyExperimentConfig(
+            theta_points=2, g0_set=(0.5,), schedules=("constant",),
+            trials=4, steps=3, dim_d=2, chunk=4,
+        )
+        run_toy_experiment(cfg, jobs=6)
+        assert FakePool.sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+    def test_bad_jobs_rejected_before_any_work(self, jobs):
+        calls = []
+        with pytest.raises(InvalidArgument, match="jobs must be"):
+            analysis._map_cells(calls.append, [(1,), (2,)], jobs)
+        assert calls == [] and FakePool.sizes == []
 
 
 @pytest.fixture(scope="module")

@@ -198,6 +198,52 @@ class TestSweeps:
         assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("toy-conditional", {"trials": 2.5}),
+            ("toy-conditional", {"trials": True}),
+            ("toy-conditional", {"chunk": 4.0}),
+            ("clone-speciation", {"batch": 2.5}),
+            ("clone-speciation", {"steps": True}),
+        ],
+    )
+    def test_non_integer_size_exits_2(self, tmp_path, capsys, command, bad, dry_run):
+        cfg = (
+            {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+             "trials": 4, "steps": 4, "dim_d": 2, "chunk": 4}
+            if command == "toy-conditional"
+            else {"g_list": [0.0], "dim_d": 2, "scan_count": 2,
+                  "repeats": 1, "batch": 4, "steps": 4}
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, **bad}))
+        code = dispatch(
+            [command, "--config", str(cfg_path), "--jobs", "2",
+             "--out", str(tmp_path / "o.csv"),
+             *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        name = next(iter(bad))
+        assert f"{name} must be an integer, got {bad[name]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command", ["toy-conditional", "clone-speciation", "speciation"]
+    )
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, command, jobs, dry_run):
+        out = tmp_path / "o.csv"
+        code = dispatch(
+            [command, "--jobs", jobs, "--out", str(out),
+             *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_field": 1}))

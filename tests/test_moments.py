@@ -20,6 +20,7 @@ from oudiff.moments import (
     mean_at,
     mode_kernels,
     moments_ode,
+    moments_rk4,
     transition_cov,
 )
 
@@ -388,6 +389,28 @@ class TestMomentsOde:
         before = states[idx_switch - 1].c.as_array()
         after = states[idx_switch + 1].c.as_array()
         assert np.max(np.abs(after - before)) < 0.05
+
+    @pytest.mark.parametrize("theta", [0.4, 2.6])
+    def test_stack_matches_each_spec_alone(self, theta):
+        # each spec of a mixed stack, in either stack order, reproduces its
+        # own moments_ode bit for bit: nothing leaks between cells
+        specs = [
+            ModelSpec(1.0, Scheduled(ScheduleSpec(kind, g0, 0.7)), 2.0, 5)
+            for kind in ("constant", "late", "early")
+            for g0 in (0.0, 0.5, 1.0)
+        ]
+        init = MixtureInit(1.0, 1.0, AngledMeans(1.0, 1.0, theta), 5)
+        grid = np.linspace(0.0, 2.0, 31)  # t0 = 0.7 falls between grid points
+        for order in (specs, specs[::-1]):
+            mu, c, q = moments_rk4(order, init, grid)
+            assert mu.shape == c.shape == q.shape == (grid.size, len(order), 2, 2)
+            for j, spec in enumerate(order):
+                for k, st in enumerate(moments_ode(spec, init, grid)):
+                    assert np.array_equal(mu[k, j, 0], st.mu_x)
+                    assert np.array_equal(mu[k, j, 1], st.mu_y)
+                    assert np.array_equal(c[k, j], st.c.as_array())
+                    assert np.array_equal(q[k, j], st.q.as_array())
+                    assert np.array_equal(c[k, j] - q[k, j], st.s.as_array())
 
     def test_grid_validation(self):
         spec = ModelSpec(1.0, Scheduled(ScheduleSpec("constant", 0.0, 0.0)), 1.0)

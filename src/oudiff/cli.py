@@ -25,7 +25,7 @@ from .collapse import (
     collapse_time_mode,
     collapse_time_symmetric,
 )
-from .errors import OudiffError
+from .errors import InvalidArgument, OudiffError
 from .moments import (
     Anisotropic,
     AngledMeans,
@@ -104,14 +104,23 @@ def write_json(obj, path=None) -> None:
 
 
 def _resolve_seed(args, config: dict) -> int:
+    """The first seed given by the flag, the config or OUDIFF_SEED, else 0.
+    Whatever its source, it must be an integer >= 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("OUDIFF_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+        source, seed = "--seed", args.seed
+    elif "seed" in config:
+        source, seed = "config seed", config["seed"]
+    elif "OUDIFF_SEED" in os.environ:
+        source, seed = "OUDIFF_SEED", os.environ["OUDIFF_SEED"]
+        try:
+            seed = int(seed)
+        except ValueError:
+            pass  # reported below, with the text as given
+    else:
+        return 0
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidArgument(f"{source} must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _load_config(args, allowed: set[str], flags: tuple[str, ...]) -> dict:
@@ -286,12 +295,13 @@ def _cmd_phase_diagram(args) -> int:
     sigma2 = pick("sigma2", 1.0)
     m_x2 = pick("m_x2", 1.0)
     m_y2 = pick("m_y2", 1.0)
-    g_grid = np.linspace(
-        pick("g_min", 0.0), pick("g_max", 2.0), int(pick("g_points", 21))
-    )
+    g_points = pick("g_points", 21)
+    theta_points = pick("theta_points", 9)
+    _check_size("g_points", g_points)
+    _check_size("theta_points", theta_points)
+    g_grid = np.linspace(pick("g_min", 0.0), pick("g_max", 2.0), g_points)
     theta_grid = np.linspace(
-        pick("theta_min", 0.0), pick("theta_max", math.pi),
-        int(pick("theta_points", 9)),
+        pick("theta_min", 0.0), pick("theta_max", math.pi), theta_points
     )
     t_max_search = pick("t_max_search", None)
     resolved = {

@@ -538,25 +538,17 @@ def flow_sample(
 # conditional generation (anisotropic coupling)
 
 
-def _normalized_exp(log_p: np.ndarray) -> np.ndarray:
-    """Softmax over a last axis of length two, shifted by the larger entry;
-    overwrites ``log_p``."""
-    log_p -= np.maximum(log_p[..., :1], log_p[..., 1:])
-    p = np.exp(log_p)
-    p /= p[..., :1] + p[..., 1:]
-    return p
-
-
 def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray, t):
-    """P_t(y | x) as a two-component mixture: class weights, means, variance.
+    """P_t(y | x) in closed form: the law is
+    sum_{s=+-1} sigmoid(2 s u) N(y; gain x + s delta, c_yx I).
 
     The one implementation of the conditional mixture algebra.  Scalars
     ``c11, c12, c22`` and plane coordinates ``px, py`` of shape (2,)
     describe one cell, with ``x`` shaped (m, d); for a stack of cells pass
     the blocks shaped (cells, 1, 1) and the coordinates (cells, 1, 2), and
-    every result gains that leading cell axis.  Returns the weights
-    (..., m, 2), the (+, -) component means as two (..., m, d) arrays and
-    the conditional variance c_yx.
+    every result gains that leading cell axis.  Returns u = mu_x . x / C11
+    (..., m, 1), half the class log-odds, gain = C12 / C11, the component
+    offset delta = mu_y - gain mu_x (..., d) and the variance c_yx.
     """
     if np.any(c11 <= 0.0):
         raise NotPositiveDefinite(f"C11 = {c11!r} not positive at t={t!r}")
@@ -565,49 +557,34 @@ def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray, t):
         raise NotPositiveDefinite(f"conditional variance {c_yx!r} not positive")
     mu_x, mu_y = _plane_means(px, py, d)
     gain = c12 / c11
-    dev = [x - s * mu_x for s in (+1.0, -1.0)]
-    # posterior class log-weights from the conditioning channel
-    log_w = np.concatenate(
-        [-0.5 * np.sum(v**2, axis=-1, keepdims=True) / c11 for v in dev], axis=-1
-    )
-    w = _normalized_exp(log_w)
-    means = []
-    for s, v in zip((+1.0, -1.0), dev):
-        mean = gain * v
-        mean += s * mu_y
-        means.append(mean)
-    return w, means, c_yx
+    u = np.sum(x * mu_x, axis=-1, keepdims=True) / c11
+    return u, gain, mu_y - gain * mu_x, c_yx
 
 
-def _mixture_terms(w, means, c_yx, y):
-    """Residuals y - mean per component, floored class log-weights and the
-    per-component quadratic form (..., m, 2) of a ``_mixture`` at y."""
-    resid = [
-        np.subtract(y, mean, out=mean if mean.shape == y.shape else None)
-        for mean in means
-    ]
-    quad = np.concatenate(
-        [0.5 * np.sum(r**2, axis=-1, keepdims=True) / c_yx for r in resid], axis=-1
-    )
-    return resid, np.log(np.maximum(w, 1e-300)), quad
+def _class_weights(u: np.ndarray) -> np.ndarray:
+    """(w+, w-) = sigmoid(+-2u) on a last axis of length two, via log space."""
+    return np.exp(-np.logaddexp(0.0, np.concatenate([-2.0 * u, 2.0 * u], axis=-1)))
 
 
-def _mixture_score(w, means, c_yx, y):
-    """grad_y log of a ``_mixture`` at y, over the same leading axes."""
-    resid, log_w, quad = _mixture_terms(w, means, c_yx, y)
-    r = _normalized_exp(log_w - quad)
-    score = r[..., 0, None] * resid[0]
-    score += r[..., 1, None] * resid[1]
-    score += 0.0  # np.sum's +0.0 start: a sum of two -0.0 reads +0.0
-    np.negative(score, out=score)
+def _mixture_at(u, gain, delta, c_yx, x, y):
+    """Residual r = y - gain x and tanh argument a = u + r . delta / c_yx of a
+    ``_mixture`` at y, over the same leading axes."""
+    r = y - gain * x
+    return r, u + np.sum(r * delta, axis=-1, keepdims=True) / c_yx
+
+
+def _mixture_score(u, gain, delta, c_yx, x, y):
+    """grad_y log P_t(y | x) = (tanh(a) delta - r) / c_yx."""
+    r, a = _mixture_at(u, gain, delta, c_yx, x, y)
+    score = np.tanh(a) * delta
+    score -= r
     score /= c_yx
     return score
 
 
-def _cell_mixture(spec, init: MixtureInit, x, t: float, moments):
+def _cell_mixture(spec, init: MixtureInit, x: np.ndarray, t: float, moments):
     """``_mixture`` of one cell at time t; its moments default to the closed form."""
     ms = moments if moments is not None else diffusion_kernel(spec, init, t)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x, t)
 
 
@@ -620,8 +597,10 @@ def conditional_components(
 ):
     """Mixture representation of P_t(y | x): weights (m, 2), component
     means (m, 2, d) and the conditional variance."""
-    w, means, c_yx = _cell_mixture(spec, init, x, t, moments)
-    return w, np.stack(means, axis=-2), c_yx
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u, gain, delta, c_yx = _cell_mixture(spec, init, x, t, moments)
+    means = gain * x[..., None, :] + np.array([[1.0], [-1.0]]) * delta
+    return _class_weights(u), means, c_yx
 
 
 def conditional_score(
@@ -632,11 +611,10 @@ def conditional_score(
     t: float,
     moments: MomentState | None = None,
 ) -> np.ndarray:
-    """Exact conditional score grad_y log P_t(y | x)."""
-    single = np.asarray(y).ndim == 1
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    score = _mixture_score(*_cell_mixture(spec, init, x, t, moments), y)
-    return score[0] if single else score
+    """Exact conditional score grad_y log P_t(y | x); x and y broadcast."""
+    x = np.asarray(x, dtype=float)
+    mix = _cell_mixture(spec, init, x, t, moments)
+    return _mixture_score(*mix, x, np.asarray(y, dtype=float))
 
 
 def conditional_log_density(
@@ -647,15 +625,19 @@ def conditional_log_density(
     t: float,
     moments: MomentState | None = None,
 ) -> np.ndarray:
-    """Normalized log P_t(y | x) of the conditional mixture."""
-    single = np.asarray(y).ndim == 1
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    w, means, c_yx = _cell_mixture(spec, init, x, t, moments)
-    _, log_w, quad = _mixture_terms(w, means, c_yx, y)
-    log_comp = log_w - 0.5 * init.dim_d * math.log(2.0 * math.pi * c_yx) - quad
-    peak = log_comp.max(axis=-1)
-    out = peak + np.log(np.sum(np.exp(log_comp - peak[..., None]), axis=-1))
-    return out[0] if single else out
+    """Normalized log P_t(y | x) of the conditional mixture; x and y broadcast:
+    -d/2 log(2 pi c_yx) - (|r|^2 + |delta|^2) / (2 c_yx) + logcosh(a) - logcosh(u).
+    """
+    x = np.asarray(x, dtype=float)
+    u, gain, delta, c_yx = _cell_mixture(spec, init, x, t, moments)
+    r, a = _mixture_at(u, gain, delta, c_yx, x, np.asarray(y, dtype=float))
+    quad = (np.sum(r * r, axis=-1) + delta @ delta) / (2.0 * c_yx)
+    return (
+        _log_cosh(a[..., 0])
+        - _log_cosh(u[..., 0])
+        - quad
+        - 0.5 * init.dim_d * math.log(2.0 * math.pi * c_yx)
+    )
 
 
 @dataclass(frozen=True)
@@ -771,16 +753,17 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
             x_path[k + 1] = x
 
         # exact conditional mixture draw at t = horizon
-        w, means, c_yx = mixture(n_steps, x_path[n_steps], horizon)
-        pick_plus = rng.uniform(size=m) < w[..., 0]
-        y = np.where(pick_plus[..., None], means[0], means[1])
+        x_t = x_path[n_steps]
+        u, gain, delta, c_yx = mixture(n_steps, x_t, horizon)
+        pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
+        y = gain * x_t + np.where(pick_plus[..., None], delta, -delta)
         y = y + np.sqrt(c_yx) * rng.standard_normal((m, d))
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
             t = float(grid[idx])
             x_t = x_path[idx]
-            score = _mixture_score(*mixture(idx, x_t, t), y)
+            score = _mixture_score(*mixture(idx, x_t, t), x_t, y)
             # y + h (beta y - g_t x_t + sW2 score), evaluated in place
             drift = beta * y
             drift -= g[idx] * x_t

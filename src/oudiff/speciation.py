@@ -45,6 +45,9 @@ REGIME_UNSTABLE = "unstable"
 
 KAPPA_TOL = 1e-10
 SUP_TOL = 1e-12
+# evenly spaced times on [0, t_max] of the stability scan and of the
+# linear part of the speciation scan grid
+_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,6 @@ def stability_check(
     spec: ModelSpec,
     init: MixtureInit,
     t_max: float | None = None,
-    grid_points: int = 512,
 ) -> StabilityReport:
     """Evaluate both confinement criteria for symmetric coupling."""
     if not isinstance(spec.coupling, Symmetric):
@@ -197,7 +199,7 @@ def stability_check(
     if not spec.is_stable:
         first_violation = 0.0
     else:
-        for t in np.linspace(0.0, t_max, grid_points):
+        for t in np.linspace(0.0, t_max, _GRID_POINTS):
             cp, cm = mode_kernels(spec, init, float(t))
             margin_p, margin_m = _tail_margins(spec, cp, cm)
             if margin_p <= 0.0 or margin_m <= 0.0:
@@ -211,9 +213,9 @@ def stability_check(
 
 
 @functools.lru_cache(maxsize=16)
-def _scan_grid(t_max: float, linear_points: int = 512) -> np.ndarray:
+def _scan_grid(t_max: float) -> np.ndarray:
     """Linear scan grid refined geometrically toward t=0 (cached, read-only)."""
-    linear = np.linspace(0.0, t_max, linear_points)
+    linear = np.linspace(0.0, t_max, _GRID_POINTS)
     geometric = t_max * 0.5 ** np.arange(1, 41)
     grid = np.unique(np.concatenate([linear, geometric]))
     grid.flags.writeable = False

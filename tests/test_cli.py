@@ -244,6 +244,31 @@ class TestSweeps:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ({"g_points": 2.5}, [], "g_points must be an integer, got 2.5"),
+            ({"theta_points": True}, [], "theta_points must be an integer, got True"),
+            ({}, ["--g-points", "0", "--theta-points", "2"],
+             "g_points must be >= 1, got 0"),
+            ({"theta_points": -1}, [], "theta_points must be >= 1, got -1"),
+        ],
+    )
+    def test_phase_grid_size_checked(
+        self, tmp_path, capsys, config, flags, message, dry_run
+    ):
+        cfg_path = tmp_path / "pd.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "pd.csv"
+        code = dispatch(
+            ["phase-diagram", "--config", str(cfg_path), *flags, "--out", str(out),
+             *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_field": 1}))
@@ -314,6 +339,64 @@ class TestSeedResolution:
         assert env7 == flag7
         env8 = run("8", [])
         assert env8 != env7
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "config_seed, flags, env, message",
+        [
+            (2.7, [], None, "config seed must be an integer >= 0, got 2.7"),
+            (True, [], None, "config seed must be an integer >= 0, got True"),
+            (-1, [], None, "config seed must be an integer >= 0, got -1"),
+            (None, ["--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+            (None, [], "-3", "OUDIFF_SEED must be an integer >= 0, got -3"),
+            (None, [], "2.7", "OUDIFF_SEED must be an integer >= 0, got '2.7'"),
+        ],
+    )
+    def test_bad_seed_exits_2(
+        self, tmp_path, capsys, monkeypatch, config_seed, flags, env, message, dry_run
+    ):
+        cfg = {
+            "theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+            "trials": 4, "steps": 4, "dim_d": 2, "chunk": 4,
+        }
+        if config_seed is not None:
+            cfg["seed"] = config_seed
+        cfg_path = tmp_path / "toy.json"
+        cfg_path.write_text(json.dumps(cfg))
+        if env is None:
+            monkeypatch.delenv("OUDIFF_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OUDIFF_SEED", env)
+        out = tmp_path / "o.csv"
+        code = dispatch(
+            ["toy-conditional", "--config", str(cfg_path), *flags, "--out", str(out),
+             *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "clone-speciation"])
+    def test_bad_seed_rejected_by_every_sampler(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("OUDIFF_SEED", "-3")
+        assert dispatch([command, "--dry-run"]) == 2
+        assert "OUDIFF_SEED must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_seed_zero_is_valid(self, tmp_path, capsys, monkeypatch, source):
+        cfg = {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+               "trials": 4, "steps": 4, "dim_d": 2, "chunk": 4}
+        if source == "config":
+            cfg["seed"] = 0
+        cfg_path = tmp_path / "toy.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("OUDIFF_SEED", "0" if source == "env" else "5")
+        flags = ["--seed", "0"] if source == "flag" else []
+        argv = ["toy-conditional", "--config", str(cfg_path), *flags]
+        code, payload = run_json(capsys, argv + ["--dry-run"])
+        assert code == 0
+        assert payload["resolved"]["seed"] == 0
+        assert dispatch(argv + ["--out", str(tmp_path / "o.csv")]) == 0
 
     def test_float_round_trip_in_csv(self, tmp_path):
         out = tmp_path / "pd.csv"

@@ -507,6 +507,109 @@ class TestConditional:
         assert worst < 1e-6
 
 
+def _full_mean(plane, d):
+    """d-vector of per-dimension plane coordinates: first two axes, norm sqrt(d)."""
+    v = np.zeros(d)
+    k = min(d, 2)
+    v[:k] = math.sqrt(d) * np.asarray(plane)[:k]
+    return v
+
+
+def _log_space_mixture(ms, d, x, y):
+    """P_t(y | x) written out as two components in log space, no floor.
+
+    Class log-weights from |x -+ mu_x|^2 / (2 C11), per-component residuals
+    and a logsumexp.  Returns weights (m, 2), means (m, 2, d), score (m, d)
+    and log density (m,) for x, y broadcast against each other.
+    """
+    c11, c12, c22 = ms.c.a11, ms.c.a12, ms.c.a22
+    gain = c12 / c11
+    c_yx = c22 - c12 * c12 / c11
+    mu_x, mu_y = _full_mean(ms.mu_x, d), _full_mean(ms.mu_y, d)
+    x, y = np.broadcast_arrays(np.atleast_2d(x), np.atleast_2d(y))
+    signs = np.array([1.0, -1.0])[:, None, None]
+    log_w = -0.5 * np.sum((x - signs * mu_x) ** 2, axis=-1) / c11  # (2, m)
+    log_w -= np.logaddexp(log_w[0], log_w[1])
+    means = signs * mu_y + gain * (x - signs * mu_x)  # (2, m, d)
+    resid = y - means
+    log_joint = (
+        log_w - 0.5 * np.sum(resid**2, axis=-1) / c_yx
+        - 0.5 * d * math.log(2.0 * math.pi * c_yx)
+    )
+    log_p = np.logaddexp(log_joint[0], log_joint[1])
+    post = np.exp(log_joint - log_p)
+    score = -np.sum(post[..., None] * resid, axis=0) / c_yx
+    return np.exp(log_w).T, np.swapaxes(means, 0, 1), score, log_p
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestConditionalClosedForm:
+    def test_far_conditioning_point_matches_mpmath(self):
+        # class log-odds of 974: a 1e-300 floor on the normalised weights
+        # picks the wrong component here (relative score error 1.14)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        d, t = 512, 0.05
+        spec, init = aniso_model(g=0.5, theta=0.0, d=d)
+        mu_x0, mu_y0 = materialize_means(init)
+        x, y = mu_x0, -0.69 * mu_y0
+        ms = diffusion_kernel(spec, init, t)
+        c11, c12, c22 = (mp.mpf(v) for v in (ms.c.a11, ms.c.a12, ms.c.a22))
+        gain = c12 / c11
+        c_yx = c22 - c12 * c12 / c11
+        mu_x = [mp.mpf(v) for v in _full_mean(ms.mu_x, d)]
+        mu_y = [mp.mpf(v) for v in _full_mean(ms.mu_y, d)]
+        xs, ys = [mp.mpf(v) for v in x], [mp.mpf(v) for v in y]
+        log_w, log_joint, resid = [], [], []
+        for s in (1, -1):
+            lw = -sum((xi - s * mi) ** 2 for xi, mi in zip(xs, mu_x)) / (2 * c11)
+            r = [yi - (s * myi + gain * (xi - s * mxi))
+                 for xi, yi, mxi, myi in zip(xs, ys, mu_x, mu_y)]
+            log_w.append(lw)
+            log_joint.append(
+                lw - sum(ri * ri for ri in r) / (2 * c_yx)
+                - d * mp.log(2 * mp.pi * c_yx) / 2
+            )
+            resid.append(r)
+        assert log_w[0] - log_w[1] > 900
+        log_p = mp.log(mp.exp(log_joint[0]) + mp.exp(log_joint[1]))
+        post = [mp.exp(lj - log_p) for lj in log_joint]
+        score_ref = np.array(
+            [float(-(post[0] * r0 + post[1] * r1) / c_yx)
+             for r0, r1 in zip(*resid)]
+        )
+        log_p_ref = float(log_p - mp.log(mp.exp(log_w[0]) + mp.exp(log_w[1])))
+        assert _rel(conditional_score(spec, init, x, y, t), score_ref) <= 1e-12
+        assert _rel(conditional_log_density(spec, init, x, y, t), log_p_ref) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 32])
+    def test_matches_log_space_mixture(self, d):
+        from oudiff.sampler import conditional_components
+
+        rng = np.random.default_rng(100 + d)
+        for _ in range(12):
+            g = rng.uniform(-1.5, 1.5)
+            # one dimension holds only the first plane axis
+            theta = 0.0 if d == 1 else rng.uniform(0.0, math.pi)
+            t = rng.uniform(0.02, 3.0)
+            spec, init = aniso_model(g=g, theta=theta, d=d)
+            ms = diffusion_kernel(spec, init, t)
+            many = 3.0 * rng.standard_normal((7, d))
+            one = 3.0 * rng.standard_normal(d)
+            for x, y in ((one, many), (many, one), (many, many)):
+                w, means, score, log_p = _log_space_mixture(ms, d, x, y)
+                assert _rel(conditional_score(spec, init, x, y, t), score) <= 1e-12
+                got = conditional_log_density(spec, init, x, y, t)
+                assert np.max(np.abs(got - log_p) / np.abs(log_p)) <= 1e-12
+            w, means, _, _ = _log_space_mixture(ms, d, many, many)
+            w_got, means_got, _ = conditional_components(spec, init, many, t)
+            assert np.max(np.abs(w_got - w)) <= 1e-12
+            assert _rel(means_got, means) <= 1e-12
+
+
 class TestConditionalReverse:
     def test_decoupled_matches_unconditional_marginal(self):
         # with g = 0 the generated y marginal follows the y-channel mixture;

@@ -329,13 +329,9 @@ class CloneConfig:
     threshold: float = 0.55
     baseline_factor: int = 4
     conf: float = 0.95
-    score: str = "population"
-    empirical_n: int = 64
 
     def __post_init__(self):
-        _check_sizes(
-            self, ("repeats", "batch", "steps", "baseline_factor", "empirical_n")
-        )
+        _check_sizes(self, ("repeats", "batch", "steps", "baseline_factor"))
 
 
 class _ModeChannels:
@@ -350,8 +346,7 @@ class _ModeChannels:
     mixture, its own exact score, and its own commitment time.
     """
 
-    def __init__(self, spec: ModelSpec, init: MixtureInit, config: CloneConfig,
-                 rng: np.random.Generator):
+    def __init__(self, spec: ModelSpec, init: MixtureInit):
         if not isinstance(spec.coupling, Symmetric):
             raise InvalidArgument("the cloning protocol runs on symmetric coupling")
         if not spec.is_stable:
@@ -370,23 +365,6 @@ class _ModeChannels:
         self.s2 = init.sigma2_x
         # per-dimension mode mean amplitudes; direction is the first axis
         self.amps = (math.sqrt(mp2 * self.d), math.sqrt(mm2 * self.d))
-        if config.score == "population":
-            self.data: tuple | None = None
-        elif config.score == "empirical":
-            n = config.empirical_n
-            self.data = tuple(
-                np.where(rng.uniform(size=(n, 1)) < 0.5, 1.0, -1.0)
-                * self._mean_vec(m)
-                + math.sqrt(self.s2) * rng.standard_normal((n, self.d))
-                for m in range(2)
-            )
-        else:
-            raise InvalidArgument(f"unknown score choice {config.score!r}")
-
-    def _mean_vec(self, m: int) -> np.ndarray:
-        mu = np.zeros(self.d)
-        mu[0] = self.amps[m]
-        return mu
 
     def kernel(self, m: int, t: float) -> tuple[float, float, float]:
         """(decay, q_m, c_m) of mode m at forward time t."""
@@ -396,20 +374,12 @@ class _ModeChannels:
         return decay, q, self.s2 * decay * decay + q
 
     def score(self, m: int, z: np.ndarray, t: float) -> np.ndarray:
-        decay, q, c = self.kernel(m, t)
-        if self.data is None:
-            mu_t = decay * self.amps[m]
-            arg = mu_t * z[:, 0] / c
-            out = -z / c
-            out[:, 0] += (mu_t / c) * np.tanh(arg)
-            return out
-        pts = self.data[m] * decay  # drifted training points
-        delta = z[:, None, :] - pts[None, :, :]
-        log_k = -0.5 * np.sum(delta * delta, axis=2) / q
-        log_k -= log_k.max(axis=1, keepdims=True)
-        w = np.exp(log_k)
-        w /= w.sum(axis=1, keepdims=True)
-        return (w @ pts - z) / q
+        decay, _, c = self.kernel(m, t)
+        mu_t = decay * self.amps[m]
+        arg = mu_t * z[:, 0] / c
+        out = -z / c
+        out[:, 0] += (mu_t / c) * np.tanh(arg)
+        return out
 
     def stationary_draw(self, n: int, rng: np.random.Generator, m: int) -> np.ndarray:
         return math.sqrt(self.sw2 / self.taus[m]) * rng.standard_normal((n, self.d))
@@ -457,7 +427,7 @@ def clone_agreement(
     sign convention of either mean); phi_ex rescales raw agreement by the
     independent-pair baseline.
     """
-    channels = _ModeChannels(spec, init, config, rng)
+    channels = _ModeChannels(spec, init)
     h = config.horizon / config.steps
     scan_times = np.asarray(sorted(scan_times), dtype=float)
     scan_steps = np.clip(np.rint(scan_times / h).astype(int), 0, config.steps)

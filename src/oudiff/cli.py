@@ -268,7 +268,7 @@ def _cmd_stability(args) -> int:
     }
     if args.dry_run:
         return _dry_run(args, resolved)
-    report = stability_check(spec, init, args.t_max)
+    report = stability_check(spec, init)
     write_json(
         {
             "stable": report.stable,
@@ -518,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="confinement report for symmetric coupling")
     _add_model_flags(p)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_stability)
 

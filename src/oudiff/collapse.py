@@ -37,6 +37,7 @@ from .moments import (
     Symmetric,
     diffusion_kernel,
 )
+from .speciation import _bisect
 
 KIND_JOINT_SYMMETRIC = "joint-symmetric"
 KIND_MODE_PLUS = "mode-plus"
@@ -163,18 +164,7 @@ def _bisect_to_zero(f, lo: float, hi: float) -> tuple[float, float]:
         raise InvalidArgument(
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
-    root, res = lo, f_lo
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        root, res = mid, val
-        if abs(val) <= LOG_RESIDUAL_TOL:
-            break
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return root, abs(res)
+    return _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
 
 
 def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:

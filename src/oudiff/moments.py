@@ -16,7 +16,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .blockmat import Block2, ModeDecomposition, from_modes, mat_exp, spectral_decompose
-from .errors import InvalidArgument, UnsupportedShape
+from .errors import DegenerateDrift, InvalidArgument, UnsupportedShape
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -290,41 +290,50 @@ def _expm1_ratio(tau: float, t: float) -> float:
     return -math.expm1(-x) / tau
 
 
-def _poly_tail_k(a: float) -> float:
+def _poly_tail_k(a):
     """1 - e^{-a}(1 + a), series-evaluated below a=0.5 to avoid cancellation."""
-    if a >= 0.5:
-        return 1.0 - math.exp(-a) * (1.0 + a)
-    # sum_{n>=2} (-1)^n a^n (n-1) / n!
-    total = 0.0
-    for n in range(2, 40):
-        term = ((-1.0) ** n) * (a**n) * (n - 1) / math.factorial(n)
-        total += term
-        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
+    # sum_{n>=2} (-1)^n a^n (n-1)/n!
+    direct = 1.0 - np.exp(-a) * (1.0 + a)
+    term = a * a / 2.0
+    series = term
+    for n in range(3, 18):
+        term = term * (-a) * (n - 1) / (n * (n - 2))
+        series = series + term
+    return np.where(a < 0.5, series, direct)
 
 
-def _poly_tail_h(a: float) -> float:
+def _poly_tail_h(a):
     """1 - e^{-a}(1 + a + a^2/2), series-evaluated below a=0.5."""
-    if a >= 0.5:
-        return 1.0 - math.exp(-a) * (1.0 + a + 0.5 * a * a)
     # sum_{n>=3} (-1)^{n+1} a^n (n-1)(n-2) / (2 n!)
-    total = 0.0
-    for n in range(3, 40):
-        term = ((-1.0) ** (n + 1)) * (a**n) * (n - 1) * (n - 2) / (2.0 * math.factorial(n))
-        total += term
-        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
+    direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
+    term = a**3 / 6.0
+    series = term
+    for n in range(4, 19):
+        term = term * (-a) * (n - 1) / (n * (n - 3))
+        series = series + term
+    return np.where(a < 0.5, series, direct)
+
+
+def _aniso_q(beta, sw2, g, ts):
+    """Anisotropic Q(t) entries (q11, q12, q22) on broadcast arrays of g, ts.
+
+    Built from the tails u(t) = 1 - e^{-2 beta t},
+    k(t) = 1 - e^{-2 beta t}(1 + 2 beta t) and
+    h(t) = 1 - e^{-2 beta t}(1 + 2 beta t + 2 beta^2 t^2).
+    """
+    a = 2.0 * beta * ts
+    u = -np.expm1(-a)
+    q11 = sw2 * u / (2.0 * beta)
+    q12 = sw2 * g * _poly_tail_k(a) / (4.0 * beta * beta)
+    q22 = sw2 * (u / (2.0 * beta) + g * g * _poly_tail_h(a) / (4.0 * beta**3))
+    return q11, q12, q22
 
 
 def transition_cov(spec: ModelSpec, t: float) -> Block2:
     """Accumulated noise covariance Q(t) of the forward transition kernel.
 
     Symmetric coupling: q_pm = sW2 (1 - e^{-tau_pm t}) / tau_pm on each
-    eigenmode.  Anisotropic coupling: closed forms built from the tails
-    u(t) = 1 - e^{-2 beta t}, k(t) = 1 - e^{-2 beta t}(1 + 2 beta t) and
-    h(t) = 1 - e^{-2 beta t}(1 + 2 beta t + 2 beta^2 t^2).
+    eigenmode.  Anisotropic coupling: the closed forms of ``_aniso_q``.
     """
     _require_time(t)
     _require_closed_form(spec)
@@ -334,15 +343,8 @@ def transition_cov(spec: ModelSpec, t: float) -> Block2:
         qp = sw2 * _expm1_ratio(modes.tau_plus, t)
         qm = sw2 * _expm1_ratio(modes.tau_minus, t)
         return from_modes(qp, qm)
-    beta = spec.beta
-    g = spec.coupling.g
-    a = 2.0 * beta * t
-    u = -math.expm1(-a)
-    k = _poly_tail_k(a)
-    h = _poly_tail_h(a)
-    q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * g * k / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * h / (4.0 * beta**3))
+    # Python floats: a numpy scalar would print as np.float64(...)
+    q11, q12, q22 = (float(q) for q in _aniso_q(spec.beta, sw2, spec.coupling.g, t))
     return Block2(q11, q12, q12, q22)
 
 
@@ -392,8 +394,6 @@ def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
     det C and D = beta^2 Delta - beta sW2 (C11 + C22) + g sW2 C12 + sW2^2.
     Raises DegenerateDrift when D(t) vanishes.
     """
-    from .errors import DegenerateDrift
-
     _require_time(t)
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape("kernel_K is the anisotropic closed form")

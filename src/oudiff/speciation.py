@@ -32,7 +32,7 @@ from .moments import (
     ModeMeans,
     ModelSpec,
     Symmetric,
-    _expm1_ratio,
+    _aniso_q,
     _require_time,
     diffusion_kernel,
     kernel_K,
@@ -45,8 +45,8 @@ REGIME_UNSTABLE = "unstable"
 
 KAPPA_TOL = 1e-10
 SUP_TOL = 1e-12
-# evenly spaced times on [0, t_max] of the stability scan and of the
-# linear part of the speciation scan grid
+# evenly spaced times on [0, t_max] of the linear part of the speciation
+# scan grid
 _GRID_POINTS = 512
 
 
@@ -64,8 +64,11 @@ class StabilityReport:
     """Outcome of the confinement checks for symmetric coupling.
 
     ``sufficient`` is the closed-form bound s2 < sW2/(beta + |g|) (strict);
-    ``first_violation`` is the first grid time at which the pointwise tail
-    condition lambda_pm + sW2/c_pm(t) > 0 fails, if any.
+    ``first_violation`` is the first time at which the pointwise tail
+    condition lambda_pm + sW2/c_pm(t) > 0 fails, if any.  c_pm(t) moves
+    monotonically from c_pm(0) = s2 toward sW2/tau_pm, which satisfies the
+    condition, so a violation anywhere is a violation at t = 0: the
+    result is 0.0 or None.
     """
 
     stable: bool
@@ -115,10 +118,14 @@ def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
 
 
 def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
-    """kappa_symmetric_closed as a function of t alone.
+    """Eigenmode closed form of kappa as a function of time alone.
 
-    The eigenmodes and mode norms are computed once, so a bisection loop
-    pays only the per-time closed form.
+    kappa = sW2 * (SNR_plus + SNR_minus) with
+    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).  The
+    eigenmodes and mode norms are computed once; the returned
+    ``at(ts) -> (kappa, bad)`` takes a time or an array of times, and
+    ``bad`` marks the times at which tail confinement fails
+    (c_pm (lambda_pm c_pm + sW2) <= 0), where kappa is meaningless.
     """
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("closed form requires symmetric coupling")
@@ -128,23 +135,23 @@ def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
             "no eigenmode factorization"
         )
     modes = spec.modes()
-    tau_p, tau_m = modes.tau_plus, modes.tau_minus
-    lam_p, lam_m = modes.lambda_plus, modes.lambda_minus
     mp2, mm2 = init.mode_norms()
     s2 = init.sigma2_x
     sw2 = spec.sigma_w2
+    terms = (
+        (modes.tau_plus, modes.lambda_plus, mp2),
+        (modes.tau_minus, modes.lambda_minus, mm2),
+    )
 
-    def at(t: float) -> float:
-        _require_time(t)
-        decay_p = math.exp(-tau_p * t)
-        decay_m = math.exp(-tau_m * t)
-        cp = s2 * decay_p + sw2 * _expm1_ratio(tau_p, t)
-        cm = s2 * decay_m + sw2 * _expm1_ratio(tau_m, t)
-        denom_p = cp * (lam_p * cp + sw2)
-        denom_m = cm * (lam_m * cm + sw2)
-        if denom_p <= 0.0 or denom_m <= 0.0:
-            raise UnstableAtTime(t)
-        return sw2 * (decay_p * mp2 / denom_p + decay_m * mm2 / denom_m)
+    def at(ts):
+        kappa_t, bad = 0.0, False
+        for tau, lam, m2 in terms:
+            decay = np.exp(-tau * ts)
+            c = s2 * decay + sw2 * (-np.expm1(-tau * ts)) / tau
+            denom = c * (lam * c + sw2)
+            bad = bad | (denom <= 0.0)
+            kappa_t = kappa_t + sw2 * decay * m2 / denom
+        return kappa_t, bad
 
     return at
 
@@ -152,9 +159,16 @@ def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
 def kappa_symmetric_closed(spec: ModelSpec, init: MixtureInit, t: float) -> float:
     """Eigenmode closed form: kappa = sW2 * (SNR_plus + SNR_minus).
 
-    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).
+    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).  Raises
+    UnstableAtTime when tail confinement fails at t.
     """
-    return _symmetric_kappa(spec, init)(t)
+    _require_time(t)
+    # at the exact stability boundary denom == 0: reported through bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, bad = _symmetric_kappa(spec, init)(t)
+    if bad:
+        raise UnstableAtTime(t)
+    return float(value)
 
 
 def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
@@ -179,36 +193,22 @@ def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
     )
 
 
-def stability_check(
-    spec: ModelSpec,
-    init: MixtureInit,
-    t_max: float | None = None,
-) -> StabilityReport:
+def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
     """Evaluate both confinement criteria for symmetric coupling."""
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("stability check applies to symmetric coupling")
     if not init.equal_variance:
         raise UnsupportedShape("stability check requires sigma_x == sigma_y")
-    g = spec.coupling.g
-    sufficient = spec.is_stable and init.sigma2_x < spec.sigma_w2 / (
-        spec.beta + abs(g)
+    s2 = init.sigma2_x
+    sufficient = spec.is_stable and s2 < spec.sigma_w2 / (
+        spec.beta + abs(spec.coupling.g)
     )
-    if t_max is None:
-        t_max = 10.0 / spec.beta
-    first_violation = None
-    if not spec.is_stable:
-        first_violation = 0.0
-    else:
-        for t in np.linspace(0.0, t_max, _GRID_POINTS):
-            cp, cm = mode_kernels(spec, init, float(t))
-            margin_p, margin_m = _tail_margins(spec, cp, cm)
-            if margin_p <= 0.0 or margin_m <= 0.0:
-                first_violation = float(t)
-                break
+    # c_pm(0) = s2; see StabilityReport for why t = 0 decides
+    stable = spec.is_stable and min(_tail_margins(spec, s2, s2)) > 0.0
     return StabilityReport(
-        stable=first_violation is None,
+        stable=stable,
         sufficient=sufficient,
-        first_violation=first_violation,
+        first_violation=None if stable else 0.0,
     )
 
 
@@ -222,28 +222,6 @@ def _scan_grid(t_max: float) -> np.ndarray:
     return grid
 
 
-def _poly_tail_k_vec(a: np.ndarray) -> np.ndarray:
-    # sum_{n>=2} (-1)^n a^n (n-1)/n! below a=0.5, direct form above
-    direct = 1.0 - np.exp(-a) * (1.0 + a)
-    term = a * a / 2.0
-    series = term.copy()
-    for n in range(3, 18):
-        term = term * (-a) * (n - 1) / (n * (n - 2))
-        series = series + term
-    return np.where(a < 0.5, series, direct)
-
-
-def _poly_tail_h_vec(a: np.ndarray) -> np.ndarray:
-    direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
-    series = np.zeros_like(a)
-    term = a**3 / 6.0
-    series = series + term
-    for n in range(4, 19):
-        term = term * (-a) * (n - 1) / (n * (n - 3))
-        series = series + term
-    return np.where(a < 0.5, series, direct)
-
-
 def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
     """Anisotropic kappa(t) through the closed-form K(t), on broadcast arrays.
 
@@ -253,13 +231,7 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
     mask, in the shape of (g, ts), of times at which D(t) vanishes and
     the drift operator is degenerate.
     """
-    a = 2.0 * beta * ts
-    u = -np.expm1(-a)
-    kk = _poly_tail_k_vec(a)
-    hh = _poly_tail_h_vec(a)
-    q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * g * kk / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * hh / (4.0 * beta**3))
+    q11, q12, q22 = _aniso_q(beta, sw2, g, ts)
     decay2 = np.exp(-2.0 * beta * ts)
     c11 = decay2 * sx2 + q11
     c12 = decay2 * g * ts * sx2 + q12
@@ -289,37 +261,40 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
 
 def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarray:
     """Vectorized kappa over a time grid via the closed forms."""
-    sw2 = spec.sigma_w2
     if isinstance(spec.coupling, Symmetric):
-        if not init.equal_variance:
-            raise UnsupportedShape("symmetric kappa requires sigma_x == sigma_y")
-        s2 = init.sigma2_x
-        modes = spec.modes()
-        mp2, mm2 = init.mode_norms()
-        out = np.zeros_like(ts)
-        for tau, lam, m2 in (
-            (modes.tau_plus, modes.lambda_plus, mp2),
-            (modes.tau_minus, modes.lambda_minus, mm2),
-        ):
-            decay = np.exp(-tau * ts)
-            q = sw2 * (-np.expm1(-tau * ts)) / tau
-            q = np.where(ts == 0.0, 0.0, q)
-            c = s2 * decay + q
-            denom = c * (lam * c + sw2)
-            bad = denom <= 0.0
-            if np.any(bad):
-                raise UnstableAtTime(float(ts[np.argmax(bad)]))
-            out = out + sw2 * decay * m2 / denom
-        return out
+        # at the exact stability boundary denom == 0: reported through bad
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, bad = _symmetric_kappa(spec, init)(ts)
+        if np.any(bad):
+            raise UnstableAtTime(float(ts[np.argmax(bad)]))
+        return values
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape("kappa needs a constant coupling kind")
     values, bad = _aniso_kappa(
-        spec.beta, sw2, init.sigma2_x, init.sigma2_y, spec.coupling.g, ts,
-        init.channel_stats(),
+        spec.beta, spec.sigma_w2, init.sigma2_x, init.sigma2_y, spec.coupling.g,
+        ts, init.channel_stats(),
     )
     if np.any(bad):
         raise DegenerateDrift(float(ts[np.argmax(bad)]))
     return values
+
+
+def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> tuple[float, float]:
+    """Bisect f with f(lo) >= 0 >= f(hi); returns the last midpoint and |f| there.
+
+    Stops once |f(mid)| <= tol or after ``max_iter`` halvings; f(mid) >= 0
+    moves lo.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = f(mid)
+        if abs(val) <= tol:
+            break
+        if val >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, abs(val)
 
 
 def _search_window(spec: ModelSpec, t_max_search: float | None) -> float:
@@ -466,19 +441,13 @@ def speciation_time(
     if outcome is not None:
         return outcome
 
+    # the scan saw no bad time, and bad times start at t = 0 when there
+    # are any (see StabilityReport), so the bracket holds none
     kappa_at = _symmetric_kappa(spec, init)
-    lo, hi = grid[bracket - 1].item(), grid[bracket].item()
-    t_root = lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = kappa_at(mid)
-        t_root = mid
-        if abs(val - 1.0) <= 0.1 * KAPPA_TOL:
-            break
-        if val >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+    t_root, _ = _bisect(
+        lambda t: kappa_at(t)[0] - 1.0,
+        grid[bracket - 1].item(), grid[bracket].item(), 0.1 * KAPPA_TOL, 80,
+    )
     return SpeciationResult(
         t_s=t_root, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_SPECIATES
     )

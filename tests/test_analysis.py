@@ -222,7 +222,6 @@ class TestConfigValidation:
             lambda: CloneConfig(batch=0),
             lambda: CloneConfig(steps=0),
             lambda: CloneConfig(baseline_factor=0),
-            lambda: CloneConfig(empirical_n=0),
             lambda: CloneConfig(horizon=math.nan),
             lambda: CloneSweepConfig(dim_d=0),
             lambda: CloneSweepConfig(scan_count=0),
@@ -410,18 +409,6 @@ class TestCloneProtocol:
                 spec, init, [0.0, 1.0], CloneConfig(repeats=1, batch=4, steps=10),
                 np.random.default_rng(0),
             )
-
-    def test_empirical_score_variant_runs(self):
-        spec = ModelSpec(1.0, Symmetric(0.3), 2.0, dim_d=4)
-        init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 1.0), dim_d=4)
-        config = CloneConfig(
-            repeats=1, batch=16, steps=60, horizon=4.0, score="empirical",
-            empirical_n=32,
-        )
-        curves = clone_agreement(
-            spec, init, np.linspace(0, 4, 4), config, np.random.default_rng(2)
-        )
-        assert curves["u"].phi_raw[0] == 1.0
 
     def test_sweep_determinism(self):
         cfg = CloneSweepConfig(

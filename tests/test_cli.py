@@ -53,6 +53,17 @@ class TestScalarCommands:
         assert code == 0
         assert payload["stable"] is True
 
+    def test_stability_has_no_t_max(self, capsys):
+        # the report is decided at t = 0, so there is no scan horizon to set
+        argv = ["stability", "--g", "0.5", "--sigma2", "1.6"]
+        assert dispatch(argv + ["--t-max", "5"]) == 2
+        capsys.readouterr()
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        assert payload == {
+            "stable": False, "sufficient": False, "first_violation": 0.0,
+        }
+
     def test_unknown_flag_exits_2(self, capsys):
         assert dispatch(["speciation", "--not-a-flag", "1"]) == 2
 

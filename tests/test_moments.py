@@ -191,6 +191,27 @@ class TestTransitionCov:
             assert _poly_tail_k(a) == pytest.approx(k_direct, rel=1e-12)
             assert _poly_tail_h(a) == pytest.approx(h_direct, rel=1e-11)
 
+        # arrays across both branches against 50 digits: the direct branch
+        # at the a = 0.5 switch loses (1 - h)/h ~ 69 times ~2 ulp ~ 3e-14
+        mp = pytest.importorskip("mpmath")
+        a = np.concatenate(
+            [np.geomspace(1e-12, 40.0, 400), [np.nextafter(0.5, 0.0), 0.5]]
+        )
+        got_k, got_h = _poly_tail_k(a), _poly_tail_h(a)
+        with mp.workdps(50):
+            for x, k, h in zip(a.tolist(), got_k.tolist(), got_h.tolist()):
+                x_mp = mp.mpf(x)
+                e = mp.exp(-x_mp)
+                want_k = 1 - e * (1 + x_mp)
+                want_h = 1 - e * (1 + x_mp + x_mp**2 / 2)
+                assert abs(k - want_k) <= 5e-14 * want_k, x
+                assert abs(h - want_h) <= 5e-14 * want_h, x
+
+    def test_entries_are_python_floats(self):
+        for spec, _ in (sym_model(), aniso_model()):
+            q = transition_cov(spec, 0.7)
+            assert {type(v) for v in (q.a11, q.a12, q.a21, q.a22)} == {float}
+
     def test_tiny_time_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50

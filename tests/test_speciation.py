@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oudiff.errors import DegenerateDrift, DegenerateRate, InvalidArgument
+from oudiff.errors import (
+    DegenerateDrift,
+    DegenerateRate,
+    InvalidArgument,
+    UnstableAtTime,
+)
 from oudiff.moments import (
     Anisotropic,
     AngledMeans,
@@ -84,6 +89,15 @@ class TestKappa:
             kappa0_aniso(spec, init), rel=1e-12
         )
 
+    def test_closed_form_at_stability_boundary_raises(self):
+        # s2 = 2 sW2 / tau_plus: the plus-mode denominator is exactly 0 at t = 0
+        spec = ModelSpec(1.0, Symmetric(0.5), 2.0)
+        init = MixtureInit(4.0, 4.0, ModeMeans(1.0, 1.0))
+        with pytest.raises(UnstableAtTime):
+            kappa_symmetric_closed(spec, init, 0.0)
+        res = speciation_time(spec, init)
+        assert res.regime == REGIME_UNSTABLE and res.unstable_t == 0.0
+
     def test_unstable_raises(self):
         spec = ModelSpec(1.0, Symmetric(0.5), 2.0)
         init = MixtureInit(2.0, 2.0, ModeMeans(1.0, 0.0))  # s2 > sW2/(beta+g)
@@ -138,14 +152,21 @@ class TestStability:
         rep = stability_check(spec, init)
         assert not rep.sufficient
 
-    def test_pointwise_violation_reported(self):
-        # large data variance with coupling: margin goes negative at finite t
-        spec = ModelSpec(1.0, Symmetric(0.6), 2.0)
-        init = MixtureInit(1.6, 1.6, ModeMeans(1.0, 0.0))
-        rep = stability_check(spec, init)
-        assert not rep.sufficient
-        if rep.first_violation is not None:
-            assert rep.first_violation >= 0.0
+    def test_violation_starts_at_zero(self):
+        # c_pm(t) moves from s2 toward sW2/tau_pm, so the tail condition
+        # fails somewhere only if it fails at t = 0
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(300):
+            beta = rng.uniform(0.3, 2.5)
+            g = rng.uniform(-1.3, 1.3) * beta
+            s2 = rng.uniform(0.1, 3.0)
+            spec = ModelSpec(beta, Symmetric(g), rng.uniform(0.3, 3.0))
+            rep = stability_check(spec, MixtureInit(s2, s2, ModeMeans(1.0, 0.5)))
+            assert rep.first_violation in (None, 0.0)
+            assert rep.stable == rep.sufficient == (rep.first_violation is None)
+            kinds.add((rep.stable, spec.is_stable))
+        assert kinds == {(True, True), (False, True), (False, False)}
 
 
 class TestSpeciationTime:
@@ -313,6 +334,8 @@ def _oracle_cell(spec, init, t_max):
         return REGIME_SPECIATES, mid
     except DegenerateDrift as exc:
         return str(exc), None
+    except UnstableAtTime:
+        return REGIME_UNSTABLE, None
 
 
 class TestPhaseDiagramOracle:
@@ -355,3 +378,29 @@ class TestPhaseDiagramOracle:
             if t_s is not None:
                 assert abs(cell.result.t_s - t_s) <= 1e-10
         assert seen == kinds
+
+
+class TestSymmetricOracle:
+    """Symmetric speciation_time against the scalar Block2 kappa() solver."""
+
+    def test_random_specs_match_scalar_bisection(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(60):
+            beta = rng.uniform(0.5, 2.0)
+            g = rng.uniform(-0.95, 0.95) * beta
+            sw2 = rng.uniform(0.5, 3.0)
+            s2 = rng.uniform(0.1, 2.5)
+            spec = ModelSpec(beta, Symmetric(g), sw2)
+            scale = rng.choice([0.02, 1.0])  # small means rarely speciate
+            init = MixtureInit(
+                s2, s2, ModeMeans(scale * rng.uniform(0, 2), scale * rng.uniform(0, 2))
+            )
+            t_max = 10.0 / beta
+            want, t_s = _oracle_cell(spec, init, t_max)
+            res = speciation_time(spec, init, t_max)
+            assert res.regime == want, (beta, g, sw2, s2)
+            seen.add(want)
+            if t_s is not None:
+                assert abs(res.t_s - t_s) <= 1e-10
+        assert seen == {REGIME_SPECIATES, REGIME_NO_SPECIATION, REGIME_UNSTABLE}

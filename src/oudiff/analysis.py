@@ -332,82 +332,40 @@ class CloneConfig:
 
     def __post_init__(self):
         _check_sizes(self, ("repeats", "batch", "steps", "baseline_factor"))
+        if not math.isfinite(self.threshold):
+            raise InvalidArgument(f"threshold must be finite, got {self.threshold!r}")
+        if not 0.0 < self.conf < 1.0:
+            raise InvalidArgument(f"conf must be in (0, 1), got {self.conf!r}")
 
 
-class _ModeChannels:
-    """Exact per-mode reverse dynamics for the cloning protocol.
+def _label_modes(spec: ModelSpec, init: MixtureInit):
+    """Decay rates and label amplitudes of the two eigenmodes, as (2, 1)
+    columns (common mode first), for the cloning protocol.
 
     The symmetric system diagonalizes exactly into its common and
     difference eigenmodes, and the protocol needs each mode to carry an
     independently decodable class bit (the analog of paired channels
     whose shared and residual content are classified separately).  The
-    data law here therefore draws an independent sign per mode:
+    data law therefore draws an independent sign per mode:
     z_m(0) = s_m mu_m + noise, giving each mode its own two-component
-    mixture, its own exact score, and its own commitment time.
+    mixture, its own exact score, and its own commitment time.  The
+    label is the sign of z_m along mu_m; the other d - 1 coordinates are
+    independent linear OU paths that never reach it, so each mode reduces
+    to the one scalar along mu_m, of amplitude |mu_m| = sqrt(m_m^2 d).
     """
-
-    def __init__(self, spec: ModelSpec, init: MixtureInit):
-        if not isinstance(spec.coupling, Symmetric):
-            raise InvalidArgument("the cloning protocol runs on symmetric coupling")
-        if not spec.is_stable:
-            raise InvalidArgument("cloning needs a stable symmetric spec")
-        if not init.equal_variance:
-            raise InvalidArgument("cloning requires sigma_x == sigma_y")
-        mp2, mm2 = init.mode_norms()
-        if mp2 <= 0.0 or mm2 <= 0.0:
-            raise UndefinedLabel(
-                "both mode means must be nonzero for the clone labels"
-            )
-        modes = spec.modes()
-        self.d = spec.dim_d
-        self.taus = (modes.tau_plus, modes.tau_minus)
-        self.sw2 = spec.sigma_w2
-        self.s2 = init.sigma2_x
-        # per-dimension mode mean amplitudes; direction is the first axis
-        self.amps = (math.sqrt(mp2 * self.d), math.sqrt(mm2 * self.d))
-
-    def kernel(self, m: int, t: float) -> tuple[float, float, float]:
-        """(decay, q_m, c_m) of mode m at forward time t."""
-        tau = self.taus[m]
-        decay = math.exp(-0.5 * tau * t)
-        q = self.sw2 * (-math.expm1(-tau * t)) / tau
-        return decay, q, self.s2 * decay * decay + q
-
-    def score(self, m: int, z: np.ndarray, t: float) -> np.ndarray:
-        decay, _, c = self.kernel(m, t)
-        mu_t = decay * self.amps[m]
-        arg = mu_t * z[:, 0] / c
-        out = -z / c
-        out[:, 0] += (mu_t / c) * np.tanh(arg)
-        return out
-
-    def stationary_draw(self, n: int, rng: np.random.Generator, m: int) -> np.ndarray:
-        return math.sqrt(self.sw2 / self.taus[m]) * rng.standard_normal((n, self.d))
-
-    def reverse(self, m: int, z: np.ndarray, k_from: int, h: float,
-                rng: np.random.Generator, keep_path: bool = False):
-        """Integrate mode m from grid step k_from down to t=0.
-
-        With keep_path the states at every remaining grid time are
-        returned so the caller can cache scan snapshots; the final step
-        adds no noise.
-        """
-        lam = -0.5 * self.taus[m]
-        sw = math.sqrt(self.sw2)
-        sqrt_h = math.sqrt(h)
-        path = [z.copy()] if keep_path else None
-        for k in range(k_from, 0, -1):
-            t = k * h
-            drift = -lam * z + self.sw2 * self.score(m, z, t)
-            z = z + h * drift
-            if k > 1:
-                z = z + sw * sqrt_h * rng.standard_normal(z.shape)
-            if keep_path:
-                path.append(z.copy())
-        return path if keep_path else z
-
-    def labels(self, m: int, z: np.ndarray) -> np.ndarray:
-        return z[:, 0] > 0.0
+    if not isinstance(spec.coupling, Symmetric):
+        raise InvalidArgument("the cloning protocol runs on symmetric coupling")
+    if not spec.is_stable:
+        raise InvalidArgument("cloning needs a stable symmetric spec")
+    if not init.equal_variance:
+        raise InvalidArgument("cloning requires sigma_x == sigma_y")
+    mp2, mm2 = init.mode_norms()
+    if mp2 <= 0.0 or mm2 <= 0.0:
+        raise UndefinedLabel("both mode means must be nonzero for the clone labels")
+    modes = spec.modes()
+    taus = np.array([[modes.tau_plus], [modes.tau_minus]])
+    amps = np.sqrt(np.array([[mp2], [mm2]]) * spec.dim_d)
+    return taus, amps
 
 
 def clone_agreement(
@@ -419,57 +377,61 @@ def clone_agreement(
 ) -> dict[str, AgreementCurve]:
     """Clone agreement curves for the common and difference modes.
 
-    Each repeat integrates a batch of master reverse trajectories per
-    mode, caches the states at the scan times, and continues two clones
-    with independent noise from every cached state down to t = 0.
-    Labels are the signs of the final mode states projected on the mode
-    means (comparing label products makes the agreement invariant to the
-    sign convention of either mean); phi_ex rescales raw agreement by the
-    independent-pair baseline.
+    ``repeats * batch`` master reverse trajectories per mode start from
+    the stationary law; at every scan time two clones continue from each
+    master's state with independent noise down to t = 0.  Labels are the
+    signs of the final mode states projected on the mode means (comparing
+    label products makes the agreement invariant to the sign convention
+    of either mean); phi_ex rescales raw agreement by the agreement of
+    ``baseline_factor`` times as many fully independent reverse pairs.
+
+    Every path of both modes is one column of a single (2, paths) array
+    (see ``_label_modes`` for why one scalar per mode suffices),
+    integrated by one Euler-Maruyama loop from the top of the grid whose
+    last step adds no noise.
     """
-    channels = _ModeChannels(spec, init)
+    taus, amps = _label_modes(spec, init)
+    sw2, s2 = spec.sigma_w2, init.sigma2_x
     h = config.horizon / config.steps
     scan_times = np.asarray(sorted(scan_times), dtype=float)
     scan_steps = np.clip(np.rint(scan_times / h).astype(int), 0, config.steps)
     scan_times = scan_steps * h  # snapped to the integration grid
     n_scan = scan_times.size
     n_pairs = config.repeats * config.batch
-
-    agree = {0: np.zeros(n_scan, dtype=int), 1: np.zeros(n_scan, dtype=int)}
-    for _ in range(config.repeats):
-        for m in (0, 1):
-            z_top = channels.stationary_draw(config.batch, rng, m)
-            path = channels.reverse(m, z_top, config.steps, h, rng, keep_path=True)
-            # path[j] sits at grid step steps - j, i.e. forward time (steps-j)h
-            for j, k_s in enumerate(scan_steps):
-                cached = path[config.steps - int(k_s)]
-                f1 = channels.reverse(m, cached, int(k_s), h, rng)
-                f2 = channels.reverse(m, cached, int(k_s), h, rng)
-                l1 = channels.labels(m, f1)
-                l2 = channels.labels(m, f2)
-                agree[m][j] += int(np.sum(l1 == l2))
-
-    # independence baseline from fully independent reverse pairs
     n_base = config.baseline_factor * n_pairs
-    base = {0: 0, 1: 0}
-    for m in (0, 1):
-        done = 0
-        while done < n_base:
-            nb = min(config.batch * 2, n_base - done)
-            fa = channels.reverse(
-                m, channels.stationary_draw(nb, rng, m), config.steps, h, rng
-            )
-            fb = channels.reverse(
-                m, channels.stationary_draw(nb, rng, m), config.steps, h, rng
-            )
-            base[m] += int(
-                np.sum(channels.labels(m, fa) == channels.labels(m, fb))
-            )
-            done += nb
+
+    # columns: baseline pairs, masters, then the clone pairs of each scan
+    # time, latest first, so the paths moving at any step are a prefix
+    n_top = 2 * n_base + n_pairs
+    z = np.empty((2, n_top + 2 * n_scan * n_pairs))
+    z[:, :n_top] = np.sqrt(sw2 / taus) * rng.standard_normal((2, n_top))
+    masters = z[:, 2 * n_base:n_top]
+    noise = math.sqrt(sw2) * math.sqrt(h)
+    live = n_top
+    for k in range(config.steps, -1, -1):
+        # the clones of scan step k start from their masters' state
+        start = live
+        live = n_top + 2 * n_pairs * int(np.count_nonzero(scan_steps >= k))
+        z[:, start:live] = np.tile(masters, (live - start) // n_pairs)
+        if k == 0:
+            break
+        decay = np.exp(-0.5 * taus * (k * h))
+        c = s2 * decay * decay + sw2 * (-np.expm1(-taus * (k * h))) / taus
+        mu = decay * amps
+        paths = z[:, :live]
+        score = (mu * np.tanh(mu * paths / c) - paths) / c
+        paths += h * (0.5 * taus * paths + sw2 * score)
+        if k > 1:
+            paths += noise * rng.standard_normal(paths.shape)
+
+    labels = z > 0.0
+    base = np.count_nonzero(labels[:, :n_base] == labels[:, n_base:2 * n_base], axis=1)
+    clones = labels[:, n_top:].reshape(2, n_scan, 2, n_pairs)[:, ::-1]
+    agree = np.count_nonzero(clones[:, :, 0] == clones[:, :, 1], axis=2)
 
     out = {}
     for m, mode in ((0, "u"), (1, "v")):
-        phi_indep = base[m] / n_base
+        phi_indep = int(base[m]) / n_base
         counts = agree[m]
         phi = counts / n_pairs
         lows = np.empty(n_scan)

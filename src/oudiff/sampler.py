@@ -209,8 +209,8 @@ class Trajectory:
     """Recorded states of a batch of paths on a shared time grid.
 
     ``times`` lists the recorded times in integration order; ``states``
-    stacks the matching (n_paths, 2d) snapshots.  ``scan_cache`` maps a
-    recorded scan time to its snapshot for cloning protocols.
+    stacks the matching (n_paths, 2d) snapshots.  ``scan_cache`` maps each
+    requested record time to its snapshot.
     """
 
     times: np.ndarray

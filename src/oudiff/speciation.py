@@ -411,8 +411,9 @@ def speciation_time(
     A grid scan (512 linear points plus geometric refinement near zero)
     brackets the highest crossing, which bisection then sharpens to
     |kappa - 1| <= 1e-10.  Returns the no-speciation regime when the grid
-    supremum of kappa stays below 1, and the unstable regime with the
-    first violation time when tail confinement fails inside the window.
+    supremum of kappa stays below 1, and the unstable regime at t = 0 when
+    ``stability_check`` finds the symmetric spec unstable (|g| >= beta, or
+    tail confinement fails).
     """
     t_max_search = _search_window(spec, t_max_search)
     if isinstance(spec.coupling, Anisotropic):
@@ -423,17 +424,17 @@ def speciation_time(
             raise outcome
         return outcome
 
-    grid = _scan_grid(t_max_search)
-    try:
-        values = _kappa_grid(spec, init, grid)
-    except UnstableAtTime as exc:
+    if not stability_check(spec, init).stable:
+        # see StabilityReport: confinement fails at t = 0 when anywhere
         return SpeciationResult(
             t_s=None,
             kappa0=float("nan"),
             sup_kappa=float("nan"),
             regime=REGIME_UNSTABLE,
-            unstable_t=exc.t,
+            unstable_t=0.0,
         )
+    grid = _scan_grid(t_max_search)
+    values = _kappa_grid(spec, init, grid)
     kappa0, sup_kappa, above_end, bracket = (r.item() for r in _scan(values))
     outcome = _scan_outcome(kappa0, sup_kappa, above_end, bracket)
     if isinstance(outcome, Exception):

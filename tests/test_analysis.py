@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit, ndtr, ndtri
 
 from oudiff import analysis
 from oudiff.analysis import (
@@ -223,6 +224,11 @@ class TestConfigValidation:
             lambda: CloneConfig(steps=0),
             lambda: CloneConfig(baseline_factor=0),
             lambda: CloneConfig(horizon=math.nan),
+            lambda: CloneConfig(threshold=math.nan),
+            lambda: CloneConfig(threshold=-math.inf),
+            lambda: CloneConfig(conf=0.0),
+            lambda: CloneConfig(conf=1.0),
+            lambda: CloneConfig(conf=math.nan),
             lambda: CloneSweepConfig(dim_d=0),
             lambda: CloneSweepConfig(scan_count=0),
             lambda: ConditionalRunConfig(steps=0),
@@ -422,6 +428,21 @@ class TestCloneProtocol:
             assert np.array_equal(ra.curves["u"].phi_raw, rb.curves["u"].phi_raw)
             assert ra.gap == rb.gap
 
+    def test_label_coordinate_reduction(self):
+        # d enters only through the label amplitude sqrt(m^2 d)
+        scans = np.linspace(0.0, 4.0, 5)
+        config = CloneConfig(repeats=2, batch=16, steps=50, horizon=4.0)
+
+        def curves(d, scale):
+            spec = ModelSpec(1.0, Symmetric(0.3), 2.0, dim_d=d)
+            init = MixtureInit(1.0, 1.0, ModeMeans(0.7 * scale, 1.3 * scale), dim_d=d)
+            return clone_agreement(spec, init, scans, config, np.random.default_rng(4))
+
+        wide, narrow = curves(16, 1.0), curves(1, 16.0)
+        for mode in ("u", "v"):
+            assert np.array_equal(wide[mode].phi_raw, narrow[mode].phi_raw)
+            assert wide[mode].phi_indep == narrow[mode].phi_indep
+
     def test_batch_scaling_shrinks_ci(self):
         spec = ModelSpec(1.0, Symmetric(0.0), 2.0, dim_d=4)
         init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 1.0), dim_d=4)
@@ -440,6 +461,61 @@ class TestCloneProtocol:
         w2 = width(256, 3)
         # quadrupling the batch roughly halves the interval
         assert w2 < w1 * 0.65
+
+
+def _exact_phi_ex(tau, m2, d, sw2, s2, t):
+    """Continuous-time excess clone agreement E[(2p - 1)^2] of one mode.
+
+    The label reads the scalar z along the mode mean, a two-component
+    mixture z_0 ~ N(s a, s2) with a = sqrt(m2 d) and a fair sign s.  With
+    e, q, c the mode's decay, noise variance and marginal variance at t,
+    the reverse path from z_t draws z_0 from the posterior, so
+    p = P(label + | z_t) = sum_s sigma(2 s e a z / c) Phi(m_s / sqrt(v)),
+    m_s = s a + s2 e (z - e s a) / c and v = s2 q / c.  The expectation
+    over z_t ~ N(e a, c) (the other component gives the same (2p - 1)^2)
+    uses a 120-node Gauss-Hermite rule.
+    """
+    a = math.sqrt(m2 * d)
+    e = math.exp(-0.5 * tau * t)
+    q = sw2 * -math.expm1(-tau * t) / tau
+    c = s2 * e * e + q
+    v = s2 * q / c
+    x, w = np.polynomial.hermite_e.hermegauss(120)
+    z = e * a + math.sqrt(c) * x
+    p = 0.0
+    for s in (1.0, -1.0):
+        m_s = s * a + s2 * e * (z - e * s * a) / c
+        p = p + expit(2.0 * s * e * a * z / c) * ndtr(m_s / math.sqrt(v))
+    return float(np.sum(w * (2.0 * p - 1.0) ** 2) / math.sqrt(2.0 * math.pi))
+
+
+class TestCloneOracle:
+    """Clone agreement counts against the exact continuous-time agreement."""
+
+    def test_counts_match_exact_agreement(self):
+        # the criterion-10 configuration and seed
+        beta, sw2, s2, d = 1.0, 2.0, 1.0, 16
+        clone = CloneConfig(repeats=5, batch=128, steps=800, horizon=4.0)
+        cfg = CloneSweepConfig(
+            g_list=(0.0, 0.5), dim_d=d, scan_count=12, clone=clone, seed=20250809,
+        )
+        n_pairs = clone.repeats * clone.batch
+        n_base = clone.baseline_factor * n_pairs
+        # two-sided Bonferroni bound at family-wise alpha = 1e-3 over 48 points
+        bound = float(ndtri(1.0 - 1e-3 / (2 * 48)))
+        worst = 0.0
+        for res in run_clone_experiment(cfg):
+            for mode, tau in (("u", 2 * (beta - res.g)), ("v", 2 * (beta + res.g))):
+                curve = res.curves[mode]
+                counts = np.rint(curve.phi_raw * n_pairs)
+                assert curve.scan_times[0] == 0.0 and counts[0] == n_pairs
+                for t, k in zip(curve.scan_times[1:], counts[1:]):
+                    agree = 0.5 * (1.0 + _exact_phi_ex(tau, 1.0, d, sw2, s2, t))
+                    score = (k - n_pairs * agree) / math.sqrt(n_pairs * agree * (1 - agree))
+                    worst = max(worst, abs(score))
+                base = round(curve.phi_indep * n_base)
+                assert abs(base - 0.5 * n_base) / math.sqrt(0.25 * n_base) <= bound
+        assert worst <= bound
 
 
 class TestIntervention:

@@ -70,12 +70,20 @@ class TestScalarCommands:
     def test_unknown_command_exits_2(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
-    def test_unstable_exits_3(self, capsys):
-        code, payload = run_json(
-            capsys, ["speciation", "--beta", "1", "--g", "0.5", "--sigma2", "2"],
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--g", "0.5", "--sigma2", "2"],
+            # |g| >= beta: no stationary law, including the boundary
+            ["--g", "1.2", "--sigma2", "0.5", "--m-plus2", "1", "--m-minus2", "1"],
+            ["--g", "1", "--sigma2", "0.5", "--m-plus2", "1", "--m-minus2", "1"],
+        ],
+    )
+    def test_unstable_exits_3(self, capsys, argv):
+        code, payload = run_json(capsys, ["speciation", "--beta", "1", *argv])
         assert code == 3
         assert payload["regime"] == "unstable"
+        assert payload["unstable_t"] == 0.0
 
     def test_invalid_domain_exits_2(self, capsys):
         code = dispatch(["speciation", "--beta", "-1"])
@@ -279,6 +287,24 @@ class TestSweeps:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_non_finite_clone_threshold_exits_2(self, tmp_path, capsys, dry_run):
+        # a NaN threshold would report every crossing censored
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"g_list": [0.0], "dim_d": 2, "scan_count": 2, "repeats": 1, '
+            '"batch": 4, "steps": 4, "threshold": NaN}'
+        )
+        code = dispatch(
+            ["clone-speciation", "--config", str(cfg_path),
+             "--out", str(tmp_path / "o.csv"),
+             "--summary-out", str(tmp_path / "s.json"),
+             *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        assert "threshold must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

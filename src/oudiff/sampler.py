@@ -141,6 +141,8 @@ class DatasetEmpirical:
             raise InvalidArgument("points must be finite")
         if self.labels.shape != (self.points.shape[0],):
             raise InvalidArgument("labels must be one sign per point")
+        if self.labels.dtype.kind not in "iuf" or not np.all(np.abs(self.labels) == 1):
+            raise InvalidArgument("labels must be +1 or -1")
 
     @property
     def n(self) -> int:
@@ -227,10 +229,18 @@ class Trajectory:
         return self.states[-1]
 
 
-def _start_states(start, d: int) -> np.ndarray:
+def _start_states(start, d: int, n_paths: int = 1) -> np.ndarray:
+    """Start states as an (n, 2d) array; a single state is repeated to
+    ``n_paths`` rows, a batch of states is taken as given."""
     z = np.array(np.atleast_2d(np.asarray(start, dtype=float)))
+    if z.ndim != 2:
+        raise InvalidArgument(
+            f"start must be one state or an (n, 2d) batch, got shape {z.shape}"
+        )
     if z.shape[-1] != 2 * d:
         raise InvalidArgument("start states must have 2*dim_d components")
+    if z.shape[0] == 1 and n_paths > 1:
+        z = np.repeat(z, n_paths, axis=0)
     return z
 
 
@@ -295,9 +305,7 @@ def forward_sample(
     if isinstance(init_or_points, MixtureInit):
         z = draw_mixture(init_or_points, n_paths, rng).points
     else:
-        z = _start_states(init_or_points, d)
-        if z.shape[0] == 1 and n_paths > 1:
-            z = np.repeat(z, n_paths, axis=0)
+        z = _start_states(init_or_points, d, n_paths)
     sw = math.sqrt(spec.sigma_w2)
     sqrt_h = math.sqrt(h)
 
@@ -390,31 +398,37 @@ def empirical_score(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact score of the drifted empirical mixture, with posterior weights.
 
-    Weights are the softmax of the per-point log kernels; the score is
-    Q(t)^-1 (sum_i w_i e^{Mt} z_i - z).  Undefined at t = 0 where the
-    kernel width vanishes.
+    With drifted points p_i = e^{Mt} x_i and P_i = Q(t)^-1 p_i, the log
+    kernel -|z - p_i|^2_Q / 2 is z.P_i - p_i.P_i / 2 less |z|^2_Q / 2, which
+    is the same for every point and cancels in the softmax.  So the weights
+    take one (m, 2d) @ (2d, n) product, the working set is O(m n), and the
+    score is sum_i w_i P_i - Q^-1 z.  The log kernels carry a rounding
+    error of order eps (2d) |z| |P_i|, which grows like 1/q(t) as t -> 0.
+    ``z`` is one state (2d,) or a batch (m, 2d).  Undefined at t = 0 where
+    the kernel width vanishes.
     """
     if t <= 0.0:
         raise KernelDegenerate("empirical kernel has zero width at t=0")
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
+    if z.ndim not in (1, 2):
+        raise InvalidArgument(
+            f"z must be one state or an (m, 2d) batch, got shape {z.shape}"
+        )
     zb = np.atleast_2d(z)
     d = spec.dim_d
-    q = transition_cov(spec, t)
-    qinv = block_inverse(q)
-    e = mat_exp(spec.relaxation(t), t)
-    drifted = _block_apply_state(e, dataset.points, d)  # (n, 2d)
+    qinv = block_inverse(transition_cov(spec, t))
+    qinv_z = _block_apply_state(qinv, zb, d)  # (m, 2d)
+    drifted = _block_apply_state(mat_exp(spec.relaxation(t), t), dataset.points, d)
+    proj = _block_apply_state(qinv, drifted, d)  # (n, 2d)
 
-    delta = zb[:, None, :] - drifted[None, :, :]  # (m, n, 2d)
-    qinv_delta = _block_apply_state(qinv, delta, d)
-    log_k = -0.5 * np.sum(delta * qinv_delta, axis=-1)  # (m, n)
+    log_k = zb @ proj.T  # (m, n)
+    log_k -= 0.5 * np.einsum("ij,ij->i", drifted, proj)
     log_k -= log_k.max(axis=1, keepdims=True)
-    w = np.exp(log_k)
+    w = np.exp(log_k, out=log_k)
     w /= w.sum(axis=1, keepdims=True)
 
-    target = w @ drifted  # (m, 2d)
-    score = _block_apply_state(qinv, target - zb, d)
-    if single:
+    score = w @ proj - qinv_z
+    if z.ndim == 1:
         return score[0], w[0]
     return score, w
 
@@ -459,7 +473,7 @@ def reverse_sample(
     if start is None:
         z = sample_block_gaussian(stationary_cov(spec), n_paths, d, rng)
     else:
-        z = _start_states(start, d)
+        z = _start_states(start, d, n_paths)
 
     h = horizon / steps
     sqrt_h = math.sqrt(h)

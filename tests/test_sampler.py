@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oudiff.blockmat import block_inverse, mat_exp
 from oudiff.errors import InvalidArgument, KernelDegenerate
 from oudiff.moments import (
     Anisotropic,
@@ -17,6 +19,7 @@ from oudiff.moments import (
     diffusion_kernel,
     mean_at,
     moments_ode,
+    transition_cov,
 )
 from oudiff.sampler import (
     ConditionalRunConfig,
@@ -138,6 +141,14 @@ class TestForward:
         spec = ModelSpec(1.0, Symmetric(1.5), 2.0, dim_d=2)
         with pytest.raises(InvalidArgument):
             forward_sample(spec, np.zeros(4), 10, np.random.default_rng(0))
+
+    def test_one_start_state_repeated_to_n_paths(self):
+        spec, _ = sym_model(d=2)
+        traj = forward_sample(
+            spec, np.ones(4), 3, np.random.default_rng(0), n_paths=64
+        )
+        assert traj.states.shape == (2, 64, 4)
+        assert np.all(traj.states[0] == 1.0)
 
     def test_moment_match_with_scan_cache(self):
         spec, init = sym_model(g=0.3, d=4)
@@ -279,6 +290,52 @@ class TestPopulationScore:
         assert worst < 1e-6
 
 
+def _empirical_oracle(ds, spec, z, t):
+    """The difference-tensor form of the empirical kernel, as the oracle:
+    (log kernels -|z - p_i|^2_Q / 2, weights, score, drifted points, Q^-1)
+    for a batch z, with an (m, n, 2d) tensor.  The drifted points and Q^-1
+    are computed with the same operations as in ``empirical_score``."""
+    d = spec.dim_d
+    qinv = block_inverse(transition_cov(spec, t))
+    e = mat_exp(spec.relaxation(t), t)
+    drifted = np.concatenate(e.apply(*split_channels(ds.points, d)), axis=1)
+    delta = z[:, None, :] - drifted[None, :, :]
+    qinv_delta = np.concatenate(qinv.apply(*split_channels(delta, d)), axis=-1)
+    log_k = -0.5 * np.sum(delta * qinv_delta, axis=-1)
+    shifted = log_k - log_k.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
+    w /= w.sum(axis=1, keepdims=True)
+    score = np.concatenate(qinv.apply(*split_channels(w @ drifted - z, d)), axis=1)
+    return log_k, w, score, drifted, qinv
+
+
+def _check_empirical_gradient(spec, init, seed):
+    """Worst central-difference error of the empirical score against the
+    oracle's log-sum-exp log density, over 20 random (z, t)."""
+    rng = np.random.default_rng(seed)
+    ds = draw_mixture(init, 10, rng)
+    d2 = 2 * spec.dim_d
+
+    def log_density(z, t):
+        log_k = _empirical_oracle(ds, spec, z[None, :], t)[0][0]
+        peak = log_k.max()
+        return peak + math.log(np.sum(np.exp(log_k - peak)))
+
+    eps = 1e-5
+    worst = 0.0
+    for _ in range(20):
+        z = rng.standard_normal(d2)
+        t = rng.uniform(0.05, 2.0)
+        s, _ = empirical_score(ds, spec, z, t)
+        for j in range(d2):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += eps
+            zm[j] -= eps
+            num = (log_density(zp, t) - log_density(zm, t)) / (2 * eps)
+            worst = max(worst, abs(num - s[j]) / (1.0 + abs(s[j])))
+    return worst
+
+
 class TestEmpiricalScore:
     def test_single_point(self):
         spec, init = sym_model()
@@ -288,9 +345,6 @@ class TestEmpiricalScore:
         score, w = empirical_score(ds, spec, z, 0.8)
         assert w.shape == (1,)
         assert w[0] == pytest.approx(1.0)
-        from oudiff.blockmat import block_inverse, mat_exp
-        from oudiff.moments import transition_cov
-
         e = mat_exp(spec.relaxation(), 0.8)
         qinv = block_inverse(transition_cov(spec, 0.8))
         px, py = split_channels(ds.points, D)
@@ -307,46 +361,138 @@ class TestEmpiricalScore:
         _, w = empirical_score(ds, spec, np.zeros(2 * D), 0.5)
         assert np.allclose(w, 1.0 / 3.0)
 
+    @pytest.mark.parametrize(
+        "labels", [["a", "b"], [0.0, 1.0], [1, 2], [True, False], [1.0, np.nan]]
+    )
+    def test_labels_must_be_signs(self, labels):
+        with pytest.raises(InvalidArgument, match="labels must be"):
+            DatasetEmpirical(np.zeros((2, 4)), labels)
+
+    @pytest.mark.parametrize("labels", [[1, -1], [-1.0, 1.0], np.ones(2, np.uint8)])
+    def test_integer_and_float_signs_accepted(self, labels):
+        assert DatasetEmpirical(np.zeros((2, 4)), labels).n == 2
+
     def test_degenerate_at_zero(self):
         spec, init = sym_model()
         ds = draw_mixture(init, 4, np.random.default_rng(9))
         with pytest.raises(KernelDegenerate):
             empirical_score(ds, spec, np.zeros(2 * D), 0.0)
 
+    @pytest.mark.parametrize("shape", [(2, 4, 2 * D), (1, 1, 2 * D), ()])
+    def test_state_shape_checked(self, shape):
+        spec, init = sym_model()
+        ds = draw_mixture(init, 4, np.random.default_rng(9))
+        with pytest.raises(InvalidArgument, match="z must be"):
+            empirical_score(ds, spec, np.zeros(shape), 0.5)
+
     def test_gradient_check(self):
         spec, init = sym_model(g=0.25)
-        rng = np.random.default_rng(10)
-        ds = draw_mixture(init, 10, rng)
-        from oudiff.blockmat import block_inverse, mat_exp
-        from oudiff.moments import transition_cov
+        assert _check_empirical_gradient(spec, init, 10) < 1e-6
 
-        def log_density(z, t):
-            q = transition_cov(spec, t)
-            qinv = block_inverse(q)
-            e = mat_exp(spec.relaxation(), t)
-            px, py = split_channels(ds.points, D)
-            dx, dy = e.apply(px, py)
-            drift = np.concatenate([dx, dy], axis=1)
-            delta = z[None, :] - drift
-            wx, wy = delta[:, :D], delta[:, D:]
-            qx, qy = qinv.apply(wx, wy)
-            quad = np.sum(delta * np.concatenate([qx, qy], axis=1), axis=1)
-            peak = (-0.5 * quad).max()
-            return peak + math.log(np.sum(np.exp(-0.5 * quad - peak)))
+    def test_gradient_check_anisotropic(self):
+        # e^{Mt} is lower triangular here, so the drifted points mix the
+        # channels one way only
+        spec, init = aniso_model()
+        assert _check_empirical_gradient(spec, init, 17) < 1e-6
 
-        eps = 1e-5
-        worst = 0.0
-        for _ in range(20):
-            z = rng.standard_normal(2 * D)
-            t = rng.uniform(0.05, 2.0)
-            s, _ = empirical_score(ds, spec, z, t)
-            for j in range(2 * D):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += eps
-                zm[j] -= eps
-                num = (log_density(zp, t) - log_density(zm, t)) / (2 * eps)
-                worst = max(worst, abs(num - s[j]) / (1.0 + abs(s[j])))
-        assert worst < 1e-6
+    def test_working_set_is_paths_times_points(self):
+        # the peak stays below four (m, n) float64 arrays plus eight
+        # (m + n, 2d) ones (points drifted and projected, their channel
+        # halves, Q^-1 z, the score); the difference-tensor form held two
+        # (m, n, 2d) arrays, 2 x 537 MB at this size
+        m, n, d = 256, 4096, 32
+        spec, init = sym_model(g=0.3, d=d)
+        rng = np.random.default_rng(18)
+        ds = draw_mixture(init, n, rng)
+        z = rng.standard_normal((m, 2 * d))
+        tracemalloc.start()
+        try:
+            score, w = empirical_score(ds, spec, z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert score.shape == (m, 2 * d) and w.shape == (m, n)
+        assert peak < 4 * m * n * 8 + 8 * (m + n) * 2 * d * 8
+
+
+class TestEmpiricalOracle:
+    """The GEMM kernel against the difference-tensor oracle, within the
+    rounding bound of the two forms.
+
+    Notation: u is the unit roundoff, for which ``np.finfo(float).eps``
+    (2u) is used so that second-order terms are covered; k = 2d; lam is
+    the spectral norm of the entrywise absolute 2x2 block |Q^-1|, about
+    1/q(t); p is max_i |p_i| over the drifted points (computed the same
+    way by both forms, as is Q^-1); r = |z| for the row.  A dot product
+    of length k adds at most k u times the product of the norms, and a
+    block application 2u times lam times the norm, so the log kernels
+    carry errors of at most
+
+      GEMM form        (k + 3) u (r + p/2) lam p
+      oracle form      (k + 4) u lam (r + p)^2 / 2
+
+    less a per-row constant, both below delta = (k + 4) u lam (r + p)^2
+    together.  That is eps (2d) |z| |Q^-1 p| to leading order and grows
+    like 1/q(t).  Moving every log kernel by at most delta moves each
+    weight by a factor within exp(+-2 delta).  The max shift (|x| u for
+    a shifted log kernel x >= log(tiny) = -708.4, where a weight is a
+    normal number), exp (2u), a sum of n terms and a division add at
+    most (n + 712) u per form, so
+
+      |w - w_oracle| <= rho w_oracle + tiny,
+      rho = expm1(2 delta) + 2 (n + 712) u,
+
+    with tiny the smallest normal double, below which exp rounds in
+    absolute terms.  The score sum_i w_i P_i - Q^-1 z (GEMM form) and
+    Q^-1 (sum_i w_i p_i - z) (oracle) each add (n + 3) u lam p + 3 u lam r
+    of their own, so their rows differ in norm by at most
+
+      lam ((rho + (2n + 6) u) p + 6 u r).
+    """
+
+    T_GRID = np.geomspace(1e-3, 2.0, 12)
+
+    @staticmethod
+    def _case(model, t):
+        spec, init = model
+        d2 = 2 * spec.dim_d
+        rng = np.random.default_rng(19)
+        base = draw_mixture(init, 30, rng)
+        # three points appear twice
+        ds = DatasetEmpirical(
+            np.concatenate([base.points, base.points[:3]]),
+            np.concatenate([base.labels, base.labels[:3]]),
+        )
+        drifted = _empirical_oracle(ds, spec, np.zeros((1, d2)), t)[3]
+        far = rng.standard_normal((4, d2))
+        z = np.concatenate([
+            1.3 * rng.standard_normal((6, d2)),
+            # midpoints of two drifted points: near-ties of two weights
+            0.5 * (drifted[[0, 4, 7, 11]] + drifted[[1, 5, 9, 30]]),
+            # on a duplicated point
+            drifted[[0, 2]],
+            10.0 * far / np.linalg.norm(far, axis=1, keepdims=True),
+        ])
+        return spec, ds, z
+
+    @pytest.mark.parametrize("kind", ["symmetric", "anisotropic"])
+    def test_matches_difference_tensor(self, kind):
+        model = sym_model(g=0.4) if kind == "symmetric" else aniso_model()
+        u = np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        for t in self.T_GRID:
+            spec, ds, z = self._case(model, float(t))
+            score, w = empirical_score(ds, spec, z, float(t))
+            _, w_or, score_or, drifted, qinv = _empirical_oracle(ds, spec, z, float(t))
+            n, k = ds.n, 2 * spec.dim_d
+            lam = np.linalg.norm(np.abs(qinv.as_array()), 2)
+            p = np.max(np.linalg.norm(drifted, axis=1))
+            r = np.linalg.norm(z, axis=1)
+            delta = (k + 4) * u * lam * (r + p) ** 2
+            rho = np.expm1(2.0 * delta) + 2 * (n + 712) * u
+            assert np.all(np.abs(w - w_or) <= rho[:, None] * w_or + tiny), t
+            tol = lam * ((rho + (2 * n + 6) * u) * p + 6 * u * r)
+            assert np.all(np.linalg.norm(score - score_or, axis=1) <= tol), t
 
 
 class TestReverse:
@@ -409,6 +555,26 @@ class TestReverse:
                 spec, population_score_fn(spec, init), 1,
                 np.random.default_rng(0), noise_mode="shaped",
             )
+
+    def test_one_start_state_repeated_to_n_paths(self):
+        spec, init = sym_model(d=2)
+        traj = reverse_sample(
+            spec, population_score_fn(spec, init), 3,
+            np.random.default_rng(0), start=np.ones(4), n_paths=64,
+        )
+        assert traj.final.shape == (64, 4)
+        assert np.all(traj.states[0] == 1.0)
+
+    def test_three_dim_start_rejected_by_every_sampler(self):
+        spec, init = sym_model(d=2)
+        start = np.zeros((2, 3, 4))
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgument, match="start must be"):
+            forward_sample(spec, start, 3, rng)
+        with pytest.raises(InvalidArgument, match="start must be"):
+            reverse_sample(spec, population_score_fn(spec, init), 3, rng, start=start)
+        with pytest.raises(InvalidArgument, match="start must be"):
+            flow_sample(spec, init, 3, start)
 
     def test_sigma_w_zero_unconstructible(self):
         with pytest.raises(InvalidArgument):

@@ -9,11 +9,12 @@ exact-score coupled trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtri
 
+from .blockmat import SQRT1_2
 from .errors import InvalidArgument, UndefinedLabel
 from .moments import (
     MixtureInit,
@@ -32,8 +33,6 @@ from .sampler import (
     materialize_means,
     split_channels,
 )
-
-SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -225,19 +224,17 @@ class ToyExperimentConfig:
         return self.horizon / 2.0 if self.t0 is None else self.t0
 
 
+# what a cell takes from its sweep unchanged; theta and schedule vary by cell
+_TOY_CELL_FIELDS = {f.name for f in fields(ConditionalRunConfig)} & {
+    f.name for f in fields(ToyExperimentConfig)
+}
+
+
 def _toy_cell_config(config: ToyExperimentConfig, theta: float, g0: float, kind: str):
     return ConditionalRunConfig(
-        dim_d=config.dim_d,
-        beta=config.beta,
-        sigma_w2=config.sigma_w2,
-        sigma2=config.sigma2,
-        m2=config.m2,
         theta=theta,
         schedule=ScheduleSpec(kind, g0, config.switch_time()),
-        horizon=config.horizon,
-        steps=config.steps,
-        trials=config.trials,
-        chunk=config.chunk,
+        **{name: getattr(config, name) for name in _TOY_CELL_FIELDS},
     )
 
 
@@ -328,14 +325,11 @@ class CloneConfig:
     horizon: float = 4.0
     threshold: float = 0.55
     baseline_factor: int = 4
-    conf: float = 0.95
 
     def __post_init__(self):
         _check_sizes(self, ("repeats", "batch", "steps", "baseline_factor"))
         if not math.isfinite(self.threshold):
             raise InvalidArgument(f"threshold must be finite, got {self.threshold!r}")
-        if not 0.0 < self.conf < 1.0:
-            raise InvalidArgument(f"conf must be in (0, 1), got {self.conf!r}")
 
 
 def _label_modes(spec: ModelSpec, init: MixtureInit):
@@ -383,7 +377,9 @@ def clone_agreement(
     signs of the final mode states projected on the mode means (comparing
     label products makes the agreement invariant to the sign convention
     of either mean); phi_ex rescales raw agreement by the agreement of
-    ``baseline_factor`` times as many fully independent reverse pairs.
+    ``baseline_factor`` times as many fully independent reverse pairs, and
+    is undefined when every one of those agrees, which raises
+    InvalidArgument.
 
     Every path of both modes is one column of a single (2, paths) array
     (see ``_label_modes`` for why one scalar per mode suffices),
@@ -431,13 +427,18 @@ def clone_agreement(
 
     out = {}
     for m, mode in ((0, "u"), (1, "v")):
+        if base[m] == n_base:
+            raise InvalidArgument(
+                f"clone mode {mode}: all {n_base} baseline pairs agree, so "
+                "phi_ex is undefined; raise batch, repeats or baseline_factor"
+            )
         phi_indep = int(base[m]) / n_base
         counts = agree[m]
         phi = counts / n_pairs
         lows = np.empty(n_scan)
         highs = np.empty(n_scan)
         for j in range(n_scan):
-            lows[j], highs[j] = wilson_interval(int(counts[j]), n_pairs, config.conf)
+            lows[j], highs[j] = wilson_interval(int(counts[j]), n_pairs)
         phi_ex = (phi - phi_indep) / (1.0 - phi_indep)
         ex_low = (lows - phi_indep) / (1.0 - phi_indep)
         ex_high = (highs - phi_indep) / (1.0 - phi_indep)

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedShape,
 )
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class Block2:
         return Block2(1.0, 0.0, 0.0, 1.0)
 
     @staticmethod
-    def zero() -> "Block2":
-        return Block2(0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
     def diag(a: float, b: float) -> "Block2":
         return Block2(float(a), 0.0, 0.0, float(b))
 
@@ -58,20 +54,12 @@ class Block2:
         return Block2(float(diagonal), float(off), float(off), float(diagonal))
 
     @property
-    def is_symmetric(self) -> bool:
-        return self.a12 == self.a21
-
-    @property
     def is_exchange_symmetric(self) -> bool:
         return self.a12 == self.a21 and self.a11 == self.a22
 
     @property
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    @property
-    def trace(self) -> float:
-        return self.a11 + self.a22
 
     def matmul(self, other: "Block2") -> "Block2":
         return Block2(
@@ -90,14 +78,6 @@ class Block2:
             self.a12 + other.a12,
             self.a21 + other.a21,
             self.a22 + other.a22,
-        )
-
-    def sub(self, other: "Block2") -> "Block2":
-        return Block2(
-            self.a11 - other.a11,
-            self.a12 - other.a12,
-            self.a21 - other.a21,
-            self.a22 - other.a22,
         )
 
     def scale(self, c: float) -> "Block2":
@@ -167,8 +147,8 @@ def spectral_decompose(m: Block2) -> ModeDecomposition:
     return ModeDecomposition(
         lambda_plus=lam_p,
         lambda_minus=lam_m,
-        v_plus=(_SQRT1_2, _SQRT1_2),
-        v_minus=(_SQRT1_2, -_SQRT1_2),
+        v_plus=(SQRT1_2, SQRT1_2),
+        v_minus=(SQRT1_2, -SQRT1_2),
         tau_plus=-2.0 * lam_p,
         tau_minus=-2.0 * lam_m,
     )
@@ -181,13 +161,6 @@ def from_modes(value_plus: float, value_minus: float) -> Block2:
     )
 
 
-def mode_values(m: Block2) -> tuple[float, float]:
-    """Eigenvalues of an exchange-symmetric block on the (+, -) modes."""
-    if not m.is_exchange_symmetric:
-        raise UnsupportedShape("mode values need an exchange-symmetric block")
-    return m.a11 + m.a12, m.a11 - m.a12
-
-
 def mat_exp(m: Block2, t: float) -> Block2:
     """exp(m * t) for the two structured shapes the model produces.
 
@@ -198,8 +171,10 @@ def mat_exp(m: Block2, t: float) -> Block2:
     if not math.isfinite(t):
         raise InvalidArgument(f"non-finite time t={t!r}")
     if m.is_exchange_symmetric:
-        lam_p, lam_m = mode_values(m)
-        return from_modes(math.exp(lam_p * t), math.exp(lam_m * t))
+        modes = spectral_decompose(m)
+        return from_modes(
+            math.exp(modes.lambda_plus * t), math.exp(modes.lambda_minus * t)
+        )
     if m.a12 == 0.0 and m.a11 == m.a22:
         s = math.exp(m.a11 * t)
         return Block2(s, 0.0, s * m.a21 * t, s)
@@ -218,20 +193,27 @@ def block_inverse(m: Block2) -> Block2:
     return Block2(inv * m.a22, -inv * m.a12, -inv * m.a21, inv * m.a11)
 
 
-def schur_conditional(c: Block2) -> tuple[float, float]:
+def schur_complement(c11, c12, c22):
     """Conditional variance of the second channel given the first.
 
     Returns ``(c_y_given_x, gain)`` where ``c_y_given_x = c22 - c12^2/c11``
-    and ``gain = c12/c11`` is the regression coefficient of y on x.
+    and ``gain = c12/c11`` is the regression coefficient of y on x.  The
+    entries are scalars or arrays that broadcast; raises
+    NotPositiveDefinite unless every c11 and every c_y_given_x is positive.
     """
+    if np.any(c11 <= 0.0):
+        raise NotPositiveDefinite(f"block not SPD: c11={c11!r}")
+    c_yx = c22 - c12 * c12 / c11
+    if np.any(c_yx <= 0.0):
+        raise NotPositiveDefinite(f"block not SPD: c22 - c12^2/c11={c_yx!r}")
+    return c_yx, c12 / c11
+
+
+def schur_conditional(c: Block2) -> tuple[float, float]:
+    """``schur_complement`` of a symmetric block."""
     if not m_close(c.a12, c.a21):
         raise UnsupportedShape("Schur complement requires a symmetric block")
-    if c.a11 <= 0.0 or c.det <= 0.0:
-        raise NotPositiveDefinite(
-            f"block not SPD: c11={c.a11!r}, det={c.det!r}"
-        )
-    off = 0.5 * (c.a12 + c.a21)
-    return c.a22 - off * off / c.a11, off / c.a11
+    return schur_complement(c.a11, 0.5 * (c.a12 + c.a21), c.a22)
 
 
 def m_close(a: float, b: float, rel: float = 1e-9) -> bool:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .moments import (
 )
 from .sampler import (
     _check_size,
+    _check_sizes,
     flow_sample,
     forward_sample,
     population_score_fn,
@@ -345,6 +346,7 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_sizes(args, ("paths", "steps", "dim"))
     dim = args.dim
     spec, init = _build_model(args, dim_d=dim)
     seed = _resolve_seed(args, {})
@@ -393,10 +395,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-TOY_FIELDS = {
-    "theta_points", "g0_set", "schedules", "trials", "steps", "dim_d",
-    "horizon", "t0", "beta", "sigma_w2", "sigma2", "m2", "seed", "chunk",
-}
+TOY_FIELDS = {f.name for f in fields(analysis.ToyExperimentConfig)}
 
 
 def _cmd_toy(args) -> int:
@@ -428,22 +427,17 @@ def _cmd_toy(args) -> int:
     return 0
 
 
-CLONE_FIELDS = {
-    "g_list", "dim_d", "beta", "sigma_w2", "sigma2", "m_plus2", "m_minus2",
-    "scan_count", "repeats", "batch", "steps", "horizon", "threshold",
-    "baseline_factor", "seed",
-}
+# the sweep's fields with its nested CloneConfig laid flat
+CLONE_PROTOCOL_FIELDS = {f.name for f in fields(analysis.CloneConfig)}
+CLONE_FIELDS = {f.name for f in fields(analysis.CloneSweepConfig)} - {"clone"}
+CLONE_FIELDS |= CLONE_PROTOCOL_FIELDS
 
 
 def _cmd_clone(args) -> int:
     config = _load_config(args, CLONE_FIELDS, ("repeats", "batch", "steps"))
     seed = _resolve_seed(args, config)
     config.pop("seed", None)
-    clone_kwargs = {
-        k: config.pop(k)
-        for k in ("repeats", "batch", "steps", "horizon", "threshold", "baseline_factor")
-        if k in config
-    }
+    clone_kwargs = {k: config.pop(k) for k in CLONE_PROTOCOL_FIELDS if k in config}
     if "g_list" in config:
         config["g_list"] = tuple(config["g_list"])
     sweep = analysis.CloneSweepConfig(

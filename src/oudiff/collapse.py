@@ -156,15 +156,29 @@ def collapse_bound(params: CollapseParams) -> float:
     return params.ratio / math.expm1(2.0 * params.alpha)
 
 
-def _bisect_to_zero(f, lo: float, hi: float) -> tuple[float, float]:
-    """Bisect a decreasing function to |f| <= LOG_RESIDUAL_TOL."""
+def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
+    """Root of a decreasing collapse equation f(t) = 0, bisected to
+    |f| <= LOG_RESIDUAL_TOL.
+
+    The bracket is [1e-12 / beta, collapse_bound + 1 / beta], its top
+    doubled while f stays positive, up to 1e8 / beta.  ``collapse_bound``
+    raises NoCollapse unless alpha > 0.
+    """
+    beta = params.spec.beta
+    lo = 1e-12 / beta
+    hi = collapse_bound(params) + 1.0 / beta
+    while f(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e8 / beta:
+            raise NoCollapse("collapse equation has no root below the cap")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo < 0.0 or f_hi > 0.0:
         raise InvalidArgument(
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
-    return _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
+    t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
+    return CollapseResult(t_c=t_c, residual=residual, kind=kind)
 
 
 def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:
@@ -174,7 +188,6 @@ def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:
     decreasing from +inf at t -> 0+ to below zero past the closed-form
     upper bound.
     """
-    _require_alpha(params)
     _taus(params)
     target = 4.0 * params.alpha
 
@@ -182,11 +195,7 @@ def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:
         chip, chim = chi(params, t)
         return math.log1p(chip) + math.log1p(chim) - target
 
-    beta = params.spec.beta
-    lo = 1e-12 / beta
-    hi = collapse_bound(params) + 1.0 / beta
-    t_c, residual = _bisect_to_zero(f, lo, hi)
-    return CollapseResult(t_c=t_c, residual=residual, kind=KIND_JOINT_SYMMETRIC)
+    return _solve(params, f, KIND_JOINT_SYMMETRIC)
 
 
 def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
@@ -209,21 +218,12 @@ def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
     return CollapseResult(t_c=t_c, residual=residual, kind=kind)
 
 
-def _grow_bracket(f, hi: float, cap: float) -> float:
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > cap:
-            raise NoCollapse("collapse equation has no root below the cap")
-    return hi
-
-
 def collapse_time_det(params: CollapseParams) -> CollapseResult:
     """Joint collapse from the determinant form alpha = (1/4) log(det C / det Q).
 
     Valid for both coupling kinds; on the symmetric model it coincides
     with the eigenmode transcendental equation.
     """
-    _require_alpha(params)
     spec, init = params.spec, params.init
     if isinstance(spec.coupling, Symmetric) and not spec.is_stable:
         raise InvalidArgument("symmetric spec must satisfy beta > |g|")
@@ -236,16 +236,12 @@ def collapse_time_det(params: CollapseParams) -> CollapseResult:
             return float("inf")  # shrink bracket upward from degenerate Q
         return 0.25 * (math.log(det_c) - math.log(det_q)) - params.alpha
 
-    beta = spec.beta
-    lo = 1e-12 / beta
-    hi = _grow_bracket(f, params.ratio / math.expm1(2.0 * params.alpha) + 1.0 / beta, 1e8 / beta)
-    t_c, residual = _bisect_to_zero(f, lo, hi)
     kind = (
         KIND_JOINT_SYMMETRIC
         if isinstance(spec.coupling, Symmetric)
         else KIND_JOINT_ANISO
     )
-    return CollapseResult(t_c=t_c, residual=residual, kind=kind)
+    return _solve(params, f, kind)
 
 
 def collapse_time_conditional(params: CollapseParams) -> CollapseResult:
@@ -255,7 +251,6 @@ def collapse_time_conditional(params: CollapseParams) -> CollapseResult:
     the prefactor halves relative to the joint form because the effective
     dimension is d.
     """
-    _require_alpha(params)
     spec, init = params.spec, params.init
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape(
@@ -270,8 +265,4 @@ def collapse_time_conditional(params: CollapseParams) -> CollapseResult:
         q_yx, _ = schur_conditional(ms.q)
         return 0.5 * (math.log(c_yx) - math.log(q_yx)) - params.alpha
 
-    beta = spec.beta
-    lo = 1e-12 / beta
-    hi = _grow_bracket(f, params.ratio / math.expm1(2.0 * params.alpha) + 1.0 / beta, 1e8 / beta)
-    t_c, residual = _bisect_to_zero(f, lo, hi)
-    return CollapseResult(t_c=t_c, residual=residual, kind=KIND_CONDITIONAL)
+    return _solve(params, f, KIND_CONDITIONAL)

@@ -15,10 +15,10 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .blockmat import Block2, ModeDecomposition, from_modes, mat_exp, spectral_decompose
+from .blockmat import (
+    SQRT1_2, Block2, ModeDecomposition, from_modes, mat_exp, spectral_decompose,
+)
 from .errors import DegenerateDrift, InvalidArgument, UnsupportedShape
-
-SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +96,6 @@ class ModelSpec:
         if isinstance(self.coupling, (Symmetric, Anisotropic)):
             if not math.isfinite(self.coupling.g):
                 raise InvalidArgument("coupling g must be finite")
-
-    @property
-    def is_symmetric(self) -> bool:
-        return isinstance(self.coupling, Symmetric)
 
     @property
     def is_stable(self) -> bool:

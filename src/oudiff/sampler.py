@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmat import Block2, block_inverse, mat_exp
+from .blockmat import SQRT1_2, Block2, block_inverse, mat_exp, schur_complement
 from .errors import (
     InvalidArgument,
     KernelDegenerate,
@@ -66,8 +66,7 @@ def mode_shaped_noise(g: float, dim: int, rng: np.random.Generator, size=None):
     shape = (dim,) if size is None else (size, dim)
     eps_u = math.sqrt(1.0 - g) * rng.standard_normal(shape)
     eps_v = math.sqrt(1.0 + g) * rng.standard_normal(shape)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return inv_sqrt2 * (eps_u + eps_v), inv_sqrt2 * (eps_u - eps_v)
+    return SQRT1_2 * (eps_u + eps_v), SQRT1_2 * (eps_u - eps_v)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +191,12 @@ def sample_block_gaussian(
     block: Block2, n: int, d: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw (n, 2d) samples from N(0, block (x) I_d)."""
-    if block.a11 <= 0.0 or block.det <= 0.0:
-        raise NotPositiveDefinite("stationary block must be SPD")
+    c_yx, _ = schur_complement(block.a11, block.a12, block.a22)
     e1 = rng.standard_normal((n, d))
     e2 = rng.standard_normal((n, d))
     sx = math.sqrt(block.a11)
     x = sx * e1
-    y = (block.a12 / sx) * e1 + math.sqrt(block.a22 - block.a12**2 / block.a11) * e2
+    y = (block.a12 / sx) * e1 + math.sqrt(c_yx) * e2
     return np.concatenate([x, y], axis=1)
 
 
@@ -231,7 +229,8 @@ class Trajectory:
 
 def _start_states(start, d: int, n_paths: int = 1) -> np.ndarray:
     """Start states as an (n, 2d) array; a single state is repeated to
-    ``n_paths`` rows, a batch of states is taken as given."""
+    ``n_paths`` rows, a batch of states is taken as given and must hold
+    ``n_paths`` rows unless that is 1."""
     z = np.array(np.atleast_2d(np.asarray(start, dtype=float)))
     if z.ndim != 2:
         raise InvalidArgument(
@@ -241,6 +240,10 @@ def _start_states(start, d: int, n_paths: int = 1) -> np.ndarray:
         raise InvalidArgument("start states must have 2*dim_d components")
     if z.shape[0] == 1 and n_paths > 1:
         z = np.repeat(z, n_paths, axis=0)
+    elif n_paths > 1 and z.shape[0] != n_paths:
+        raise InvalidArgument(
+            f"start holds {z.shape[0]} states but n_paths={n_paths!r}"
+        )
     return z
 
 
@@ -454,21 +457,16 @@ def reverse_sample(
     horizon: float = 2.0,
     n_paths: int = 1,
     start: np.ndarray | None = None,
-    noise_mode: str = "iid",
     record_times=(),
     record_path: bool = False,
 ) -> Trajectory:
     """Euler-Maruyama integration of the reverse SDE from horizon to 0.
 
     Starts from the stationary law of the forward process unless ``start``
-    is given.  ``noise_mode`` is "iid" (default) or "mode_shaped", which
-    correlates the channel noise with covariance -g per dimension.  The
-    final step adds no noise.
+    is given.  The final step adds no noise.
     """
     if steps < 1:
         raise InvalidArgument("steps must be >= 1")
-    if noise_mode not in ("iid", "mode_shaped"):
-        raise InvalidArgument(f"unknown noise_mode {noise_mode!r}")
     d = spec.dim_d
     if start is None:
         z = sample_block_gaussian(stationary_cov(spec), n_paths, d, rng)
@@ -481,13 +479,6 @@ def reverse_sample(
     sw2 = spec.sigma_w2
     grid = horizon * (1.0 - np.arange(steps + 1) / steps)
 
-    def draw_noise(t: float) -> np.ndarray:
-        if noise_mode == "iid":
-            return rng.standard_normal(z.shape)
-        g = abs(spec.coupling_at(t))
-        ea, eb = mode_shaped_noise(g, d, rng, size=z.shape[0])
-        return np.concatenate([ea, eb], axis=1)
-
     record = _Recorder(grid, record_times, record_path)
     record(0, z)
     for k in range(steps):
@@ -496,7 +487,7 @@ def reverse_sample(
         drift = -_block_apply_state(m, z, d) + sw2 * score(z, t)
         z = z + h * drift
         if k < steps - 1:
-            z = z + sw * sqrt_h * draw_noise(t)
+            z = z + sw * sqrt_h * rng.standard_normal(z.shape)
         record(k + 1, z)
 
     return record.trajectory()
@@ -552,7 +543,7 @@ def flow_sample(
 # conditional generation (anisotropic coupling)
 
 
-def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray, t):
+def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray):
     """P_t(y | x) in closed form: the law is
     sum_{s=+-1} sigmoid(2 s u) N(y; gain x + s delta, c_yx I).
 
@@ -564,13 +555,8 @@ def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray, t):
     (..., m, 1), half the class log-odds, gain = C12 / C11, the component
     offset delta = mu_y - gain mu_x (..., d) and the variance c_yx.
     """
-    if np.any(c11 <= 0.0):
-        raise NotPositiveDefinite(f"C11 = {c11!r} not positive at t={t!r}")
-    c_yx = c22 - c12 * c12 / c11
-    if np.any(c_yx <= 0.0):
-        raise NotPositiveDefinite(f"conditional variance {c_yx!r} not positive")
+    c_yx, gain = schur_complement(c11, c12, c22)
     mu_x, mu_y = _plane_means(px, py, d)
-    gain = c12 / c11
     u = np.sum(x * mu_x, axis=-1, keepdims=True) / c11
     return u, gain, mu_y - gain * mu_x, c_yx
 
@@ -599,7 +585,7 @@ def _mixture_score(u, gain, delta, c_yx, x, y):
 def _cell_mixture(spec, init: MixtureInit, x: np.ndarray, t: float, moments):
     """``_mixture`` of one cell at time t; its moments default to the closed form."""
     ms = moments if moments is not None else diffusion_kernel(spec, init, t)
-    return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x, t)
+    return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x)
 
 
 def conditional_components(
@@ -748,8 +734,8 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     decay = math.exp(-beta * h)
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
 
-    def mixture(idx: int, x: np.ndarray, t: float):
-        return _mixture(c11[idx], c12[idx], c22[idx], px[idx], py[idx], d, x, t)
+    def mixture(idx: int, x: np.ndarray):
+        return _mixture(c11[idx], c12[idx], c22[idx], px[idx], py[idx], d, x)
 
     xs_out, ys_out, s_out = [], [], []
     remaining = config.trials
@@ -768,16 +754,15 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
 
         # exact conditional mixture draw at t = horizon
         x_t = x_path[n_steps]
-        u, gain, delta, c_yx = mixture(n_steps, x_t, horizon)
+        u, gain, delta, c_yx = mixture(n_steps, x_t)
         pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
         y = gain * x_t + np.where(pick_plus[..., None], delta, -delta)
         y = y + np.sqrt(c_yx) * rng.standard_normal((m, d))
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
-            t = float(grid[idx])
             x_t = x_path[idx]
-            score = _mixture_score(*mixture(idx, x_t, t), x_t, y)
+            score = _mixture_score(*mixture(idx, x_t), x_t, y)
             # y + h (beta y - g_t x_t + sW2 score), evaluated in place
             drift = beta * y
             drift -= g[idx] * x_t

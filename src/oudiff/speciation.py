@@ -171,6 +171,18 @@ def kappa_symmetric_closed(spec: ModelSpec, init: MixtureInit, t: float) -> floa
     return float(value)
 
 
+def _kappa0_terms(spec: ModelSpec, init: MixtureInit, mxx: float, myy: float):
+    """(r, first, scale) of the anisotropic kappa(0) = first - r g mxy / scale:
+    r = sW2/s2, first = r (mxx + myy) / (s2 (r - beta)), scale = s2 (r - beta)^2.
+    Raises DegenerateRate when r coincides with beta."""
+    s2 = init.sigma2_x
+    r = spec.sigma_w2 / s2
+    beta = spec.beta
+    if abs(r - beta) <= 1e-12 * max(r, beta):
+        raise DegenerateRate(f"sW2/s2 = {r!r} coincides with beta = {beta!r}")
+    return r, r * (mxx + myy) / (s2 * (r - beta)), s2 * (r - beta) ** 2
+
+
 def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
     """kappa(0) for anisotropic coupling with equal channel variances.
 
@@ -181,16 +193,9 @@ def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
         raise UnsupportedShape("kappa0_aniso requires anisotropic coupling")
     if not init.equal_variance:
         raise UnsupportedShape("kappa0_aniso requires sigma_x == sigma_y")
-    s2 = init.sigma2_x
-    r = spec.sigma_w2 / s2
-    beta = spec.beta
-    if abs(r - beta) <= 1e-12 * max(r, beta):
-        raise DegenerateRate(f"sW2/s2 = {r!r} coincides with beta = {beta!r}")
     mxx, myy, mxy = init.channel_stats()
-    g = spec.coupling.g
-    return r * (mxx + myy) / (s2 * (r - beta)) - r * g * mxy / (
-        s2 * (r - beta) ** 2
-    )
+    r, first, scale = _kappa0_terms(spec, init, mxx, myy)
+    return first - r * spec.coupling.g * mxy / scale
 
 
 def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
@@ -502,16 +507,15 @@ def g_crit_aligned(
     c = math.cos(theta)
     if c <= 1e-12:
         return None
-    s2 = init.sigma2_x
-    r = spec_template.sigma_w2 / s2
-    beta = spec_template.beta
     mxx, myy, _ = init.channel_stats()
     mx_my = math.sqrt(mxx * myy)
-    if mx_my <= 0.0 or abs(r - beta) <= 1e-12 * max(r, beta):
+    if mx_my <= 0.0:
         return None
-    g = (r * (mxx + myy) / (s2 * (r - beta)) - 1.0) * (
-        s2 * (r - beta) ** 2
-    ) / (r * mx_my * c)
+    try:
+        r, first, scale = _kappa0_terms(spec_template, init, mxx, myy)
+    except DegenerateRate:
+        return None
+    g = (first - 1.0) * scale / (r * mx_my * c)
     return g if math.isfinite(g) and g > 0.0 else None
 
 

@@ -226,9 +226,6 @@ class TestConfigValidation:
             lambda: CloneConfig(horizon=math.nan),
             lambda: CloneConfig(threshold=math.nan),
             lambda: CloneConfig(threshold=-math.inf),
-            lambda: CloneConfig(conf=0.0),
-            lambda: CloneConfig(conf=1.0),
-            lambda: CloneConfig(conf=math.nan),
             lambda: CloneSweepConfig(dim_d=0),
             lambda: CloneSweepConfig(scan_count=0),
             lambda: ConditionalRunConfig(steps=0),
@@ -415,6 +412,18 @@ class TestCloneProtocol:
                 spec, init, [0.0, 1.0], CloneConfig(repeats=1, batch=4, steps=10),
                 np.random.default_rng(0),
             )
+
+    def test_all_agreeing_baseline_raises(self):
+        # one baseline pair per mode: when it agrees, phi_ex = 0/0, which
+        # used to reach the CSV as nan and report the crossing censored
+        cfg = CloneSweepConfig(
+            g_list=(0.0,), dim_d=2, scan_count=3,
+            clone=CloneConfig(repeats=1, batch=1, steps=4, baseline_factor=1),
+            seed=0,
+        )
+        with pytest.raises(InvalidArgument, match=r"clone mode [uv]: all 1 baseline"
+                           r".*raise batch, repeats or baseline_factor"):
+            run_clone_experiment(cfg)
 
     def test_sweep_determinism(self):
         cfg = CloneSweepConfig(

@@ -8,7 +8,7 @@ from oudiff.blockmat import (
     block_inverse,
     from_modes,
     mat_exp,
-    mode_values,
+    schur_complement,
     schur_conditional,
     spectral_decompose,
 )
@@ -131,8 +131,8 @@ class TestSpectral:
             spectral_decompose(lower(1.0, 0.5))
 
     def test_mode_values_roundtrip(self):
-        m = from_modes(-0.5, -1.5)
-        assert mode_values(m) == (-0.5, -1.5)
+        modes = spectral_decompose(from_modes(-0.5, -1.5))
+        assert (modes.lambda_plus, modes.lambda_minus) == (-0.5, -1.5)
 
 
 class TestInverse:
@@ -186,3 +186,19 @@ class TestSchur:
     def test_rejects_asymmetric(self):
         with pytest.raises(UnsupportedShape):
             schur_conditional(Block2(1.0, 0.5, 0.2, 1.0))
+
+    def test_array_form_matches_block_form_elementwise(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-2, 2, size=(20, 2, 2))
+        spd = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(2)
+        c_yx, gain = schur_complement(spd[:, 0, 0], spd[:, 0, 1], spd[:, 1, 1])
+        for i in range(20):
+            assert (c_yx[i], gain[i]) == schur_conditional(Block2.from_array(spd[i]))
+
+    @pytest.mark.parametrize(
+        "c11, c22", [([1.0, -1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, 0.25])]
+    )
+    def test_array_form_rejects_any_non_spd_entry(self, c11, c22):
+        # the second entry has c11 <= 0 or c22 - c12^2/c11 = 0
+        with pytest.raises(NotPositiveDefinite):
+            schur_complement(np.array(c11), np.array([0.0, 0.5]), np.array(c22))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oudiff.cli import dispatch
+from oudiff.cli import CLONE_FIELDS, TOY_FIELDS, dispatch
 
 
 def run_json(capsys, argv):
@@ -306,6 +306,17 @@ class TestSweeps:
         assert "threshold must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_accepted_config_fields(self):
+        assert TOY_FIELDS == {
+            "theta_points", "g0_set", "schedules", "trials", "steps", "dim_d",
+            "horizon", "t0", "beta", "sigma_w2", "sigma2", "m2", "seed", "chunk",
+        }
+        assert CLONE_FIELDS == {
+            "g_list", "dim_d", "beta", "sigma_w2", "sigma2", "m_plus2", "m_minus2",
+            "scan_count", "repeats", "batch", "steps", "horizon", "threshold",
+            "baseline_factor", "seed",
+        }
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_field": 1}))
@@ -337,17 +348,52 @@ class TestSweeps:
         )
         assert code == 4
 
-    def test_sample_reverse_and_flow(self, tmp_path):
-        for mode in ("reverse", "flow"):
-            out = tmp_path / f"{mode}.csv"
-            code = dispatch(
-                ["sample", "--mode", mode, "--paths", "16", "--steps", "10",
-                 "--dim", "2", "--seed", "1", "--out", str(out)]
-            )
-            assert code == 0
-            lines = out.read_text().splitlines()
-            assert lines[0] == "t,mean_x,mean_y,var_x,var_y,cov_xy"
-            assert len(lines) == 12
+    def test_sample_reverse_and_flow(self, tmp_path, capsys):
+        angled = ["--coupling", "anisotropic", "--g", "0.6",
+                  "--m-x2", "1.2", "--m-y2", "0.8", "--theta", "0.7"]
+        for mode in ("forward", "reverse", "flow"):
+            for means in ([], angled):
+                out = tmp_path / f"{mode}.csv"
+                code = dispatch(
+                    ["sample", "--mode", mode, "--paths", "16", "--steps", "10",
+                     "--dim", "2", "--seed", "1", *means, "--out", str(out)]
+                )
+                assert code == 0
+                lines = out.read_text().splitlines()
+                assert lines[0] == "t,mean_x,mean_y,var_x,var_y,cov_xy"
+                assert len(lines) == 12
+                assert "nan" not in out.read_text()
+        out = tmp_path / "both.csv"
+        code = dispatch(
+            ["sample", "--m-plus2", "1", "--m-x2", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "either mode norms or angled norms, not both" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "reverse", "--paths", "0"], "paths must be >= 1, got 0"),
+            (["--mode", "flow", "--paths", "0"], "paths must be >= 1, got 0"),
+            (["--paths", "-2"], "paths must be >= 1, got -2"),
+            (["--steps", "0"], "steps must be >= 1, got 0"),
+            (["--dim", "0"], "dim must be >= 1, got 0"),
+            (["--mode", "reverse", "--horizon", "-1"],
+             "horizon must be finite and > 0, got -1.0"),
+        ],
+        ids=["reverse-paths-0", "flow-paths-0", "paths-neg", "steps-0", "dim-0",
+             "reverse-horizon-neg"],
+    )
+    def test_sample_sizes_checked_on_entry(self, tmp_path, capsys, flags, message, dry_run):
+        out = tmp_path / "s.csv"
+        code = dispatch(
+            ["sample", *flags, "--out", str(out), *(["--dry-run"] if dry_run else [])]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedResolution:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oudiff.blockmat import block_inverse, mat_exp
+from oudiff.blockmat import block_inverse, mat_exp, spectral_decompose
 from oudiff.errors import InvalidArgument, KernelDegenerate
 from oudiff.moments import (
     Anisotropic,
@@ -546,16 +546,6 @@ class TestReverse:
         assert all(b >= a - 1e-9 for a, b in zip(medians, medians[1:]))
         assert medians[-1] > 0.99
 
-    def test_unknown_noise_mode_rejected_on_entry(self):
-        # with one step the only step is the noiseless one, so no noise
-        # draw would ever reach the mode dispatch
-        spec, init = sym_model(d=2)
-        with pytest.raises(InvalidArgument, match="noise_mode"):
-            reverse_sample(
-                spec, population_score_fn(spec, init), 1,
-                np.random.default_rng(0), noise_mode="shaped",
-            )
-
     def test_one_start_state_repeated_to_n_paths(self):
         spec, init = sym_model(d=2)
         traj = reverse_sample(
@@ -575,6 +565,21 @@ class TestReverse:
             reverse_sample(spec, population_score_fn(spec, init), 3, rng, start=start)
         with pytest.raises(InvalidArgument, match="start must be"):
             flow_sample(spec, init, 3, start)
+
+    def test_start_batch_must_match_n_paths_in_every_sampler(self):
+        # a batch of 5 states with n_paths=64 used to return 5 paths
+        spec, init = sym_model(d=2)
+        start = np.zeros((5, 4))
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgument, match="start holds 5 states"):
+            forward_sample(spec, start, 3, rng, n_paths=64)
+        with pytest.raises(InvalidArgument, match="start holds 5 states"):
+            reverse_sample(
+                spec, population_score_fn(spec, init), 3, rng, start=start, n_paths=64
+            )
+        # n_paths equal to the batch, or left at 1, takes the batch as given
+        assert forward_sample(spec, start, 3, rng, n_paths=5).final.shape == (5, 4)
+        assert forward_sample(spec, start, 3, rng).final.shape == (5, 4)
 
     def test_sigma_w_zero_unconstructible(self):
         with pytest.raises(InvalidArgument):
@@ -890,11 +895,9 @@ class TestStationary:
         spec, _ = sym_model(g=0.5, d=2)
         block = stationary_cov(spec)
         # per-mode variances sW2/tau
-        from oudiff.blockmat import mode_values
-
-        vp, vm = mode_values(block)
-        assert vp == pytest.approx(2.0)
-        assert vm == pytest.approx(2.0 / 3.0)
+        modes = spectral_decompose(block)
+        assert modes.lambda_plus == pytest.approx(2.0)
+        assert modes.lambda_minus == pytest.approx(2.0 / 3.0)
 
     def test_anisotropic_matches_long_time_q(self):
         from oudiff.moments import transition_cov

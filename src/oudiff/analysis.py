@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import ndtri
 
 from .blockmat import SQRT1_2
 from .errors import InvalidArgument, UndefinedLabel
@@ -68,20 +67,24 @@ class AgreementCurve:
 # curve metrics
 
 
-def wilson_interval(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clipped to [0, 1].
+# the 97.5% standard normal quantile as scipy.special.ndtri(0.975) returns
+# it, one ulp below the correctly rounded 1.9599639845400543
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion, clipped to [0, 1].
 
     The bound at an extreme count is set exactly (lo = 0 at k = 0, hi = 1
     at k = n): the formula's rounding could leave it just past k/n.
     """
     if n < 1 or not 0 <= k <= n:
         raise InvalidArgument(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    z = float(ndtri(0.5 + conf / 2.0))
     p = k / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    half = Z_95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
     return lo, hi
@@ -162,6 +165,13 @@ def ghosting_index(c_u, c_a, c_b) -> np.ndarray:
 # conditional toy experiment
 
 
+def _check_nonempty(config, names: tuple[str, ...]) -> None:
+    """Reject a sweep whose named value lists hold nothing to run."""
+    for name in names:
+        if len(getattr(config, name)) == 0:
+            raise InvalidArgument(f"{name} must hold at least one value")
+
+
 def toy_metrics(pairs, init: MixtureInit, moments0: MomentState) -> MetricRecord:
     """Terminal metrics of a conditional generation run.
 
@@ -216,6 +226,7 @@ class ToyExperimentConfig:
 
     def __post_init__(self):
         _check_sizes(self, ("theta_points", "trials", "steps", "dim_d", "chunk"))
+        _check_nonempty(self, ("g0_set", "schedules"))
 
     def thetas(self) -> np.ndarray:
         return np.linspace(0.0, math.pi, self.theta_points)
@@ -268,6 +279,11 @@ def _map_cells(fn, args: list[tuple], jobs: int) -> list:
     workers = min(jobs, len(args))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        # numpy loads np.random on first use; load it before the fork so
+        # that the workers, which all draw, inherit it instead of each
+        # importing it again
+        import numpy.random  # noqa: F401
 
         # the pool forks all max_workers processes at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -477,6 +493,7 @@ class CloneSweepConfig:
 
     def __post_init__(self):
         _check_sizes(self, ("dim_d", "scan_count"))
+        _check_nonempty(self, ("g_list",))
 
 
 @dataclass(frozen=True)

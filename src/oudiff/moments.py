@@ -425,14 +425,13 @@ def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
 # scheduled coupling: RK4 moment integration
 
 
-def _ode_rhs(
-    m: np.ndarray, noise: np.ndarray, mu: np.ndarray, c: np.ndarray, q: np.ndarray
-):
-    mt = np.swapaxes(m, -1, -2)
-    dmu = m @ mu
-    dc = m @ c + c @ mt + noise
-    dq = m @ q + q @ mt + noise
-    return dmu, dc, dq
+def _ode_rhs(m: np.ndarray, noise: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/dt of the stacked moments s = (mu, C, Q), shaped (3, cells, 2, 2):
+    dmu = M mu, dC = M C + C M^T + noise and dQ alike."""
+    ds = m @ s
+    ds[1:] += s[1:] @ np.swapaxes(m, -1, -2)
+    ds[1:] += noise
+    return ds
 
 
 def moments_rk4(specs, init: MixtureInit, grid):
@@ -457,36 +456,39 @@ def moments_rk4(specs, init: MixtureInit, grid):
         raise InvalidArgument("moments_rk4 needs at least one spec")
     # schedules are piecewise constant: freezing the coupling at the step
     # midpoint integrates each constant segment exactly when the switch
-    # time lies on a grid point
+    # time lies on a grid point.  The relaxation depends on t only through
+    # the coupling, so each spec builds one block per coupling value.
     m_steps = np.empty((grid.size - 1, n_cells, 2, 2))
-    for k in range(grid.size - 1):
-        t_mid = 0.5 * (grid[k] + grid[k + 1])
-        for j, spec in enumerate(specs):
-            m_steps[k, j] = spec.relaxation(t_mid).as_array()
+    t_mid = 0.5 * (grid[:-1] + grid[1:])
+    for j, spec in enumerate(specs):
+        blocks = {}
+        for k, t in enumerate(t_mid):
+            g = spec.coupling_at(t)
+            if g not in blocks:
+                blocks[g] = spec.relaxation(t).as_array()
+            m_steps[k, j] = blocks[g]
     noise = np.array([spec.sigma_w2 for spec in specs])[:, None, None] * np.eye(2)
 
-    mu = np.empty((grid.size, n_cells, 2, 2))
-    c = np.empty_like(mu)
-    q = np.empty_like(mu)
-    mu[0] = np.stack(init.mean_plane())  # rows: channel, cols: plane coordinate
-    c[0] = init.sigma0().as_array()
-    q[0] = 0.0
+    # rows of s[k]: mu, C, Q; mu's plane coordinates sit on the last axis
+    s = np.empty((grid.size, 3, n_cells, 2, 2))
+    s[0, 0] = np.stack(init.mean_plane())  # rows: channel, cols: plane coordinate
+    s[0, 1] = init.sigma0().as_array()
+    s[0, 2] = 0.0
     for k in range(grid.size - 1):
         h = grid[k + 1] - grid[k]
         m = m_steps[k]
-        mu_k, c_k, q_k = mu[k], c[k], q[k]
-        k1 = _ode_rhs(m, noise, mu_k, c_k, q_k)
-        k2 = _ode_rhs(
-            m, noise, mu_k + 0.5 * h * k1[0], c_k + 0.5 * h * k1[1], q_k + 0.5 * h * k1[2]
-        )
-        k3 = _ode_rhs(
-            m, noise, mu_k + 0.5 * h * k2[0], c_k + 0.5 * h * k2[1], q_k + 0.5 * h * k2[2]
-        )
-        k4 = _ode_rhs(m, noise, mu_k + h * k3[0], c_k + h * k3[1], q_k + h * k3[2])
-        mu[k + 1] = mu_k + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        c[k + 1] = c_k + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        q[k + 1] = q_k + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return mu, 0.5 * (c + np.swapaxes(c, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
+        s_k = s[k]
+        k1 = _ode_rhs(m, noise, s_k)
+        k2 = _ode_rhs(m, noise, s_k + 0.5 * h * k1)
+        k3 = _ode_rhs(m, noise, s_k + 0.5 * h * k2)
+        k4 = _ode_rhs(m, noise, s_k + h * k3)
+        s[k + 1] = s_k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    c, q = s[:, 1], s[:, 2]
+    return (
+        np.ascontiguousarray(s[:, 0]),
+        0.5 * (c + np.swapaxes(c, -1, -2)),
+        0.5 * (q + np.swapaxes(q, -1, -2)),
+    )
 
 
 def moments_ode(spec: ModelSpec, init: MixtureInit, grid) -> list[MomentState]:

@@ -96,8 +96,8 @@ def _check_sizes(config, sizes: tuple[str, ...]) -> None:
 # mean materialization and initial draws
 
 
-def _plane_means(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full d-vectors (mu_x, mu_y) from per-dimension plane coordinates.
+def _plane_coords(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plane coordinates of the d-vectors (mu_x, mu_y), sqrt(d) (px, py).
 
     The signal plane is spanned by the first two coordinate directions;
     norms scale as sqrt(d) so the per-dimension squared norms equal the
@@ -109,14 +109,23 @@ def _plane_means(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
     if d < 2 and (np.any(px[..., 1] != 0.0) or np.any(py[..., 1] != 0.0)):
         raise InvalidArgument("dim_d must be >= 2 to hold two mean directions")
     root_d = math.sqrt(d)
-    mu_x = np.zeros(px.shape[:-1] + (d,))
-    mu_y = np.zeros(py.shape[:-1] + (d,))
-    mu_x[..., 0] = root_d * px[..., 0]
-    mu_y[..., 0] = root_d * py[..., 0]
-    if d >= 2:
-        mu_x[..., 1] = root_d * px[..., 1]
-        mu_y[..., 1] = root_d * py[..., 1]
-    return mu_x, mu_y
+    return root_d * px, root_d * py
+
+
+def _plane_vectors(plane: np.ndarray, d: int, out: np.ndarray | None = None):
+    """d-vectors holding ``plane`` (last axis of length two) along the first
+    two coordinate directions and zeros elsewhere; an ``out`` given must
+    already hold those zeros."""
+    if out is None:
+        out = np.zeros(plane.shape[:-1] + (d,))
+    out[..., :2] = plane[..., :d]
+    return out
+
+
+def _plane_means(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full d-vectors (mu_x, mu_y) from per-dimension plane coordinates."""
+    ex, ey = _plane_coords(px, py, d)
+    return _plane_vectors(ex, d), _plane_vectors(ey, d)
 
 
 def materialize_means(init: MixtureInit) -> tuple[np.ndarray, np.ndarray]:
@@ -543,6 +552,16 @@ def flow_sample(
 # conditional generation (anisotropic coupling)
 
 
+def _mixture_law(c11, c12, c22, px, py, d: int):
+    """The x-free terms of ``_mixture`` in plane coordinates: (ex, gain,
+    e_delta, c_yx) with mu_x = _plane_vectors(ex) and delta =
+    _plane_vectors(e_delta), over the leading axes of the blocks and
+    coordinates.  Past the plane delta holds +0.0, as mu_y - gain mu_x does."""
+    c_yx, gain = schur_complement(c11, c12, c22)
+    ex, ey = _plane_coords(px, py, d)
+    return ex, gain, ey - gain * ex, c_yx
+
+
 def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray):
     """P_t(y | x) in closed form: the law is
     sum_{s=+-1} sigmoid(2 s u) N(y; gain x + s delta, c_yx I).
@@ -555,10 +574,9 @@ def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray):
     (..., m, 1), half the class log-odds, gain = C12 / C11, the component
     offset delta = mu_y - gain mu_x (..., d) and the variance c_yx.
     """
-    c_yx, gain = schur_complement(c11, c12, c22)
-    mu_x, mu_y = _plane_means(px, py, d)
-    u = np.sum(x * mu_x, axis=-1, keepdims=True) / c11
-    return u, gain, mu_y - gain * mu_x, c_yx
+    ex, gain, e_delta, c_yx = _mixture_law(c11, c12, c22, px, py, d)
+    u = np.sum(x * _plane_vectors(ex, d), axis=-1, keepdims=True) / c11
+    return u, gain, _plane_vectors(e_delta, d), c_yx
 
 
 def _class_weights(u: np.ndarray) -> np.ndarray:
@@ -724,62 +742,104 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     # once per step and broadcast
     if np.all(c11 == c11[:, :1]) and np.all(px == px[:, :1]):
         c11, px = c11[:, :1], px[:, :1]
+    ex, gain, e_delta, c_yx = _mixture_law(c11, c12, c22, px, py, d)
     g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
     g = g[:, :, None, None]
     mu_x0, _ = materialize_means(init)
 
     beta = config.beta
-    sw = math.sqrt(config.sigma_w2)
     sw2 = config.sigma_w2
+    init_sd = math.sqrt(config.sigma2)
     decay = math.exp(-beta * h)
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
+    noise_sd = math.sqrt(sw2) * math.sqrt(h)
+    n_cells, n_x = len(configs), c11.shape[1]
 
-    def mixture(idx: int, x: np.ndarray):
-        return _mixture(c11[idx], c12[idx], c22[idx], px[idx], py[idx], d, x)
-
-    xs_out, ys_out, s_out = [], [], []
-    remaining = config.trials
-    while remaining > 0:
-        m = min(config.chunk, remaining)
-        remaining -= m
+    x0_out = np.empty((config.trials, d))
+    y0_out = np.empty((n_cells, config.trials, d))
+    s_out = np.empty(config.trials)
+    # mu_x and delta at the current step; only their plane coordinates move
+    mu_x = np.zeros((n_x, 1, d))
+    delta = np.zeros((n_cells, 1, d))
+    lo = 0
+    x_path = None
+    while lo < config.trials:
+        m = min(config.chunk, config.trials - lo)
+        if x_path is None or x_path.shape[1] != m:
+            # every step below writes into these and into this chunk's part
+            # of y0_out; none allocates, and chunks of one size share them
+            x_path = np.empty((n_steps + 1, m, d))
+            noise = np.empty((m, d))
+            r, score, drift = (np.empty((n_cells, m, d)) for _ in range(3))
+            a = np.empty((n_cells, m, 1))
         s = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
-        x = s[:, None] * mu_x0 + math.sqrt(config.sigma2) * rng.standard_normal((m, d))
-        x0 = x.copy()
-
-        x_path = np.empty((n_steps + 1, m, d))
-        x_path[0] = x
+        x_path[0] = s[:, None] * mu_x0 + init_sd * rng.standard_normal((m, d))
+        # one call draws what n_steps calls of (m, d) draw in turn
+        rng.standard_normal(out=x_path[1:])
+        x_path[1:] *= trans_sd
         for k in range(n_steps):
-            x = decay * x + trans_sd * rng.standard_normal((m, d))
-            x_path[k + 1] = x
+            np.multiply(x_path[k], decay, out=noise)
+            x_path[k + 1] += noise
 
         # exact conditional mixture draw at t = horizon
         x_t = x_path[n_steps]
-        u, gain, delta, c_yx = mixture(n_steps, x_t)
+        _plane_vectors(ex[n_steps], d, out=mu_x)
+        _plane_vectors(e_delta[n_steps], d, out=delta)
+        u = np.sum(x_t * mu_x, axis=-1, keepdims=True) / c11[n_steps]
         pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
-        y = gain * x_t + np.where(pick_plus[..., None], delta, -delta)
-        y = y + np.sqrt(c_yx) * rng.standard_normal((m, d))
+        y = y0_out[:, lo : lo + m]
+        np.multiply(gain[n_steps], x_t, out=y)
+        np.copyto(r, delta)
+        np.negative(r, out=r, where=~pick_plus[..., None])
+        y += r
+        rng.standard_normal(out=noise)
+        np.multiply(np.sqrt(c_yx[n_steps]), noise, out=r)
+        y += r
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
             x_t = x_path[idx]
-            score = _mixture_score(*mixture(idx, x_t), x_t, y)
-            # y + h (beta y - g_t x_t + sW2 score), evaluated in place
-            drift = beta * y
-            drift -= g[idx] * x_t
-            drift += sw2 * score
+            _plane_vectors(ex[idx], d, out=mu_x)
+            _plane_vectors(e_delta[idx], d, out=delta)
+            # the score of _mixture_score: u = mu_x . x / C11,
+            # r = y - gain x, a = u + r . delta / c_yx,
+            # score = (tanh(a) delta - r) / c_yx; drift is free scratch
+            # until the drift is formed, and so are score before the
+            # score and r after it
+            np.multiply(x_t, mu_x, out=drift[:n_x])
+            np.sum(drift[:n_x], axis=-1, keepdims=True, out=u)
+            u /= c11[idx]
+            np.multiply(gain[idx], x_t, out=r)
+            np.subtract(y, r, out=r)
+            np.multiply(r, delta, out=score)
+            np.sum(score, axis=-1, keepdims=True, out=a)
+            a /= c_yx[idx]
+            a += u
+            np.tanh(a, out=a)
+            np.multiply(a, delta, out=score)
+            score -= r
+            score /= c_yx[idx]
+            # y + h (beta y - g_t x_t + sW2 score)
+            np.multiply(y, beta, out=drift)
+            np.multiply(g[idx], x_t, out=r)
+            drift -= r
+            score *= sw2
+            drift += score
             drift *= h
             y += drift
             if k < n_steps - 1:
-                y += sw * math.sqrt(h) * rng.standard_normal((m, d))
+                rng.standard_normal(out=noise)
+                noise *= noise_sd
+                y += noise
 
-        xs_out.append(x0)
-        ys_out.append(y)
-        s_out.append(s)
+        x0_out[lo : lo + m] = x_path[0]
+        s_out[lo : lo + m] = s
+        lo += m
 
     return {
-        "x0": np.concatenate(xs_out),
-        "y0": np.concatenate(ys_out, axis=1),
-        "labels": np.concatenate(s_out),
+        "x0": x0_out,
+        "y0": y0_out,
+        "labels": s_out,
         "moments0": moments0,
         "specs": specs,
         "init": init,

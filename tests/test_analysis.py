@@ -7,6 +7,7 @@ from scipy.special import expit, ndtr, ndtri
 
 from oudiff import analysis
 from oudiff.analysis import (
+    Z_95,
     CloneConfig,
     CloneSweepConfig,
     ToyExperimentConfig,
@@ -45,9 +46,34 @@ class TestWilson:
         assert lo < 1.0
 
     def test_reference_values(self):
-        lo, hi = wilson_interval(50, 100, 0.95)
+        lo, hi = wilson_interval(50, 100)
         assert lo == pytest.approx(0.4038, abs=2e-4)
         assert hi == pytest.approx(0.5962, abs=2e-4)
+
+    def test_z95_is_the_ndtri_quantile(self):
+        # the constant is ndtri's double, one ulp below the correctly rounded
+        # quantile, so the intervals keep their bytes
+        assert Z_95 == float(ndtri(0.975))
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            exact = mp.sqrt(2) * mp.erfinv(mp.mpf("0.95"))
+            assert abs(mp.mpf(Z_95) - exact) <= math.ulp(Z_95)
+
+    def test_matches_the_ndtri_formula(self):
+        def with_ndtri(k, n):
+            z = float(ndtri(0.5 + 0.95 / 2.0))
+            p = k / n
+            z2 = z * z
+            denom = 1.0 + z2 / n
+            center = (p + z2 / (2.0 * n)) / denom
+            half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+            lo = 0.0 if k == 0 else max(0.0, center - half)
+            hi = 1.0 if k == n else min(1.0, center + half)
+            return lo, hi
+
+        for n in range(1, 301):
+            for k in range(n + 1):
+                assert wilson_interval(k, n) == with_ndtri(k, n), (k, n)
 
     def test_contains_point_estimate(self):
         for n in range(1, 400):

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oudiff
 from oudiff.cli import CLONE_FIELDS, TOY_FIELDS, dispatch
 
 
@@ -306,6 +311,34 @@ class TestSweeps:
         assert "threshold must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, empty",
+        [
+            ("toy-conditional", "g0_set"),
+            ("toy-conditional", "schedules"),
+            ("clone-speciation", "g_list"),
+        ],
+    )
+    def test_empty_sweep_list_exits_2(self, tmp_path, capsys, command, empty):
+        # an empty list would leave nothing to sweep: a header-only CSV
+        cfg = (
+            {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+             "trials": 4, "steps": 4, "dim_d": 2, "chunk": 4}
+            if command == "toy-conditional"
+            else {"g_list": [0.0], "dim_d": 2, "scan_count": 2,
+                  "repeats": 1, "batch": 4, "steps": 4}
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, empty: []}))
+        code = dispatch(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"),
+             *(["--summary-out", str(tmp_path / "s.json")]
+               if command == "clone-speciation" else [])]
+        )
+        assert code == 2
+        assert f"{empty} must hold at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_accepted_config_fields(self):
         assert TOY_FIELDS == {
             "theta_points", "g0_set", "schedules", "trials", "steps", "dim_d",
@@ -493,3 +526,19 @@ class TestSeedResolution:
             if t_s:
                 v = float(t_s)
                 assert repr(v) == t_s  # shortest round-trip form
+
+
+def test_import_loads_no_scipy():
+    # scipy's import costs more than every closed form of a CLI run; the
+    # package needs numpy only, so a fresh interpreter must not load it
+    src = Path(oudiff.__file__).resolve().parents[1]
+    probe = (
+        "import sys, oudiff, oudiff.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -890,6 +890,166 @@ class TestConditionalReverse:
         assert np.mean(s_x == s_y) > 0.9
 
 
+def _rk4_oracle(specs, init, grid):
+    """``moments_rk4`` as first written: mu, C and Q as three RK4 stacks,
+    and one relaxation block built per step and spec."""
+
+    def rhs(m, noise, mu, c, q):
+        mt = np.swapaxes(m, -1, -2)
+        return m @ mu, m @ c + c @ mt + noise, m @ q + q @ mt + noise
+
+    m_steps = np.empty((grid.size - 1, len(specs), 2, 2))
+    for k in range(grid.size - 1):
+        t_mid = 0.5 * (grid[k] + grid[k + 1])
+        for j, spec in enumerate(specs):
+            m_steps[k, j] = spec.relaxation(t_mid).as_array()
+    noise = np.array([spec.sigma_w2 for spec in specs])[:, None, None] * np.eye(2)
+    mu = np.empty((grid.size, len(specs), 2, 2))
+    c = np.empty_like(mu)
+    q = np.empty_like(mu)
+    mu[0] = np.stack(init.mean_plane())
+    c[0] = init.sigma0().as_array()
+    q[0] = 0.0
+    for k in range(grid.size - 1):
+        h = grid[k + 1] - grid[k]
+        m = m_steps[k]
+        state = (mu[k], c[k], q[k])
+        k1 = rhs(m, noise, *state)
+        k2 = rhs(m, noise, *(v + 0.5 * h * dv for v, dv in zip(state, k1)))
+        k3 = rhs(m, noise, *(v + 0.5 * h * dv for v, dv in zip(state, k2)))
+        k4 = rhs(m, noise, *(v + h * dv for v, dv in zip(state, k3)))
+        for out, v, a, b, e, f in zip((mu, c, q), state, k1, k2, k3, k4):
+            out[k + 1] = v + (h / 6.0) * (a + 2.0 * b + 2.0 * e + f)
+    return mu, 0.5 * (c + np.swapaxes(c, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
+
+
+def _group_oracle(configs, rng):
+    """``conditional_reverse_group`` as first written: each reverse step
+    forms the mixture law from full d-vectors and allocates every
+    temporary, and each cell keeps its own class weights."""
+    config = configs[0]
+    specs = [cfg.model()[0] for cfg in configs]
+    init = config.model()[1]
+    d, n_steps, beta, sw2 = config.dim_d, config.steps, config.beta, config.sigma_w2
+    h = config.horizon / n_steps
+    grid = np.linspace(0.0, config.horizon, n_steps + 1)
+    mu, c, q = _rk4_oracle(specs, init, grid)
+    c11, c12, c22 = (c[:, :, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 1)))
+    px, py = mu[:, :, None, 0], mu[:, :, None, 1]
+    g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
+    g = g[:, :, None, None]
+
+    def vectors(plane):
+        out = np.zeros(plane.shape[:-1] + (d,))
+        out[..., 0] = math.sqrt(d) * plane[..., 0]
+        if d >= 2:
+            out[..., 1] = math.sqrt(d) * plane[..., 1]
+        return out
+
+    def mixture(idx, x):
+        gain = c12[idx] / c11[idx]
+        c_yx = c22[idx] - c12[idx] * c12[idx] / c11[idx]
+        mu_x, mu_y = vectors(px[idx]), vectors(py[idx])
+        u = np.sum(x * mu_x, axis=-1, keepdims=True) / c11[idx]
+        return u, gain, mu_y - gain * mu_x, c_yx
+
+    mu_x0 = vectors(np.asarray(init.mean_plane()[0]))
+    decay = math.exp(-beta * h)
+    trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
+    xs, ys, labels = [], [], []
+    remaining = config.trials
+    while remaining > 0:
+        m = min(config.chunk, remaining)
+        remaining -= m
+        s = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+        x = s[:, None] * mu_x0 + math.sqrt(config.sigma2) * rng.standard_normal((m, d))
+        x_path = [x]
+        for _ in range(n_steps):
+            x = decay * x + trans_sd * rng.standard_normal((m, d))
+            x_path.append(x)
+        u, gain, delta, c_yx = mixture(n_steps, x)
+        w_plus = np.exp(-np.logaddexp(0.0, -2.0 * u[..., 0]))
+        pick_plus = rng.uniform(size=m) < w_plus
+        y = gain * x + np.where(pick_plus[..., None], delta, -delta)
+        y = y + np.sqrt(c_yx) * rng.standard_normal((m, d))
+        for k in range(n_steps):
+            idx = n_steps - k
+            x_t = x_path[idx]
+            u, gain, delta, c_yx = mixture(idx, x_t)
+            r = y - gain * x_t
+            a = u + np.sum(r * delta, axis=-1, keepdims=True) / c_yx
+            score = (np.tanh(a) * delta - r) / c_yx
+            y = y + h * (beta * y - g[idx] * x_t + sw2 * score)
+            if k < n_steps - 1:
+                y = y + math.sqrt(sw2) * math.sqrt(h) * rng.standard_normal((m, d))
+        xs.append(x_path[0])
+        ys.append(y)
+        labels.append(s)
+    return np.concatenate(xs), np.concatenate(ys, axis=1), np.concatenate(labels)
+
+
+class TestGroupOracle:
+    """The in-place group loop and stacked moments against the allocating
+    forms they replaced, bit for bit (per-step allocation churn shows in
+    no peak-memory figure, so this equality is its guard)."""
+
+    SCHEDULES = [("constant", 0.0), *[(kind, g0) for g0 in (0.2, 0.5, 1.0)
+                                       for kind in ("constant", "late", "early")]]
+
+    @staticmethod
+    def _cells(runs, trials, d):
+        return [
+            ConditionalRunConfig(
+                dim_d=d, theta=0.9 if d > 1 else 0.0,
+                schedule=ScheduleSpec(kind, g0, 0.7),
+                steps=12, trials=trials, chunk=10,
+            )
+            for kind, g0 in runs
+        ]
+
+    @pytest.mark.parametrize("trials", [7, 23])
+    @pytest.mark.parametrize(
+        "runs",
+        [[("constant", 0.5)], [("late", 1.0)], [("early", 0.5)], SCHEDULES],
+        ids=["constant", "late", "early", "ten-cells"],
+    )
+    def test_group_matches_allocating_loop(self, runs, trials):
+        cells = self._cells(runs, trials, 5)
+        out = conditional_reverse_group(cells, np.random.default_rng(31))
+        x0, y0, labels = _group_oracle(cells, np.random.default_rng(31))
+        assert out["x0"].tobytes() == x0.tobytes()
+        assert out["labels"].tobytes() == labels.tobytes()
+        assert out["y0"].shape == y0.shape == (len(cells), trials, 5)
+        assert out["y0"].tobytes() == y0.tobytes()
+
+    def test_one_dimension(self):
+        # the mean plane collapses to its first direction
+        cells = self._cells(self.SCHEDULES[:4], 13, 1)
+        out = conditional_reverse_group(cells, np.random.default_rng(32))
+        _, y0, _ = _group_oracle(cells, np.random.default_rng(32))
+        assert out["y0"].tobytes() == y0.tobytes()
+
+    @pytest.mark.parametrize(
+        "couplings",
+        [
+            [Symmetric(0.3)],
+            [Anisotropic(g) for g in (0.0, 0.4, -1.3)],
+            [Scheduled(ScheduleSpec(kind, 0.7, 1.0)) for kind in ("late", "early")]
+            + [Symmetric(-0.2)],
+        ],
+        ids=["symmetric", "anisotropic", "mixed"],
+    )
+    def test_moments_match_unstacked_rk4(self, couplings):
+        from oudiff.moments import moments_rk4
+
+        specs = [ModelSpec(1.2, cpl, 1.5, dim_d=4) for cpl in couplings]
+        init = MixtureInit(1.0, 0.7, AngledMeans(1.0, 0.8, 0.9), dim_d=4)
+        grid = np.linspace(0.0, 2.0, 41)
+        for got, want in zip(moments_rk4(specs, init, grid), _rk4_oracle(specs, init, grid)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestStationary:
     def test_symmetric_blocks(self):
         spec, _ = sym_model(g=0.5, d=2)

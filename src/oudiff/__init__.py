@@ -44,11 +44,9 @@ from .sampler import (
     conditional_reverse_group,
     conditional_reverse_sample,
     conditional_score,
-    coupling_value,
     empirical_score,
     flow_sample,
     forward_sample,
-    mode_shaped_noise,
     population_log_density,
     population_score,
     reverse_sample,

@@ -1,9 +1,9 @@
 """Experiment metrics and desk-scale experiment drivers.
 
-Curve metrics (cosine stabilization, threshold crossings, ghosting index,
-Wilson intervals) plus the two drivers: the conditional-coupling sweep
-over (theta, g0, schedule) and the cloning-based speciation protocol on
-exact-score coupled trajectories.
+Curve metrics (threshold crossings, Wilson intervals) plus the two
+drivers: the conditional-coupling sweep over (theta, g0, schedule) and
+the cloning-based speciation protocol on exact-score coupled
+trajectories.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blockmat import SQRT1_2
 from .errors import InvalidArgument, UndefinedLabel
 from .moments import (
     MixtureInit,
@@ -30,7 +29,6 @@ from .sampler import (
     conditional_log_density,
     conditional_reverse_group,
     materialize_means,
-    split_channels,
 )
 
 
@@ -90,29 +88,6 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def cosine_to_final(series: np.ndarray) -> np.ndarray:
-    """Batch-mean cosine of each snapshot against the final snapshot.
-
-    ``series`` has shape (n_times, batch, dim).  Zero-norm vectors are
-    excluded from the mean with a matching count decrement.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 3:
-        raise InvalidArgument("series must have shape (n_times, batch, dim)")
-    final = series[-1]
-    norms = np.linalg.norm(series, axis=2)
-    final_norm = np.linalg.norm(final, axis=1)
-    dots = np.einsum("tbd,bd->tb", series, final)
-    valid = (norms > 0.0) & (final_norm[None, :] > 0.0)
-    cos = np.zeros_like(dots)
-    np.divide(dots, norms * final_norm[None, :], out=cos, where=valid)
-    counts = valid.sum(axis=1)
-    out = np.full(series.shape[0], np.nan)
-    nonzero = counts > 0
-    out[nonzero] = np.where(valid, cos, 0.0).sum(axis=1)[nonzero] / counts[nonzero]
-    return out
-
-
 def crossing_time(times, values, tau: float) -> float | None:
     """Largest time with values >= tau, linearly interpolated.
 
@@ -139,28 +114,6 @@ def crossing_time(times, values, tau: float) -> float | None:
     return float(t0 + (t1 - t0) * (v0 - tau) / (v0 - v1))
 
 
-def sync_gap(times, curve_u, curve_v, tau: float) -> float | None:
-    """Threshold gap t_v(tau) - t_u(tau); negative when u stabilizes earlier.
-
-    Returns None when either crossing is censored.
-    """
-    tu = crossing_time(times, curve_u, tau)
-    tv = crossing_time(times, curve_v, tau)
-    if tu is None or tv is None:
-        return None
-    return tv - tu
-
-
-def ghosting_index(c_u, c_a, c_b) -> np.ndarray:
-    """Pointwise 2*c_u - c_a - c_b on aligned grids."""
-    c_u = np.asarray(c_u, dtype=float)
-    c_a = np.asarray(c_a, dtype=float)
-    c_b = np.asarray(c_b, dtype=float)
-    if not (c_u.shape == c_a.shape == c_b.shape):
-        raise InvalidArgument("ghosting index needs aligned curves")
-    return 2.0 * c_u - c_a - c_b
-
-
 # ---------------------------------------------------------------------------
 # conditional toy experiment
 
@@ -184,6 +137,9 @@ def toy_metrics(pairs, init: MixtureInit, moments0: MomentState) -> MetricRecord
     y0 = np.asarray(y0, dtype=float)
     if x0.shape != y0.shape or x0.ndim != 2 or x0.shape[0] < 1:
         raise InvalidArgument("pairs must be matching (n, d) arrays")
+    bad = np.count_nonzero(~np.isfinite(x0)) + np.count_nonzero(~np.isfinite(y0))
+    if bad:
+        raise InvalidArgument(f"pairs hold {bad} non-finite values; the run diverged")
     mu_x, mu_y = materialize_means(init)
     if np.linalg.norm(mu_x) == 0.0 or np.linalg.norm(mu_y) == 0.0:
         raise UndefinedLabel("mean directions vanish; signs are undefined")
@@ -551,65 +507,3 @@ def run_clone_experiment(
         _clone_cell, [(config, i) for i in range(len(config.g_list))], jobs
     )
 
-
-# ---------------------------------------------------------------------------
-# optional intervention diagnostic
-
-
-def intervention_probe(
-    spec: ModelSpec,
-    init: MixtureInit,
-    rng: np.random.Generator,
-    *,
-    t_int: float = 1.0,
-    noise_scale: float = 0.25,
-    steps: int = 400,
-    horizon: float = 2.0,
-    n_paths: int = 32,
-) -> dict:
-    """Perturb only the difference mode at t_int and track terminal RMS shifts.
-
-    Deterministic probability-flow continuation isolates the causal effect
-    of the injected noise; reported values are RMS changes of the terminal
-    mode components.  Diagnostic only; no calibrated reference values.
-    """
-    from .sampler import flow_sample, sample_block_gaussian, stationary_cov
-
-    d = spec.dim_d
-    h = horizon / steps
-    k_int = int(round((horizon - t_int) / h))
-    t_int_snapped = horizon - k_int * h
-    start = sample_block_gaussian(stationary_cov(spec), n_paths, d, rng)
-
-    state = start
-    if k_int > 0:
-        state = flow_sample(
-            spec, init, k_int, start, horizon=horizon, t_end=t_int_snapped
-        ).final
-    # continue unperturbed and perturbed copies from the intervention time
-    rest_steps = steps - k_int
-    xi = rng.standard_normal((n_paths, d))
-    x, y = split_channels(state, d)
-    u = SQRT1_2 * (x + y)
-    v = SQRT1_2 * (x - y) + noise_scale * xi
-    perturbed = np.concatenate(
-        [SQRT1_2 * (u + v), SQRT1_2 * (u - v)], axis=1
-    )
-
-    def finish(z0):
-        if rest_steps == 0:
-            return z0
-        # flow from the snapped intervention time down to 0
-        return flow_sample(spec, init, rest_steps, z0, horizon=t_int_snapped).final
-
-    base = finish(state)
-    moved = finish(perturbed)
-    bx, by = split_channels(base, d)
-    mx, my = split_channels(moved, d)
-    du = SQRT1_2 * ((mx + my) - (bx + by))
-    dv = SQRT1_2 * ((mx - my) - (bx - by))
-    return {
-        "t_int": t_int_snapped,
-        "rms_du": float(np.sqrt(np.mean(du**2))),
-        "rms_dv": float(np.sqrt(np.mean(dv**2))),
-    }

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmat import SQRT1_2, Block2, block_inverse, mat_exp, schur_complement
+from .blockmat import Block2, block_inverse, mat_exp, schur_complement
 from .errors import (
     InvalidArgument,
     KernelDegenerate,
@@ -41,32 +41,6 @@ from .moments import (
 )
 
 ScoreFn = Callable[[np.ndarray, float], np.ndarray]
-
-
-# ---------------------------------------------------------------------------
-# schedules and noise shaping
-
-
-def coupling_value(schedule: ScheduleSpec, t: float, horizon: float) -> float:
-    """Schedule value at forward time t in [0, horizon]."""
-    if not 0.0 <= t <= horizon:
-        raise InvalidArgument(f"t={t!r} outside [0, {horizon!r}]")
-    return schedule.value(t)
-
-
-def mode_shaped_noise(g: float, dim: int, rng: np.random.Generator, size=None):
-    """Channel noise with unit variance and cross-channel covariance -g.
-
-    Draws eps_u ~ N(0, (1-g) I) and eps_v ~ N(0, (1+g) I) in the mode
-    basis and rotates back, so Var(eps_A) = Var(eps_B) = 1 and
-    Cov(eps_A, eps_B) = -g.
-    """
-    if not 0.0 <= g < 1.0:
-        raise InvalidArgument(f"g={g!r} outside [0, 1)")
-    shape = (dim,) if size is None else (size, dim)
-    eps_u = math.sqrt(1.0 - g) * rng.standard_normal(shape)
-    eps_v = math.sqrt(1.0 + g) * rng.standard_normal(shape)
-    return SQRT1_2 * (eps_u + eps_v), SQRT1_2 * (eps_u - eps_v)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +86,10 @@ def _plane_coords(px, py, d: int) -> tuple[np.ndarray, np.ndarray]:
     return root_d * px, root_d * py
 
 
-def _plane_vectors(plane: np.ndarray, d: int, out: np.ndarray | None = None):
+def _plane_vectors(plane: np.ndarray, d: int):
     """d-vectors holding ``plane`` (last axis of length two) along the first
-    two coordinate directions and zeros elsewhere; an ``out`` given must
-    already hold those zeros."""
-    if out is None:
-        out = np.zeros(plane.shape[:-1] + (d,))
+    two coordinate directions and zeros elsewhere."""
+    out = np.zeros(plane.shape[:-1] + (d,))
     out[..., :2] = plane[..., :d]
     return out
 
@@ -698,16 +670,69 @@ class ConditionalRunConfig:
         return spec, init
 
 
+def _off_plane_weights(gain, c_yx, g, h, beta, sw2, decay, trans_sd, noise_sd):
+    """Weights of one off-plane coordinate of the group's y0 on that
+    coordinate's own draws, per cell.
+
+    Past the mean plane mu_x and delta are 0, so the score is -r / c_yx
+    and the reverse step reads y <- a_i y + b_i x_i (+ noise) at grid
+    index i, with a_i = 1 + h (beta - sW2 / c_yx,i) and
+    b_i = h (sW2 gain_i / c_yx,i - g_i), from the start
+    y = gain_n x_n + sqrt(c_yx,n) xi_0.  An increment at index i reaches
+    y0 times cprod_i = a_1 ... a_{i-1}, and the X path
+    x_i = decay x_{i-1} + trans_sd zeta_i spreads the weight of x_i over
+    its transitions by a decayed reverse cumulative sum.
+
+    ``gain``, ``c_yx`` and ``g`` are shaped (steps + 1, cells) by grid
+    index.  Returns the weights on x_0 and the ``steps`` unit transition
+    normals, (cells, steps + 1), and on the unit start draw and the
+    ``steps - 1`` unit step draws of the y noise, (cells, steps).  Every
+    operation acts on each cell alone, so a cell's weights do not depend
+    on the group it runs in.
+    """
+    n = gain.shape[0] - 1
+    a = 1.0 + h * (beta - sw2 / c_yx[1:])
+    b = h * (sw2 * gain[1:] / c_yx[1:] - g[1:])
+    cprod = np.ones((n + 1,) + a.shape[1:])
+    np.cumprod(a, axis=0, out=cprod[1:])
+    # the weight of the path value x_i, i = 1..n (x_0 is never read)
+    w_path = cprod[:-1] * b
+    w_path[-1] += cprod[-1] * gain[n]
+    x_weights = np.empty_like(cprod)
+    acc = np.zeros_like(cprod[0])
+    for i in range(n, 0, -1):
+        acc = w_path[i - 1] + decay * acc
+        x_weights[i] = trans_sd * acc
+    x_weights[0] = decay * acc
+    noise_weights = np.empty_like(w_path)
+    noise_weights[0] = cprod[n] * np.sqrt(c_yx[n])
+    noise_weights[1:] = noise_sd * cprod[n - 1 : 0 : -1]
+    return x_weights.T, noise_weights.T
+
+
 def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     """Generate (x0, y~0) pairs for a group of cells off one random stream.
 
     The cells may differ only in their coupling schedule.  A cell run alone
     draws the same numbers in the same order whatever its schedule, and the
     conditioning path X is autonomous under one-way coupling, so the group
-    draws once, simulates one X path and integrates y for every cell as one
-    (cells, m, d) array, with the cells' moments from one stacked RK4.
-    Cell j of the result is bit-identical to running ``configs[j]`` alone
-    from the same generator state.
+    draws once and simulates one X path, with the cells' moments from one
+    stacked RK4.
+
+    The means span the first p = min(d, 2) coordinates, so only those
+    need the nonlinear score: the X recursion and the reverse y loop run
+    on the plane, as (steps + 1, m, p) and (cells, m, p) arrays.  Past the
+    plane every coordinate of y0 is a fixed linear function of that
+    coordinate's own normals (``_off_plane_weights``), filled in by one
+    contraction per cell over the time axis of the very same draws: the
+    X normals before the y noise overwrites them in the X-path buffer,
+    then the y noise.  The contraction runs in einsum's own loop, not in
+    BLAS, whose threads would compete with the sweep's worker processes.
+    The plane coordinates take exactly the operations of a d-wide loop,
+    whose plane sums only add exact zeros past the plane; the off-plane
+    ones agree with it to rounding.  Cell j of the result is
+    bit-identical to running ``configs[j]`` alone from the same generator
+    state.
 
     Returns the shared ``x0`` (trials, d), ``labels`` and ``init``, and per
     cell ``y0`` (cells, trials, d), ``moments0`` and ``specs`` (lists).
@@ -722,6 +747,7 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     specs = [spec for spec, _ in models]
     init = models[0][1]
     d = config.dim_d
+    p = min(d, 2)
     n_steps = config.steps
     horizon = config.horizon
     h = horizon / n_steps
@@ -733,7 +759,7 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
         for j in range(len(specs))
     ]
     # per grid index: blocks shaped (cells, 1, 1), plane coordinates
-    # (cells, 1, 2), to broadcast over the (cells, m, d) state
+    # (cells, 1, 2), to broadcast over the (cells, m, p) state
     c11, c12, c22 = (c[:, :, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 1)))
     px, py = mu[:, :, None, 0], mu[:, :, None, 1]
     # the x channel does not see the coupling (the relaxation adds exact
@@ -743,8 +769,8 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     if np.all(c11 == c11[:, :1]) and np.all(px == px[:, :1]):
         c11, px = c11[:, :1], px[:, :1]
     ex, gain, e_delta, c_yx = _mixture_law(c11, c12, c22, px, py, d)
+    ex, e_delta = ex[..., :p], e_delta[..., :p]
     g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
-    g = g[:, :, None, None]
     mu_x0, _ = materialize_means(init)
 
     beta = config.beta
@@ -754,53 +780,62 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
     noise_sd = math.sqrt(sw2) * math.sqrt(h)
     n_cells, n_x = len(configs), c11.shape[1]
+    if d > p:
+        x_weights, noise_weights = _off_plane_weights(
+            gain[:, :, 0, 0], c_yx[:, :, 0, 0], g, h, beta, sw2, decay, trans_sd, noise_sd
+        )
+    g = g[:, :, None, None]
 
     x0_out = np.empty((config.trials, d))
     y0_out = np.empty((n_cells, config.trials, d))
     s_out = np.empty(config.trials)
-    # mu_x and delta at the current step; only their plane coordinates move
-    mu_x = np.zeros((n_x, 1, d))
-    delta = np.zeros((n_cells, 1, d))
     lo = 0
     x_path = None
     while lo < config.trials:
         m = min(config.chunk, config.trials - lo)
         if x_path is None or x_path.shape[1] != m:
-            # every step below writes into these and into this chunk's part
-            # of y0_out; none allocates, and chunks of one size share them
+            # every step below writes into these; none allocates, and
+            # chunks of one size share them
             x_path = np.empty((n_steps + 1, m, d))
-            noise = np.empty((m, d))
-            r, score, drift = (np.empty((n_cells, m, d)) for _ in range(3))
+            x_plane = np.empty((n_steps + 1, m, p))
+            y, r, score, drift = (np.empty((n_cells, m, p)) for _ in range(4))
             a = np.empty((n_cells, m, 1))
+            step = np.empty((m, p))
+            off = np.empty((m, d))
         s = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
         x_path[0] = s[:, None] * mu_x0 + init_sd * rng.standard_normal((m, d))
         # one call draws what n_steps calls of (m, d) draw in turn
         rng.standard_normal(out=x_path[1:])
-        x_path[1:] *= trans_sd
+        x_plane[0] = x_path[0, :, :p]
+        np.multiply(x_path[1:, :, :p], trans_sd, out=x_plane[1:])
         for k in range(n_steps):
-            np.multiply(x_path[k], decay, out=noise)
-            x_path[k + 1] += noise
+            np.multiply(x_plane[k], decay, out=step)
+            x_plane[k + 1] += step
+        y_off = y0_out[:, lo : lo + m, p:]
+        if d > p:
+            draws = x_path.reshape(n_steps + 1, m * d)
+            for j in range(n_cells):
+                np.einsum("k,kn->n", x_weights[j], draws, out=off.reshape(-1))
+                y_off[j] = off[:, p:]
 
         # exact conditional mixture draw at t = horizon
-        x_t = x_path[n_steps]
-        _plane_vectors(ex[n_steps], d, out=mu_x)
-        _plane_vectors(e_delta[n_steps], d, out=delta)
-        u = np.sum(x_t * mu_x, axis=-1, keepdims=True) / c11[n_steps]
+        x_t = x_plane[n_steps]
+        u = np.sum(x_t * ex[n_steps], axis=-1, keepdims=True) / c11[n_steps]
         pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
-        y = y0_out[:, lo : lo + m]
+        # the y noise, start draw first, as the loop's calls would draw it;
+        # the plane of the X path is in x_plane, the rest is read above
+        rng.standard_normal(out=x_path[1:])
         np.multiply(gain[n_steps], x_t, out=y)
-        np.copyto(r, delta)
+        np.copyto(r, e_delta[n_steps])
         np.negative(r, out=r, where=~pick_plus[..., None])
         y += r
-        rng.standard_normal(out=noise)
-        np.multiply(np.sqrt(c_yx[n_steps]), noise, out=r)
+        np.multiply(np.sqrt(c_yx[n_steps]), x_path[1, :, :p], out=r)
         y += r
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
-            x_t = x_path[idx]
-            _plane_vectors(ex[idx], d, out=mu_x)
-            _plane_vectors(e_delta[idx], d, out=delta)
+            x_t = x_plane[idx]
+            mu_x, delta = ex[idx], e_delta[idx]
             # the score of _mixture_score: u = mu_x . x / C11,
             # r = y - gain x, a = u + r . delta / c_yx,
             # score = (tanh(a) delta - r) / c_yx; drift is free scratch
@@ -828,10 +863,15 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
             drift *= h
             y += drift
             if k < n_steps - 1:
-                rng.standard_normal(out=noise)
-                noise *= noise_sd
-                y += noise
+                np.multiply(x_path[k + 2, :, :p], noise_sd, out=step)
+                y += step
 
+        y0_out[:, lo : lo + m, :p] = y
+        if d > p:
+            draws = x_path[1:].reshape(n_steps, m * d)
+            for j in range(n_cells):
+                np.einsum("k,kn->n", noise_weights[j], draws, out=off.reshape(-1))
+                y_off[j] += off[:, p:]
         x0_out[lo : lo + m] = x_path[0]
         s_out[lo : lo + m] = s
         lo += m

@@ -339,6 +339,23 @@ class TestSweeps:
         assert f"{empty} must hold at least one value" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    # the run overflows on purpose, and numpy warns as it does
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_toy_run_exits_2(self, tmp_path, capsys):
+        # a noise variance at the edge of the float range drives the
+        # reverse loop to inf and nan; the pairs are refused, not reduced
+        # to nan metrics
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+             "trials": 4, "steps": 4, "dim_d": 4, "chunk": 4, "sigma_w2": 1e308}
+        ))
+        out = tmp_path / "o.csv"
+        code = dispatch(["toy-conditional", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_accepted_config_fields(self):
         assert TOY_FIELDS == {
             "theta_points", "g0_set", "schedules", "trials", "steps", "dim_d",

@@ -21,6 +21,7 @@ from .moments import (
     MomentState,
     ScheduleSpec,
     Symmetric,
+    _mode_kernel,
 )
 from .sampler import (
     ConditionalRunConfig,
@@ -131,6 +132,7 @@ def toy_metrics(pairs, init: MixtureInit, moments0: MomentState) -> MetricRecord
     accuracy: matching sign of <y0, mu_y> and <x0, mu_x>;
     mse: (1/2) E || y0 - s(x0) mu_y ||^2;
     nll: E [-log P_0(y0 | x0)] under the exact conditional mixture.
+    Non-finite pairs or metrics (a diverged run) raise InvalidArgument.
     """
     x0, y0 = pairs
     x0 = np.asarray(x0, dtype=float)
@@ -151,10 +153,16 @@ def toy_metrics(pairs, init: MixtureInit, moments0: MomentState) -> MetricRecord
     mse = 0.5 * float(np.mean(np.sum((y0 - s_x[:, None] * mu_y) ** 2, axis=1)))
     # moments0 fully determines the conditional law, so no spec is needed
     nll = float(np.mean(-conditional_log_density(None, init, x0, y0, 0.0, moments0)))
+    values = {"accuracy": accuracy, "mse": mse, "nll": nll}
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise InvalidArgument(
+            f"metrics hold non-finite values ({', '.join(bad)}); the run diverged"
+        )
     lo, hi = wilson_interval(matches, n)
     return MetricRecord(
         coordinates={},
-        values={"accuracy": accuracy, "mse": mse, "nll": nll},
+        values=values,
         ci_low=lo,
         ci_high=hi,
         n_effective=n,
@@ -383,9 +391,8 @@ def clone_agreement(
         z[:, start:live] = np.tile(masters, (live - start) // n_pairs)
         if k == 0:
             break
-        decay = np.exp(-0.5 * taus * (k * h))
-        c = s2 * decay * decay + sw2 * (-np.expm1(-taus * (k * h))) / taus
-        mu = decay * amps
+        _, c = _mode_kernel(s2, sw2, taus, k * h)
+        mu = np.exp(-0.5 * taus * (k * h)) * amps
         paths = z[:, :live]
         score = (mu * np.tanh(mu * paths / c) - paths) / c
         paths += h * (0.5 * taus * paths + sw2 * score)

@@ -201,12 +201,24 @@ def schur_complement(c11, c12, c22):
     entries are scalars or arrays that broadcast; raises
     NotPositiveDefinite unless every c11 and every c_y_given_x is positive.
     """
-    if np.any(c11 <= 0.0):
-        raise NotPositiveDefinite(f"block not SPD: c11={c11!r}")
+    _require_positive("c11", c11)
     c_yx = c22 - c12 * c12 / c11
-    if np.any(c_yx <= 0.0):
-        raise NotPositiveDefinite(f"block not SPD: c22 - c12^2/c11={c_yx!r}")
+    _require_positive("c22 - c12^2/c11", c_yx)
     return c_yx, c12 / c11
+
+
+def _require_positive(name: str, values):
+    """One-line NotPositiveDefinite unless every entry is positive: the
+    first failing value and, for arrays, the failing count and first index."""
+    values = np.asarray(values)
+    bad = values <= 0.0
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        where = (
+            f" at {np.count_nonzero(bad)} of {bad.size} entries, first at index "
+            f"{tuple(int(i) for i in first)}"
+        ) if bad.ndim else ""
+        raise NotPositiveDefinite(f"block not SPD: {name}={float(values[first])!r}{where}")
 
 
 def schur_conditional(c: Block2) -> tuple[float, float]:

@@ -46,12 +46,17 @@ class ScheduleSpec:
         if self.kind != "constant" and self.t0 < 0.0:
             raise InvalidArgument(f"switch time t0={self.t0!r} must be >= 0")
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """Coupling at forward time t: a float, or an array for an array of times."""
         if self.kind == "constant":
-            return self.g0
-        if self.kind == "late":
-            return self.g0 if t <= self.t0 else 0.0
-        return self.g0 if t >= self.t0 else 0.0
+            on = True
+        elif self.kind == "late":
+            on = t <= self.t0
+        else:
+            on = t >= self.t0
+        if isinstance(t, np.ndarray):
+            return np.where(on, self.g0, np.zeros(t.shape))
+        return self.g0 if on else 0.0
 
 
 @dataclass(frozen=True)
@@ -104,12 +109,14 @@ class ModelSpec:
             return self.beta > abs(self.coupling.g)
         return True
 
-    def coupling_at(self, t: float | None = None) -> float:
+    def coupling_at(self, t=None):
+        """Coupling at forward time t: a float, or an array for an array of times."""
         if isinstance(self.coupling, Scheduled):
             if t is None:
                 raise InvalidArgument("scheduled coupling needs a time")
             return self.coupling.schedule.value(t)
-        return self.coupling.g
+        g = self.coupling.g
+        return np.full(t.shape, g) if isinstance(t, np.ndarray) else g
 
     def relaxation(self, t: float | None = None) -> Block2:
         """The relaxation matrix M as a block; scheduled kinds need a time."""
@@ -360,6 +367,25 @@ def diffusion_kernel(spec: ModelSpec, init: MixtureInit, t: float) -> MomentStat
     return MomentState(t=float(t), mu_x=mux, mu_y=muy, s=s, q=q, c=s.add(q))
 
 
+def _require_mode_kernels(spec: ModelSpec, init: MixtureInit):
+    """C(t) factors over the eigenmodes only for symmetric coupling and
+    equal channel variances, where it commutes with the mode projectors."""
+    if not isinstance(spec.coupling, Symmetric):
+        raise UnsupportedShape("mode kernels require symmetric coupling")
+    if not init.equal_variance:
+        raise UnsupportedShape(
+            "mode kernels require sigma_x == sigma_y; the unequal case has "
+            "no eigenmode factorization"
+        )
+
+
+def _mode_kernel(s2, sw2, tau, ts):
+    """(e^{-tau t}, c(t)) with c = s2 e^{-tau t} + sW2 (1 - e^{-tau t}) / tau
+    for a mode with rate tau, on scalars or broadcast arrays of tau and ts."""
+    decay = np.exp(-tau * ts)
+    return decay, s2 * decay + sw2 * (-np.expm1(-tau * ts)) / tau
+
+
 def mode_kernels(spec: ModelSpec, init: MixtureInit, t: float) -> tuple[float, float]:
     """Diffusion-kernel eigenvalues c_pm(t) for symmetric coupling.
 
@@ -368,57 +394,53 @@ def mode_kernels(spec: ModelSpec, init: MixtureInit, t: float) -> tuple[float, f
     projectors.
     """
     _require_time(t)
-    if not isinstance(spec.coupling, Symmetric):
-        raise UnsupportedShape("mode kernels require symmetric coupling")
-    if not init.equal_variance:
-        raise UnsupportedShape(
-            "mode kernels require sigma_x == sigma_y; the unequal case has "
-            "no eigenmode factorization"
-        )
-    s2 = init.sigma2_x
-    sw2 = spec.sigma_w2
+    _require_mode_kernels(spec, init)
     modes = spec.modes()
-    cp = s2 * math.exp(-modes.tau_plus * t) + sw2 * _expm1_ratio(modes.tau_plus, t)
-    cm = s2 * math.exp(-modes.tau_minus * t) + sw2 * _expm1_ratio(modes.tau_minus, t)
-    return cp, cm
+    return tuple(
+        float(_mode_kernel(init.sigma2_x, spec.sigma_w2, tau, t)[1])
+        for tau in (modes.tau_plus, modes.tau_minus)
+    )
+
+
+def _k_parts(beta, sw2, g, c11, c12, c22):
+    """K(t) = N / (Delta D) from the entries of C(t), on scalars or arrays:
+    the numerators (N11, N12, N21, N22), Delta D and the mask of D(t)
+    vanishing, with Delta = det C and
+    D = beta^2 Delta - beta sW2 (C11 + C22) + g sW2 C12 + sW2^2."""
+    delta = c11 * c22 - c12 * c12
+    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
+    d_scale = (
+        beta * beta * np.abs(delta)
+        + beta * sw2 * (np.abs(c11) + np.abs(c22))
+        + np.abs(g) * sw2 * np.abs(c12)
+        + sw2 * sw2
+    )
+    numerators = (
+        sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22,
+        c12 * (beta * (c11 + c22) - g * c12 - sw2),
+        beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22,
+        sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12,
+    )
+    return numerators, delta * dd, np.abs(dd) < 1e-12 * d_scale
 
 
 def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
     """Closed-form K(t) = C^-1 (M + sW2 C^-1)^-1 C^-1 for anisotropic coupling.
 
-    Assembled from the numerators N_ij over Delta(t) * D(t), where Delta is
-    det C and D = beta^2 Delta - beta sW2 (C11 + C22) + g sW2 C12 + sW2^2.
-    Raises DegenerateDrift when D(t) vanishes.
+    Assembled from the numerators N_ij over Delta(t) D(t) (``_k_parts``);
+    raises DegenerateDrift when D(t) vanishes.
     """
     _require_time(t)
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape("kernel_K is the anisotropic closed form")
-    beta = spec.beta
-    g = spec.coupling.g
-    sw2 = spec.sigma_w2
     c = diffusion_kernel(spec, init, t).c
-    c11, c12, c22 = c.a11, c.a12, c.a22
-    delta = c11 * c22 - c12 * c12
-    d = (
-        beta * beta * delta
-        - beta * sw2 * (c11 + c22)
-        + g * sw2 * c12
-        + sw2 * sw2
+    numerators, denom, degenerate = _k_parts(
+        spec.beta, spec.sigma_w2, spec.coupling.g, c.a11, c.a12, c.a22
     )
-    d_scale = (
-        beta * beta * abs(delta)
-        + beta * sw2 * (abs(c11) + abs(c22))
-        + abs(g) * sw2 * abs(c12)
-        + sw2 * sw2
-    )
-    if abs(d) < 1e-12 * d_scale:
+    if degenerate:
         raise DegenerateDrift(t)
-    n11 = sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22
-    n12 = c12 * (beta * (c11 + c22) - g * c12 - sw2)
-    n21 = beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22
-    n22 = sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12
-    inv = 1.0 / (delta * d)
-    return Block2(n11 * inv, n12 * inv, n21 * inv, n22 * inv)
+    inv = 1.0 / denom
+    return Block2(*(n * inv for n in numerators))
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +478,15 @@ def moments_rk4(specs, init: MixtureInit, grid):
         raise InvalidArgument("moments_rk4 needs at least one spec")
     # schedules are piecewise constant: freezing the coupling at the step
     # midpoint integrates each constant segment exactly when the switch
-    # time lies on a grid point.  The relaxation depends on t only through
-    # the coupling, so each spec builds one block per coupling value.
-    m_steps = np.empty((grid.size - 1, n_cells, 2, 2))
+    # time lies on a grid point.  M is built as ``ModelSpec.relaxation``
+    # builds it: [[-beta, g], [g, -beta]] (symmetric) or [[-beta, 0], [g, -beta]].
     t_mid = 0.5 * (grid[:-1] + grid[1:])
+    m_steps = np.zeros((grid.size - 1, n_cells, 2, 2))
     for j, spec in enumerate(specs):
-        blocks = {}
-        for k, t in enumerate(t_mid):
-            g = spec.coupling_at(t)
-            if g not in blocks:
-                blocks[g] = spec.relaxation(t).as_array()
-            m_steps[k, j] = blocks[g]
+        m_steps[:, j, 0, 0] = m_steps[:, j, 1, 1] = -spec.beta
+        m_steps[:, j, 1, 0] = spec.coupling_at(t_mid)
+        if isinstance(spec.coupling, Symmetric):
+            m_steps[:, j, 0, 1] = m_steps[:, j, 1, 0]
     noise = np.array([spec.sigma_w2 for spec in specs])[:, None, None] * np.eye(2)
 
     # rows of s[k]: mu, C, Q; mu's plane coordinates sit on the last axis

@@ -770,7 +770,7 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
         c11, px = c11[:, :1], px[:, :1]
     ex, gain, e_delta, c_yx = _mixture_law(c11, c12, c22, px, py, d)
     ex, e_delta = ex[..., :p], e_delta[..., :p]
-    g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
+    g = np.stack([spec.coupling_at(grid) for spec in specs], axis=1)
     mu_x0, _ = materialize_means(init)
 
     beta = config.beta

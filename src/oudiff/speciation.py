@@ -33,10 +33,12 @@ from .moments import (
     ModelSpec,
     Symmetric,
     _aniso_q,
+    _k_parts,
+    _mode_kernel,
+    _require_mode_kernels,
     _require_time,
     diffusion_kernel,
     kernel_K,
-    mode_kernels,
 )
 
 REGIME_SPECIATES = "speciates"
@@ -65,7 +67,7 @@ class StabilityReport:
 
     ``sufficient`` is the closed-form bound s2 < sW2/(beta + |g|) (strict);
     ``first_violation`` is the first time at which the pointwise tail
-    condition lambda_pm + sW2/c_pm(t) > 0 fails, if any.  c_pm(t) moves
+    condition c_pm (lambda_pm c_pm + sW2) > 0 fails, if any.  c_pm(t) moves
     monotonically from c_pm(0) = s2 toward sW2/tau_pm, which satisfies the
     condition, so a violation anywhere is a violation at t = 0: the
     result is 0.0 or None.
@@ -81,32 +83,19 @@ def _quad_form(block: Block2, stats: tuple[float, float, float]) -> float:
     return block.a11 * mxx + (block.a12 + block.a21) * mxy + block.a22 * myy
 
 
-def _tail_margins(spec: ModelSpec, cp: float, cm: float) -> tuple[float, float]:
-    modes = spec.modes()
-    sw2 = spec.sigma_w2
-    return modes.lambda_plus + sw2 / cp, modes.lambda_minus + sw2 / cm
-
-
 def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
     """Bifurcation parameter kappa(t), per dimension.
 
     Symmetric coupling is evaluated through the generic block composition
     (it matches the eigenmode closed form); anisotropic coupling goes
-    through the closed-form kernel.  Raises UnstableAtTime when the
-    symmetric tail-confinement margin is not positive at t.
+    through the closed-form kernel.  Raises UnstableAtTime when symmetric
+    tail confinement (``_symmetric_kappa``) fails at t.
     """
     ms = diffusion_kernel(spec, init, t)
     stats = ms.mean_stats()
     sw2 = spec.sigma_w2
     if isinstance(spec.coupling, Symmetric):
-        if not init.equal_variance:
-            raise UnsupportedShape(
-                "symmetric kappa requires sigma_x == sigma_y"
-            )
-        cp, cm = mode_kernels(spec, init, t)
-        margin_p, margin_m = _tail_margins(spec, cp, cm)
-        if margin_p <= 0.0 or margin_m <= 0.0:
-            raise UnstableAtTime(t)
+        kappa_symmetric_closed(spec, init, t)  # raises where confinement fails
         cinv = block_inverse(ms.c)
         inner = spec.relaxation().add(cinv.scale(sw2))
         a = block_inverse(inner).matmul(cinv.scale(sw2))
@@ -127,13 +116,7 @@ def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
     ``bad`` marks the times at which tail confinement fails
     (c_pm (lambda_pm c_pm + sW2) <= 0), where kappa is meaningless.
     """
-    if not isinstance(spec.coupling, Symmetric):
-        raise UnsupportedShape("closed form requires symmetric coupling")
-    if not init.equal_variance:
-        raise UnsupportedShape(
-            "mode kernels require sigma_x == sigma_y; the unequal case has "
-            "no eigenmode factorization"
-        )
+    _require_mode_kernels(spec, init)
     modes = spec.modes()
     mp2, mm2 = init.mode_norms()
     s2 = init.sigma2_x
@@ -146,8 +129,7 @@ def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
     def at(ts):
         kappa_t, bad = 0.0, False
         for tau, lam, m2 in terms:
-            decay = np.exp(-tau * ts)
-            c = s2 * decay + sw2 * (-np.expm1(-tau * ts)) / tau
+            decay, c = _mode_kernel(s2, sw2, tau, ts)
             denom = c * (lam * c + sw2)
             bad = bad | (denom <= 0.0)
             kappa_t = kappa_t + sw2 * decay * m2 / denom
@@ -202,14 +184,14 @@ def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
     """Evaluate both confinement criteria for symmetric coupling."""
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("stability check applies to symmetric coupling")
-    if not init.equal_variance:
-        raise UnsupportedShape("stability check requires sigma_x == sigma_y")
-    s2 = init.sigma2_x
-    sufficient = spec.is_stable and s2 < spec.sigma_w2 / (
+    kappa_at = _symmetric_kappa(spec, init)  # refuses unequal variances
+    sufficient = spec.is_stable and init.sigma2_x < spec.sigma_w2 / (
         spec.beta + abs(spec.coupling.g)
     )
-    # c_pm(0) = s2; see StabilityReport for why t = 0 decides
-    stable = spec.is_stable and min(_tail_margins(spec, s2, s2)) > 0.0
+    # see StabilityReport for why t = 0 decides; at the exact stability
+    # boundary denom == 0, reported through bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stable = spec.is_stable and not kappa_at(0.0)[1]
     return StabilityReport(
         stable=stable,
         sufficient=sufficient,
@@ -230,7 +212,7 @@ def _scan_grid(t_max: float) -> np.ndarray:
 def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
     """Anisotropic kappa(t) through the closed-form K(t), on broadcast arrays.
 
-    C(t), det C, D(t) and the numerators N_ij take the broadcast shape of
+    C(t) and the parts of K(t) (``_k_parts``) take the broadcast shape of
     ``g`` and ``ts``; only the mean terms broadcast further against the
     channel statistics ``stats = (mxx, myy, mxy)``.  Returns kappa and the
     mask, in the shape of (g, ts), of times at which D(t) vanishes and
@@ -241,19 +223,7 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
     c11 = decay2 * sx2 + q11
     c12 = decay2 * g * ts * sx2 + q12
     c22 = decay2 * (sy2 + g * g * ts * ts * sx2) + q22
-    delta = c11 * c22 - c12 * c12
-    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
-    d_scale = (
-        beta * beta * np.abs(delta)
-        + beta * sw2 * (np.abs(c11) + np.abs(c22))
-        + np.abs(g) * sw2 * np.abs(c12)
-        + sw2 * sw2
-    )
-    degenerate = np.abs(dd) < 1e-12 * d_scale
-    n11 = sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22
-    n12 = c12 * (beta * (c11 + c22) - g * c12 - sw2)
-    n21 = beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22
-    n22 = sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12
+    (n11, n12, n21, n22), denom, degenerate = _k_parts(beta, sw2, g, c11, c12, c22)
     mxx, myy, mxy = stats
     mxx_t = decay2 * mxx
     mxy_t = decay2 * (mxy + g * ts * mxx)
@@ -261,7 +231,7 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
     quad = n11 * mxx_t + (n12 + n21) * mxy_t + n22 * myy_t
     # kappa is meaningless where D(t) vanishes; callers discard those points
     with np.errstate(divide="ignore", invalid="ignore"):
-        return sw2 * quad * (1.0 / (delta * dd)), degenerate
+        return sw2 * quad * (1.0 / denom), degenerate
 
 
 def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarray:

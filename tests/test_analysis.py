@@ -181,6 +181,18 @@ class TestToyMetrics:
         with pytest.raises(InvalidArgument, match="1 non-finite"):
             toy_metrics(tuple(pairs), init, ms)
 
+    # the run overflows on purpose, and numpy warns as it does
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_metrics_rejected(self):
+        # means at the edge of the float range keep the pairs finite, but
+        # the log-density overflows: the metrics are refused, not reported
+        cfg = ToyExperimentConfig(
+            m2=1e308, dim_d=4, trials=4, steps=4, theta_points=1,
+            g0_set=(0.5,), schedules=("constant",),
+        )
+        with pytest.raises(InvalidArgument, match=r"non-finite values \(nll\)"):
+            run_toy_experiment(cfg)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

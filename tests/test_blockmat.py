@@ -200,5 +200,5 @@ class TestSchur:
     )
     def test_array_form_rejects_any_non_spd_entry(self, c11, c22):
         # the second entry has c11 <= 0 or c22 - c12^2/c11 = 0
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match=r"at 1 of 2 entries, first at index \(1,\)$"):
             schur_complement(np.array(c11), np.array([0.0, 0.5]), np.array(c22))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -116,6 +117,46 @@ class TestScalarCommands:
             code = dispatch(argv + ["--dry-run"])
             capsys.readouterr()
             assert code == 0, argv
+
+
+class TestOutputBytes:
+    """Output bytes pinned before the speciation closed forms were shared;
+    a change to the solvers or closed forms must reproduce them exactly."""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["speciation", "--beta", "1.3", "--g", "-0.6", "--sigma-w2", "1.7",
+              "--sigma2", "0.4", "--m-plus2", "1.5", "--m-minus2", "0.2"], 0,
+             '{\n  "t_s": 0.5495260822418901,\n  "regime": "speciates",\n'
+             '  "kappa0": 7.380506442912793,\n  "sup_kappa": 7.380506442912793\n}\n'),
+            (["speciation", "--g", "0.4", "--m-plus2", "0.1", "--m-minus2", "0.2"], 0,
+             '{\n  "t_s": null,\n  "regime": "no-speciation",\n'
+             '  "kappa0": 0.8095238095238093,\n  "sup_kappa": 0.8095238095238093\n}\n'),
+            (["speciation", "--g", "0.5", "--sigma2", "2"], 3,
+             '{\n  "t_s": null,\n  "regime": "unstable",\n  "kappa0": null,\n'
+             '  "sup_kappa": null,\n  "unstable_t": 0.0\n}\n'),
+            (["speciation", "--coupling", "anisotropic", "--g", "0.5", "--theta", "0.4"], 0,
+             '{\n  "t_s": 0.6991318251150286,\n  "regime": "speciates",\n'
+             '  "kappa0": 3.078939005997115,\n  "sup_kappa": 3.078939005997115\n}\n'),
+            (["stability", "--g", "0.5", "--sigma-w2", "2", "--sigma2", "1"], 0,
+             '{\n  "stable": true,\n  "sufficient": true,\n  "first_violation": null\n}\n'),
+            (["stability", "--g", "0.5", "--sigma2", "1.6"], 0,
+             '{\n  "stable": false,\n  "sufficient": false,\n  "first_violation": 0.0\n}\n'),
+        ],
+    )
+    def test_scalar_commands(self, capsys, argv, code, expected):
+        assert dispatch(argv) == code
+        assert capsys.readouterr().out == expected
+
+    def test_phase_diagram_csv(self, tmp_path):
+        out = tmp_path / "pd.csv"
+        assert dispatch(
+            ["phase-diagram", "--g-points", "25", "--theta-points", "12", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "16536c1871d44285d0a5418f3d8dffd58d7d9b1e218572597c55129285b5b229"
+        )
 
 
 class TestSweeps:
@@ -343,18 +384,21 @@ class TestSweeps:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_toy_run_exits_2(self, tmp_path, capsys):
         # a noise variance at the edge of the float range drives the
-        # reverse loop to inf and nan; the pairs are refused, not reduced
+        # reverse loop to inf and nan, and means there overflow the
+        # log-density; the pairs or the metrics are refused, not reduced
         # to nan metrics
+        base = {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
+                "trials": 4, "steps": 4, "dim_d": 4, "chunk": 4}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(
-            {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
-             "trials": 4, "steps": 4, "dim_d": 4, "chunk": 4, "sigma_w2": 1e308}
-        ))
         out = tmp_path / "o.csv"
-        code = dispatch(["toy-conditional", "--config", str(cfg_path), "--out", str(out)])
-        assert code == 2
-        assert "non-finite values" in capsys.readouterr().err
-        assert not out.exists()
+        for extra in ({"sigma_w2": 1e308}, {"m2": 1e308}):
+            cfg_path.write_text(json.dumps({**base, **extra}))
+            code = dispatch(
+                ["toy-conditional", "--config", str(cfg_path), "--out", str(out)]
+            )
+            assert code == 2, extra
+            assert "non-finite values" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_accepted_config_fields(self):
         assert TOY_FIELDS == {

@@ -318,6 +318,20 @@ class TestKernelK:
         inner = spec.relaxation().add(cinv.scale(spec.sigma_w2))
         return (cinv @ block_inverse(inner) @ cinv).as_array()
 
+    def scalar_K(self, spec, init, t):
+        """K(t) by the scalar formula kernel_K was first written as."""
+        beta, g, sw2 = spec.beta, spec.coupling.g, spec.sigma_w2
+        c = diffusion_kernel(spec, init, t).c
+        c11, c12, c22 = c.a11, c.a12, c.a22
+        delta = c11 * c22 - c12 * c12
+        d = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
+        n11 = sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22
+        n12 = c12 * (beta * (c11 + c22) - g * c12 - sw2)
+        n21 = beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22
+        n22 = sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12
+        inv = 1.0 / (delta * d)
+        return [[n11 * inv, n12 * inv], [n21 * inv, n22 * inv]]
+
     def test_matches_composition(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
@@ -334,6 +348,7 @@ class TestKernelK:
             want = self.compose_K(spec, init, t)
             scale = np.max(np.abs(want)) + 1e-30
             assert np.max(np.abs(got - want)) / scale < 1e-10
+            assert got.tobytes() == np.array(self.scalar_K(spec, init, t)).tobytes()
 
     def test_decoupled_is_diagonal(self):
         spec, init = aniso_model(g=0.0, sw2=2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oudiff.blockmat import block_inverse, mat_exp, spectral_decompose
-from oudiff.errors import InvalidArgument, KernelDegenerate
+from oudiff.errors import InvalidArgument, KernelDegenerate, NotPositiveDefinite
 from oudiff.moments import (
     Anisotropic,
     AngledMeans,
@@ -62,16 +62,19 @@ class TestSchedules:
         s = ScheduleSpec("constant", 0.5, 0.0)
         for t in (0.0, 1.0, 2.0):
             assert s.value(t) == 0.5
+        assert s.value(np.array([[0.0], [2.0]])).tolist() == [[0.5], [0.5]]
 
     def test_late_boundary_closed(self):
         s = ScheduleSpec("late", 1.0, 1.0)
         assert s.value(1.0) == 1.0
         assert s.value(1.5) == 0.0
+        assert s.value(np.array([0.5, 1.0, 1.5])).tolist() == [1.0, 1.0, 0.0]
 
     def test_early_boundary_closed(self):
         s = ScheduleSpec("early", 1.0, 1.0)
         assert s.value(1.0) == 1.0
         assert s.value(0.5) == 0.0
+        assert s.value(np.array([0.5, 1.0, 1.5])).tolist() == [0.0, 1.0, 1.0]
 
 
 class TestForward:
@@ -806,6 +809,20 @@ class TestConditionalReverse:
         out = conditional_reverse_sample(cfg, np.random.default_rng(21))
         assert out["y0"].shape == (200, 4)
         assert np.all(np.isfinite(out["y0"]))
+
+    def test_unstable_step_size_reported_on_one_line(self):
+        # h = 10/3 is past RK4's limit for the covariance rate 2 beta, so
+        # c_yx turns negative from grid index 1 on (3 of the 4 entries)
+        cfg = ConditionalRunConfig(
+            dim_d=4, theta=0.5, schedule=ScheduleSpec("late", 0.5, 5.0),
+            horizon=10.0, steps=3, trials=4, chunk=4,
+        )
+        with pytest.raises(NotPositiveDefinite) as info:
+            conditional_reverse_sample(cfg, np.random.default_rng(0))
+        message = str(info.value)
+        assert "\n" not in message
+        assert "c22 - c12^2/c11=" in message
+        assert message.endswith("at 3 of 4 entries, first at index (1, 0, 0, 0)")
 
     def test_each_cell_matches_its_group_slice(self):
         # several chunks, odd d, a switch time off the grid: every cell run

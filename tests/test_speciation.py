@@ -18,9 +18,15 @@ from oudiff.moments import (
     Symmetric,
 )
 from oudiff.speciation import (
+    KAPPA_TOL,
     REGIME_NO_SPECIATION,
     REGIME_SPECIATES,
     REGIME_UNSTABLE,
+    _kappa_grid,
+    _scan,
+    _scan_grid,
+    _scan_outcome,
+    _symmetric_kappa,
     g_crit_aligned,
     kappa,
     kappa0_aniso,
@@ -380,8 +386,33 @@ class TestPhaseDiagramOracle:
         assert seen == kinds
 
 
+def _scalar_symmetric_t_s(spec, init, t_max):
+    """Symmetric t_s by the scalar path: the grid scan, then a scalar
+    bisection of kappa - 1 on the eigenmode closed form.  A change to the
+    symmetric solver loop must reproduce it bit for bit."""
+    grid = _scan_grid(t_max)
+    kappa0, sup_kappa, above_end, bracket = (
+        r.item() for r in _scan(_kappa_grid(spec, init, grid))
+    )
+    if _scan_outcome(kappa0, sup_kappa, above_end, bracket) is not None:
+        return None
+    kappa_at = _symmetric_kappa(spec, init)
+    lo, hi = grid[bracket - 1].item(), grid[bracket].item()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = kappa_at(mid)[0] - 1.0
+        if abs(val) <= 0.1 * KAPPA_TOL:
+            break
+        if val >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 class TestSymmetricOracle:
-    """Symmetric speciation_time against the scalar Block2 kappa() solver."""
+    """Symmetric speciation_time against the scalar Block2 kappa() solver,
+    and bit for bit against the scalar bisection."""
 
     def test_random_specs_match_scalar_bisection(self):
         rng = np.random.default_rng(23)
@@ -407,4 +438,5 @@ class TestSymmetricOracle:
             seen.add(want)
             if t_s is not None:
                 assert abs(res.t_s - t_s) <= 1e-10
+                assert res.t_s == _scalar_symmetric_t_s(spec, init, t_max)
         assert seen == {REGIME_SPECIATES, REGIME_NO_SPECIATION, REGIME_UNSTABLE}

@@ -112,15 +112,19 @@ def _taus(params: CollapseParams) -> tuple[float, float]:
     return modes.tau_plus, modes.tau_minus
 
 
+def _chi_mode(ratio: float, tau: float, t: float) -> float:
+    try:
+        return ratio * tau / math.expm1(tau * t)
+    except OverflowError:  # past e^709.8: the limit ratio tau e^{-tau t}
+        return ratio * tau * math.exp(-tau * t)
+
+
 def chi(params: CollapseParams, t: float) -> tuple[float, float]:
     """chi_pm(t) = ratio * tau_pm / (e^{tau_pm t} - 1), strictly decreasing."""
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidArgument(f"t={t!r} must be positive")
     tau_p, tau_m = _taus(params)
-    return (
-        params.ratio * tau_p / math.expm1(tau_p * t),
-        params.ratio * tau_m / math.expm1(tau_m * t),
-    )
+    return _chi_mode(params.ratio, tau_p, t), _chi_mode(params.ratio, tau_m, t)
 
 
 def cgf(params: CollapseParams, beta_rem: float, t: float) -> float:
@@ -178,7 +182,8 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
     t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
-    return CollapseResult(t_c=t_c, residual=residual, kind=kind)
+    # a numpy alpha makes f, and with it the bisection, numpy-scalar valued
+    return CollapseResult(t_c=float(t_c), residual=residual, kind=kind)
 
 
 def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:

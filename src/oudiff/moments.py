@@ -77,6 +77,13 @@ class Scheduled:
 Coupling = Union[Symmetric, Anisotropic, Scheduled]
 
 
+def _require_finite(obj, *fields: str):
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidArgument(f"{name}={value!r} must be finite")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Coupled two-channel OU parameters.
@@ -143,6 +150,7 @@ class ModeMeans:
     m_minus2: float
 
     def __post_init__(self):
+        _require_finite(self, "m_plus2", "m_minus2")
         if self.m_plus2 < 0.0 or self.m_minus2 < 0.0:
             raise InvalidArgument("squared mode norms must be >= 0")
 
@@ -156,6 +164,7 @@ class AngledMeans:
     theta: float
 
     def __post_init__(self):
+        _require_finite(self, "m_x2", "m_y2")
         if self.m_x2 < 0.0 or self.m_y2 < 0.0:
             raise InvalidArgument("squared channel norms must be >= 0")
         if not 0.0 <= self.theta <= math.pi:
@@ -175,6 +184,7 @@ class MixtureInit:
     dim_d: int = 1
 
     def __post_init__(self):
+        _require_finite(self, "sigma2_x", "sigma2_y")
         if self.sigma2_x <= 0.0 or self.sigma2_y <= 0.0:
             raise InvalidArgument("initial variances must be positive")
         if self.dim_d < 1:

@@ -63,19 +63,26 @@ class SpeciationResult:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the confinement checks for symmetric coupling.
+    """Outcome of the confinement check for symmetric coupling.
 
-    ``sufficient`` is the closed-form bound s2 < sW2/(beta + |g|) (strict);
-    ``first_violation`` is the first time at which the pointwise tail
-    condition c_pm (lambda_pm c_pm + sW2) > 0 fails, if any.  c_pm(t) moves
+    ``stable`` requires beta > |g| and the tail condition
+    c_pm (lambda_pm c_pm + sW2) > 0 of both modes.  c_pm(t) moves
     monotonically from c_pm(0) = s2 toward sW2/tau_pm, which satisfies the
-    condition, so a violation anywhere is a violation at t = 0: the
-    result is 0.0 or None.
+    condition, so a violation anywhere is a violation at t = 0.  There the
+    condition reads s2 < sW2/tau_pm for both modes, which is the closed-form
+    bound s2 < sW2/(beta + |g|) (strict): ``sufficient`` is that bound, the
+    same predicate, and ``first_violation`` is 0.0 when it fails, else None.
     """
 
     stable: bool
-    sufficient: bool
-    first_violation: float | None
+
+    @property
+    def sufficient(self) -> bool:
+        return self.stable
+
+    @property
+    def first_violation(self) -> float | None:
+        return None if self.stable else 0.0
 
 
 def _quad_form(block: Block2, stats: tuple[float, float, float]) -> float:
@@ -181,22 +188,14 @@ def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
 
 
 def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
-    """Evaluate both confinement criteria for symmetric coupling."""
+    """Confinement check for symmetric coupling, decided at t = 0."""
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("stability check applies to symmetric coupling")
     kappa_at = _symmetric_kappa(spec, init)  # refuses unequal variances
-    sufficient = spec.is_stable and init.sigma2_x < spec.sigma_w2 / (
-        spec.beta + abs(spec.coupling.g)
-    )
     # see StabilityReport for why t = 0 decides; at the exact stability
     # boundary denom == 0, reported through bad
     with np.errstate(divide="ignore", invalid="ignore"):
-        stable = spec.is_stable and not kappa_at(0.0)[1]
-    return StabilityReport(
-        stable=stable,
-        sufficient=sufficient,
-        first_violation=None if stable else 0.0,
-    )
+        return StabilityReport(stable=spec.is_stable and not kappa_at(0.0)[1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -254,21 +253,26 @@ def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarra
     return values
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int) -> tuple[float, float]:
+def _bisect(f, lo, hi, tol: float, max_iter: int):
     """Bisect f with f(lo) >= 0 >= f(hi); returns the last midpoint and |f| there.
 
-    Stops once |f(mid)| <= tol or after ``max_iter`` halvings; f(mid) >= 0
-    moves lo.
+    ``lo`` and ``hi`` are floats, or arrays of brackets that f maps
+    elementwise.  A bracket stops at its first midpoint where |f| <= tol
+    or f is NaN, closing onto that midpoint so that later halvings keep
+    it; f(mid) >= 0 moves lo.  The loop ends once every bracket has
+    stopped or after ``max_iter`` halvings.  Float brackets stay on
+    Python bools, so f should return Python floats for them.
     """
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         val = f(mid)
-        if abs(val) <= tol:
+        stop = (abs(val) <= tol) | (val != val)
+        if stop if isinstance(stop, bool) else stop.all():
             break
-        if val >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        up = stop | (val >= 0.0)
+        down = stop | (val < 0.0)
+        lo = up * mid + (1 - up) * lo
+        hi = down * mid + (1 - down) * hi
     return mid, abs(val)
 
 
@@ -322,9 +326,10 @@ def _aniso_speciation(
     channel statistics ``(mxx, myy, mxy)`` in ``stats``.
 
     C(t), D(t) and N_ij depend on the coupling and time only, so one grid
-    scan per coupling covers all statistics at once.  A single
-    bisection then sharpens every bracket together, each cell stopping on
-    its own once |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings.
+    scan per coupling covers all statistics at once.  One ``_bisect`` call
+    then sharpens every bracket elementwise, each cell stopping on its own
+    once |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings; a cell whose
+    midpoint is degenerate stops there with DegenerateDrift.
     Returns a SpeciationResult or the cell's error for each pair, in
     (g, stats) order.
     """
@@ -348,31 +353,22 @@ def _aniso_speciation(
     if not pending:
         return outcomes
 
-    cell, g, j, kappa0, sup_kappa, bracket = (np.array(x) for x in zip(*pending))
-    mean_stats = columns[:, j, 0]
-    lo, hi = grid[bracket - 1], grid[bracket]
-    t_root = lo.copy()
-    active = np.arange(cell.size)
-    for _ in range(80):
-        mid = 0.5 * (lo[active] + hi[active])
-        val, bad = _aniso_kappa(
-            beta, sw2, sx2, sy2, g[active], mid, mean_stats[:, active]
+    cell, g, j, kappa0, sup_kappa, bracket = zip(*pending)
+    g, bracket = np.array(g), np.array(bracket)
+    mean_stats = columns[:, list(j), 0]
+
+    def residual(t):
+        # NaN marks a degenerate midpoint, where the cell's bisection stops
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, t, mean_stats)
+        return np.where(bad, np.nan, values - 1.0)
+
+    t_root, err = _bisect(
+        residual, grid[bracket - 1], grid[bracket], 0.1 * KAPPA_TOL, 80
+    )
+    for c, t, e, k0, sk in zip(cell, t_root.tolist(), err.tolist(), kappa0, sup_kappa):
+        outcomes[c] = DegenerateDrift(t) if math.isnan(e) else SpeciationResult(
+            t_s=t, kappa0=k0, sup_kappa=sk, regime=REGIME_SPECIATES
         )
-        t_root[active] = mid
-        for k in active[bad]:
-            outcomes[cell[k]] = DegenerateDrift(float(t_root[k]))
-        up = val >= 1.0
-        lo[active] = np.where(up, mid, lo[active])
-        hi[active] = np.where(up, hi[active], mid)
-        active = active[~(bad | (np.abs(val - 1.0) <= 0.1 * KAPPA_TOL))]
-        if not active.size:
-            break
-    for k, c in enumerate(cell.tolist()):
-        if outcomes[c] is None:
-            outcomes[c] = SpeciationResult(
-                t_s=float(t_root[k]), kappa0=float(kappa0[k]),
-                sup_kappa=float(sup_kappa[k]), regime=REGIME_SPECIATES,
-            )
     return outcomes
 
 
@@ -421,7 +417,7 @@ def speciation_time(
     # are any (see StabilityReport), so the bracket holds none
     kappa_at = _symmetric_kappa(spec, init)
     t_root, _ = _bisect(
-        lambda t: kappa_at(t)[0] - 1.0,
+        lambda t: float(kappa_at(t)[0]) - 1.0,
         grid[bracket - 1].item(), grid[bracket].item(), 0.1 * KAPPA_TOL, 80,
     )
     return SpeciationResult(

@@ -10,6 +10,8 @@ import pytest
 
 import oudiff
 from oudiff.cli import CLONE_FIELDS, TOY_FIELDS, dispatch
+from oudiff.collapse import CollapseParams, collapse_time_det
+from oudiff.moments import MixtureInit, ModeMeans, ModelSpec, Symmetric
 
 
 def run_json(capsys, argv):
@@ -42,6 +44,38 @@ class TestScalarCommands:
         assert payload["t_max"] == pytest.approx(
             1.0 / (math.e**2 - 1.0), abs=1e-9
         )
+
+    @pytest.mark.parametrize("alpha", [0.0014, 0.001])
+    @pytest.mark.parametrize("g", [0.0, 0.5])
+    def test_collapse_small_alpha(self, capsys, alpha, g):
+        # the bracket top collapse_bound + 1/beta puts tau t past e^709.8
+        code, payload = run_json(
+            capsys, ["collapse", "--alpha", str(alpha), "--ratio", "1", "--g", str(g)],
+        )
+        assert code == 0
+        assert payload["t_c"] <= payload["t_max"]
+        spec = ModelSpec(beta=1.0, coupling=Symmetric(g), sigma_w2=1.0)
+        init = MixtureInit(1.0, 1.0, ModeMeans(0.0, 0.0))
+        det = collapse_time_det(CollapseParams(alpha, 1.0, spec, init)).t_c
+        assert payload["t_c"] == pytest.approx(det, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--sigma2", "nan"], "sigma2_x"),
+            (["--sigma2", "inf"], "sigma2_x"),
+            (["--m-plus2", "nan"], "m_plus2"),
+            (["--m-plus2", "inf"], "m_plus2"),
+            (["--coupling", "anisotropic", "--sigma2", "nan"], "sigma2_x"),
+            (["--coupling", "anisotropic", "--m-x2", "nan"], "m_x2"),
+            (["--coupling", "anisotropic", "--m-x2", "inf"], "m_x2"),
+        ],
+    )
+    def test_non_finite_model_input_exits_2(self, capsys, argv, field):
+        assert dispatch(["speciation", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}={argv[-1]} must be finite" in err
+        assert "Warning" not in err
 
     def test_collapse_anisotropic(self, capsys):
         code, payload = run_json(

@@ -71,6 +71,13 @@ class TestChi:
         with pytest.raises(InvalidArgument):
             chi(params(), 0.0)
 
+    @pytest.mark.parametrize("g", [0.0, 0.5])
+    def test_finite_past_expm1_range(self, g):
+        # tau t passes 709.8, where e^{tau t} - 1 overflows a double
+        p = params(g=g)
+        assert all(math.isfinite(x) and x >= 0.0 for x in chi(p, 400.0))
+        assert math.isfinite(cgf(p, 1.0, 400.0))
+
 
 class TestCgf:
     def test_zero_at_zero_temperature_dual(self):

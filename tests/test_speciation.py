@@ -22,6 +22,8 @@ from oudiff.speciation import (
     REGIME_NO_SPECIATION,
     REGIME_SPECIATES,
     REGIME_UNSTABLE,
+    _aniso_kappa,
+    _bisect,
     _kappa_grid,
     _scan,
     _scan_grid,
@@ -169,8 +171,9 @@ class TestStability:
             s2 = rng.uniform(0.1, 3.0)
             spec = ModelSpec(beta, Symmetric(g), rng.uniform(0.3, 3.0))
             rep = stability_check(spec, MixtureInit(s2, s2, ModeMeans(1.0, 0.5)))
-            assert rep.first_violation in (None, 0.0)
+            assert rep.stable == (spec.is_stable and s2 < spec.sigma_w2 / (beta + abs(g)))
             assert rep.stable == rep.sufficient == (rep.first_violation is None)
+            assert rep.first_violation in (None, 0.0)
             kinds.add((rep.stable, spec.is_stable))
         assert kinds == {(True, True), (False, True), (False, False)}
 
@@ -344,26 +347,28 @@ def _oracle_cell(spec, init, t_max):
         return REGIME_UNSTABLE, None
 
 
+# (sW2, s2_x, s2_y, m_x2, m_y2, g grid, theta grid, window, outcome kinds)
+ORACLE_GRIDS = [
+    # speciating, no-speciation and window-end error cells
+    (2.0, 1.0, 1.0, 1.0, 1.0, np.linspace(0.0, 2.0, 5),
+     [0.0, math.pi / 3, math.pi / 2, math.pi], 0.6,
+     {REGIME_SPECIATES, REGIME_NO_SPECIATION, "kappa > 1"}),
+    # D(t) vanishes at t = 0 (sW2 = beta s2): every cell degenerate
+    (1.0, 1.0, 1.0, 1.0, 1.0, [0.5], [0.0, math.pi], 8.0,
+     {"degenerate drift operator"}),
+    # D(t) changes sign inside the window: bisection meets the pole
+    (2.822308634965454, 0.8720205523304678, 4.704762063185329,
+     1.8390099031591214, 2.751893114372708, [-8.0, -6.0, 1.0, 4.0],
+     [0.0, math.pi / 2, math.pi], 5.0,
+     {REGIME_SPECIATES, "degenerate drift operator"}),
+]
+ORACLE_GRID_ARGS = "sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds"
+
+
 class TestPhaseDiagramOracle:
     """The batched phase-diagram solver against a per-cell scalar solver."""
 
-    @pytest.mark.parametrize(
-        "sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds",
-        [
-            # speciating, no-speciation and window-end error cells
-            (2.0, 1.0, 1.0, 1.0, 1.0, np.linspace(0.0, 2.0, 5),
-             [0.0, math.pi / 3, math.pi / 2, math.pi], 0.6,
-             {REGIME_SPECIATES, REGIME_NO_SPECIATION, "kappa > 1"}),
-            # D(t) vanishes at t = 0 (sW2 = beta s2): every cell degenerate
-            (1.0, 1.0, 1.0, 1.0, 1.0, [0.5], [0.0, math.pi], 8.0,
-             {"degenerate drift operator"}),
-            # D(t) changes sign inside the window: bisection meets the pole
-            (2.822308634965454, 0.8720205523304678, 4.704762063185329,
-             1.8390099031591214, 2.751893114372708, [-8.0, -6.0, 1.0, 4.0],
-             [0.0, math.pi / 2, math.pi], 5.0,
-             {REGIME_SPECIATES, "degenerate drift operator"}),
-        ],
-    )
+    @pytest.mark.parametrize(ORACLE_GRID_ARGS, ORACLE_GRIDS)
     def test_matches_scalar_bisection(
         self, sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds
     ):
@@ -440,3 +445,134 @@ class TestSymmetricOracle:
                 assert abs(res.t_s - t_s) <= 1e-10
                 assert res.t_s == _scalar_symmetric_t_s(spec, init, t_max)
         assert seen == {REGIME_SPECIATES, REGIME_NO_SPECIATION, REGIME_UNSTABLE}
+
+
+def _batched_oracle(spec, init, gs, stats, t_max):
+    """Anisotropic speciation by the batched bisection loop that ran before
+    the solver shared ``_bisect``: every pending cell halves together, and
+    a cell leaves the active set once it meets a degenerate midpoint or
+    |kappa - 1| <= 0.1 * KAPPA_TOL.  Returns t_s, or the error string, for
+    each (g, stats) pair."""
+    beta, sw2 = spec.beta, spec.sigma_w2
+    sx2, sy2 = init.sigma2_x, init.sigma2_y
+    grid = _scan_grid(t_max)
+    columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
+    outcomes, pending = [], []
+    for g in gs:
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, columns)
+        if np.any(bad):
+            outcomes.extend([str(DegenerateDrift(float(grid[np.argmax(bad)])))] * len(stats))
+            continue
+        for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
+            outcome = _scan_outcome(*scanned)
+            if outcome is None:
+                pending.append((len(outcomes), g, j, scanned[3]))
+            outcomes.append(outcome if outcome is None else getattr(outcome, "t_s", str(outcome)))
+    if not pending:
+        return outcomes
+    cell, g, j, bracket = (np.array(x) for x in zip(*pending))
+    mean_stats = columns[:, j, 0]
+    lo, hi = grid[bracket - 1], grid[bracket]
+    t_root = lo.copy()
+    active = np.arange(cell.size)
+    for _ in range(80):
+        mid = 0.5 * (lo[active] + hi[active])
+        val, bad = _aniso_kappa(beta, sw2, sx2, sy2, g[active], mid, mean_stats[:, active])
+        t_root[active] = mid
+        for k in active[bad]:
+            outcomes[cell[k]] = str(DegenerateDrift(float(t_root[k])))
+        up = val >= 1.0
+        lo[active] = np.where(up, mid, lo[active])
+        hi[active] = np.where(up, hi[active], mid)
+        active = active[~(bad | (np.abs(val - 1.0) <= 0.1 * KAPPA_TOL))]
+        if not active.size:
+            break
+    for k, c in enumerate(cell.tolist()):
+        if outcomes[c] is None:
+            outcomes[c] = float(t_root[k])
+    return outcomes
+
+
+class TestBisect:
+    """One bisection loop, on float brackets or elementwise on arrays."""
+
+    @staticmethod
+    def _cells():
+        # monotone decreasing f_k(t) = (r_k - t) (a_k + b_k (r_k - t)^2),
+        # NaN for t in [nan_lo_k, nan_hi_k)
+        rng = np.random.default_rng(5)
+        n = 40
+        lo = rng.uniform(-2.0, 1.0, n)
+        hi = lo + rng.uniform(0.1, 3.0, n)
+        r = rng.uniform(lo, hi)
+        a = rng.uniform(0.1, 10.0, n)
+        b = rng.uniform(0.0, 5.0, n)
+        nan_lo = np.full(n, np.inf)
+        nan_hi = np.full(n, np.inf)
+        # the root at the first midpoint: stops there with f = 0
+        lo[0], hi[0], r[0] = 0.0, 1.0, 0.5
+        # midpoints 0.5, 0.25, then 0.375 falls in the NaN band
+        lo[1], hi[1], r[1], nan_lo[1], nan_hi[1] = 0.0, 1.0, 0.35, 0.3, 0.4
+        # slope 1e8 needs about 57 halvings to reach the tolerance
+        lo[2], hi[2], r[2], a[2], b[2] = 0.0, 1.0, 1.0 / 3.0, 1e8, 0.0
+        return lo, hi, r, a, b, nan_lo, nan_hi
+
+    @staticmethod
+    def _f(r, a, b, nan_lo, nan_hi):
+        if isinstance(r, float):
+            def f(t):
+                if nan_lo <= t < nan_hi:
+                    return math.nan
+                return (r - t) * (a + b * (r - t) * (r - t))
+            return f
+        def f(t):
+            val = (r - t) * (a + b * (r - t) * (r - t))
+            return np.where((nan_lo <= t) & (t < nan_hi), np.nan, val)
+        return f
+
+    def test_array_matches_float_cells_bit_for_bit(self):
+        lo, hi, r, a, b, nan_lo, nan_hi = self._cells()
+        tol, max_iter = 1e-9, 40
+        t_arr, err_arr = _bisect(self._f(r, a, b, nan_lo, nan_hi), lo, hi, tol, max_iter)
+        assert t_arr.shape == err_arr.shape == lo.shape
+        for k, cell in enumerate(zip(lo.tolist(), hi.tolist(), r.tolist(), a.tolist(),
+                                     b.tolist(), nan_lo.tolist(), nan_hi.tolist())):
+            t, err = _bisect(self._f(*cell[2:]), cell[0], cell[1], tol, max_iter)
+            assert t_arr[k].tobytes() == np.float64(t).tobytes(), k
+            assert err_arr[k].tobytes() == np.float64(err).tobytes(), k
+        assert (t_arr[0], err_arr[0]) == (0.5, 0.0)
+        assert t_arr[1] == 0.375 and math.isnan(err_arr[1])
+        calls = []
+        f = self._f(0.35, 1.0, 0.0, 0.3, 0.4)
+        _bisect(lambda t: calls.append(t) or f(t), 0.0, 1.0, tol, max_iter)
+        assert calls == [0.5, 0.25, 0.375]  # a NaN stops the float cell
+        assert err_arr[2] > tol  # exhausted max_iter
+        assert np.all(err_arr[3:] <= tol)
+
+    def test_float_call_returns_python_floats(self):
+        for tol, max_iter in ((1e-12, 80), (0.0, 5)):
+            t, err = _bisect(lambda x: 0.7 - x, 0.0, 2.0, tol, max_iter)
+            assert type(t) is float and type(err) is float
+
+    @pytest.mark.parametrize(ORACLE_GRID_ARGS, ORACLE_GRIDS)
+    def test_phase_diagram_matches_batched_loop(
+        self, sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds
+    ):
+        spec = ModelSpec(1.0, Anisotropic(0.0), sw2)
+        init = MixtureInit(sx2, sy2, AngledMeans(m_x2, m_y2, 0.0))
+        cells = phase_diagram(spec, init, g_grid, theta_grid, t_max)
+        stats = [
+            MixtureInit(sx2, sy2, AngledMeans(m_x2, m_y2, c.theta)).channel_stats()
+            for c in cells[: len(theta_grid)]
+        ]
+        want = _batched_oracle(spec, init, [c.g for c in cells[:: len(theta_grid)]],
+                               stats, t_max)
+        got = [
+            c.error if c.result is None
+            else c.result.t_s if c.result.regime == REGIME_SPECIATES
+            else None
+            for c in cells
+        ]
+        # no-speciation cells settle in the scan, the same in both
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got == want

@@ -329,8 +329,7 @@ def _label_modes(spec: ModelSpec, init: MixtureInit):
     """
     if not isinstance(spec.coupling, Symmetric):
         raise InvalidArgument("the cloning protocol runs on symmetric coupling")
-    if not spec.is_stable:
-        raise InvalidArgument("cloning needs a stable symmetric spec")
+    spec.require_stable()
     if not init.equal_variance:
         raise InvalidArgument("cloning requires sigma_x == sigma_y")
     mp2, mm2 = init.mode_norms()

@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis
 from .collapse import (
     CollapseParams,
+    _require_ratio,
     collapse_bound,
     collapse_time_conditional,
     collapse_time_det,
@@ -234,6 +235,7 @@ def _cmd_speciation(args) -> int:
 def _cmd_collapse(args) -> int:
     # only the ratio s2/sW2 enters, so the internal model fixes sW2 = 1
     spec = ModelSpec(beta=args.beta, coupling=_coupling(args), sigma_w2=1.0)
+    _require_ratio(args.ratio)  # before the ratio becomes the internal variances
     init = MixtureInit(
         sigma2_x=args.ratio, sigma2_y=args.ratio, mean_spec=ModeMeans(0.0, 0.0)
     )

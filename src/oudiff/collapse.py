@@ -21,6 +21,7 @@ joint and conditional transitions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .blockmat import schur_conditional
@@ -49,6 +50,11 @@ LOG_RESIDUAL_TOL = 1e-12
 MAX_BISECT = 200
 
 
+def _require_ratio(ratio: float) -> None:
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise InvalidArgument(f"ratio={ratio!r} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class CollapseParams:
     """Inputs of the collapse solvers.
@@ -66,8 +72,7 @@ class CollapseParams:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise InvalidArgument(f"alpha={self.alpha!r} must be finite")
-        if not (math.isfinite(self.ratio) and self.ratio > 0.0):
-            raise InvalidArgument(f"ratio={self.ratio!r} must be positive")
+        _require_ratio(self.ratio)
         if self.init.equal_variance:
             implied = self.init.sigma2_x / self.spec.sigma_w2
             if abs(self.ratio - implied) > 1e-9 * max(self.ratio, implied):
@@ -106,17 +111,17 @@ def _taus(params: CollapseParams) -> tuple[float, float]:
     spec = params.spec
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("mode rates require symmetric coupling")
-    if not spec.is_stable:
-        raise InvalidArgument("symmetric spec must satisfy beta > |g|")
+    spec.require_stable()
     modes = spec.modes()
     return modes.tau_plus, modes.tau_minus
 
 
-def _chi_mode(ratio: float, tau: float, t: float) -> float:
+def _over_expm1(num: float, x: float) -> float:
+    """num / (e^x - 1); past e^709.8, where expm1 overflows, its limit num e^{-x}."""
     try:
-        return ratio * tau / math.expm1(tau * t)
-    except OverflowError:  # past e^709.8: the limit ratio tau e^{-tau t}
-        return ratio * tau * math.exp(-tau * t)
+        return num / math.expm1(x)
+    except OverflowError:
+        return num * math.exp(-x)
 
 
 def chi(params: CollapseParams, t: float) -> tuple[float, float]:
@@ -124,7 +129,8 @@ def chi(params: CollapseParams, t: float) -> tuple[float, float]:
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidArgument(f"t={t!r} must be positive")
     tau_p, tau_m = _taus(params)
-    return _chi_mode(params.ratio, tau_p, t), _chi_mode(params.ratio, tau_m, t)
+    ratio = params.ratio
+    return _over_expm1(ratio * tau_p, tau_p * t), _over_expm1(ratio * tau_m, tau_m * t)
 
 
 def cgf(params: CollapseParams, beta_rem: float, t: float) -> float:
@@ -157,7 +163,7 @@ def _require_alpha(params: CollapseParams):
 def collapse_bound(params: CollapseParams) -> float:
     """Upper bound t_C <= ratio / (n^{1/d} - 1) from e^x - 1 >= x."""
     _require_alpha(params)
-    return params.ratio / math.expm1(2.0 * params.alpha)
+    return _over_expm1(params.ratio, 2.0 * params.alpha)
 
 
 def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
@@ -214,7 +220,11 @@ def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
     _require_alpha(params)
     tau_p, tau_m = _taus(params)
     tau = tau_p if mode == "+" else tau_m
-    t_c = math.log1p(params.ratio * tau / math.expm1(2.0 * params.alpha)) / tau
+    t_c = math.log1p(_over_expm1(params.ratio * tau, 2.0 * params.alpha)) / tau
+    if tau * t_c < sys.float_info.min:  # subnormal: the residual's expm1 loses it
+        raise InvalidArgument(
+            f"collapse time underflows at alpha={params.alpha!r}, ratio={params.ratio!r}"
+        )
     residual = abs(
         math.log1p(params.ratio * tau / math.expm1(tau * t_c))
         - 2.0 * params.alpha
@@ -230,8 +240,7 @@ def collapse_time_det(params: CollapseParams) -> CollapseResult:
     with the eigenmode transcendental equation.
     """
     spec, init = params.spec, params.init
-    if isinstance(spec.coupling, Symmetric) and not spec.is_stable:
-        raise InvalidArgument("symmetric spec must satisfy beta > |g|")
+    spec.require_stable()
 
     def f(t: float) -> float:
         ms = diffusion_kernel(spec, init, t)

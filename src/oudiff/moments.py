@@ -116,6 +116,14 @@ class ModelSpec:
             return self.beta > abs(self.coupling.g)
         return True
 
+    def require_stable(self) -> None:
+        """Refuse a symmetric spec with |g| >= beta, which has no stationary law."""
+        if not self.is_stable:
+            raise InvalidArgument(
+                f"symmetric coupling needs beta > |g|, got beta={self.beta!r}, "
+                f"g={self.coupling.g!r}"
+            )
+
     def coupling_at(self, t=None):
         """Coupling at forward time t: a float, or an array for an array of times."""
         if isinstance(self.coupling, Scheduled):

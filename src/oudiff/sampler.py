@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmat import Block2, block_inverse, mat_exp, schur_complement
+from .blockmat import Block2, block_inverse, from_modes, mat_exp, schur_complement
 from .errors import (
     InvalidArgument,
     KernelDegenerate,
@@ -152,11 +152,8 @@ def stationary_cov(spec: ModelSpec) -> Block2:
     sw2 = spec.sigma_w2
     beta = spec.beta
     if isinstance(spec.coupling, Symmetric):
-        if not spec.is_stable:
-            raise InvalidArgument("no stationary law: beta > |g| required")
+        spec.require_stable()
         modes = spec.modes()
-        from .blockmat import from_modes
-
         return from_modes(sw2 / modes.tau_plus, sw2 / modes.tau_minus)
     g = spec.coupling_at(math.inf)
     off = sw2 * g / (4.0 * beta * beta)
@@ -263,6 +260,21 @@ class _Recorder:
         return Trajectory(np.array(self.times), np.stack(self.states), self.scan_cache)
 
 
+def _euler_maruyama(spec, z, grid, h, drift, rng, record, noiseless_last):
+    """Euler-Maruyama steps z <- z + h drift(z, t_k) + sW sqrt(h) xi_k at
+    the times t_k of ``grid`` but its last, passing each state to
+    ``record``; with ``noiseless_last`` the final step adds no noise."""
+    noise_sd = math.sqrt(spec.sigma_w2) * math.sqrt(h)
+    steps = len(grid) - 1
+    record(0, z)
+    for k in range(steps):
+        z = z + h * drift(z, float(grid[k]))
+        if not (noiseless_last and k == steps - 1):
+            z = z + noise_sd * rng.standard_normal(z.shape)
+        record(k + 1, z)
+    return record.trajectory()
+
+
 def forward_sample(
     spec: ModelSpec,
     init_or_points,
@@ -280,30 +292,20 @@ def forward_sample(
     """
     if steps < 1:
         raise InvalidArgument("steps must be >= 1")
-    if isinstance(spec.coupling, Symmetric) and not spec.is_stable:
-        raise InvalidArgument("forward sampling refuses |g| >= beta")
+    spec.require_stable()
 
     d = spec.dim_d
-    h = horizon / steps
     grid = np.linspace(0.0, horizon, steps + 1)
     if isinstance(init_or_points, MixtureInit):
         z = draw_mixture(init_or_points, n_paths, rng).points
     else:
         z = _start_states(init_or_points, d, n_paths)
-    sw = math.sqrt(spec.sigma_w2)
-    sqrt_h = math.sqrt(h)
+
+    def drift(state: np.ndarray, t: float) -> np.ndarray:
+        return _block_apply_state(spec.relaxation(t), state, d)
 
     record = _Recorder(grid, record_times, record_path)
-    record(0, z)
-    for k in range(steps):
-        m = spec.relaxation(float(grid[k]))
-        x, y = split_channels(z, d)
-        dx, dy = m.apply(x, y)
-        noise = sw * sqrt_h * rng.standard_normal(z.shape)
-        z = z + h * np.concatenate([dx, dy], axis=-1) + noise
-        record(k + 1, z)
-
-    return record.trajectory()
+    return _euler_maruyama(spec, z, grid, horizon / steps, drift, rng, record, False)
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +456,14 @@ def reverse_sample(
     else:
         z = _start_states(start, d, n_paths)
 
-    h = horizon / steps
-    sqrt_h = math.sqrt(h)
-    sw = math.sqrt(spec.sigma_w2)
-    sw2 = spec.sigma_w2
     grid = horizon * (1.0 - np.arange(steps + 1) / steps)
 
-    record = _Recorder(grid, record_times, record_path)
-    record(0, z)
-    for k in range(steps):
-        t = float(grid[k])
+    def drift(state: np.ndarray, t: float) -> np.ndarray:
         m = spec.relaxation(t)
-        drift = -_block_apply_state(m, z, d) + sw2 * score(z, t)
-        z = z + h * drift
-        if k < steps - 1:
-            z = z + sw * sqrt_h * rng.standard_normal(z.shape)
-        record(k + 1, z)
+        return -_block_apply_state(m, state, d) + spec.sigma_w2 * score(state, t)
 
-    return record.trajectory()
+    record = _Recorder(grid, record_times, record_path)
+    return _euler_maruyama(spec, z, grid, horizon / steps, drift, rng, record, True)
 
 
 def flow_sample(
@@ -779,7 +771,7 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     decay = math.exp(-beta * h)
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
     noise_sd = math.sqrt(sw2) * math.sqrt(h)
-    n_cells, n_x = len(configs), c11.shape[1]
+    n_cells = len(configs)
     if d > p:
         x_weights, noise_weights = _off_plane_weights(
             gain[:, :, 0, 0], c_yx[:, :, 0, 0], g, h, beta, sw2, decay, trans_sd, noise_sd
@@ -794,23 +786,18 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     while lo < config.trials:
         m = min(config.chunk, config.trials - lo)
         if x_path is None or x_path.shape[1] != m:
-            # every step below writes into these; none allocates, and
-            # chunks of one size share them
+            # chunks of one size share the X path and its plane
             x_path = np.empty((n_steps + 1, m, d))
             x_plane = np.empty((n_steps + 1, m, p))
-            y, r, score, drift = (np.empty((n_cells, m, p)) for _ in range(4))
-            a = np.empty((n_cells, m, 1))
-            step = np.empty((m, p))
             off = np.empty((m, d))
         s = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
         x_path[0] = s[:, None] * mu_x0 + init_sd * rng.standard_normal((m, d))
         # one call draws what n_steps calls of (m, d) draw in turn
         rng.standard_normal(out=x_path[1:])
         x_plane[0] = x_path[0, :, :p]
-        np.multiply(x_path[1:, :, :p], trans_sd, out=x_plane[1:])
+        x_plane[1:] = x_path[1:, :, :p] * trans_sd
         for k in range(n_steps):
-            np.multiply(x_plane[k], decay, out=step)
-            x_plane[k + 1] += step
+            x_plane[k + 1] += x_plane[k] * decay
         y_off = y0_out[:, lo : lo + m, p:]
         if d > p:
             draws = x_path.reshape(n_steps + 1, m * d)
@@ -825,46 +812,21 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
         # the y noise, start draw first, as the loop's calls would draw it;
         # the plane of the X path is in x_plane, the rest is read above
         rng.standard_normal(out=x_path[1:])
-        np.multiply(gain[n_steps], x_t, out=y)
-        np.copyto(r, e_delta[n_steps])
-        np.negative(r, out=r, where=~pick_plus[..., None])
-        y += r
-        np.multiply(np.sqrt(c_yx[n_steps]), x_path[1, :, :p], out=r)
-        y += r
+        delta = e_delta[n_steps]
+        y = (
+            gain[n_steps] * x_t
+            + np.where(pick_plus[..., None], delta, -delta)
+            + np.sqrt(c_yx[n_steps]) * x_path[1, :, :p]
+        )
 
         for k in range(n_steps):
             idx = n_steps - k  # grid index of the current reverse time
             x_t = x_plane[idx]
-            mu_x, delta = ex[idx], e_delta[idx]
-            # the score of _mixture_score: u = mu_x . x / C11,
-            # r = y - gain x, a = u + r . delta / c_yx,
-            # score = (tanh(a) delta - r) / c_yx; drift is free scratch
-            # until the drift is formed, and so are score before the
-            # score and r after it
-            np.multiply(x_t, mu_x, out=drift[:n_x])
-            np.sum(drift[:n_x], axis=-1, keepdims=True, out=u)
-            u /= c11[idx]
-            np.multiply(gain[idx], x_t, out=r)
-            np.subtract(y, r, out=r)
-            np.multiply(r, delta, out=score)
-            np.sum(score, axis=-1, keepdims=True, out=a)
-            a /= c_yx[idx]
-            a += u
-            np.tanh(a, out=a)
-            np.multiply(a, delta, out=score)
-            score -= r
-            score /= c_yx[idx]
-            # y + h (beta y - g_t x_t + sW2 score)
-            np.multiply(y, beta, out=drift)
-            np.multiply(g[idx], x_t, out=r)
-            drift -= r
-            score *= sw2
-            drift += score
-            drift *= h
-            y += drift
+            u = np.sum(x_t * ex[idx], axis=-1, keepdims=True) / c11[idx]
+            score = _mixture_score(u, gain[idx], e_delta[idx], c_yx[idx], x_t, y)
+            y += h * (beta * y - g[idx] * x_t + sw2 * score)
             if k < n_steps - 1:
-                np.multiply(x_path[k + 2, :, :p], noise_sd, out=step)
-                y += step
+                y += noise_sd * x_path[k + 2, :, :p]
 
         y0_out[:, lo : lo + m, :p] = y
         if d > p:

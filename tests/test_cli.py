@@ -60,6 +60,23 @@ class TestScalarCommands:
         assert payload["t_c"] == pytest.approx(det, rel=1e-9)
 
     @pytest.mark.parametrize(
+        "coupling", [[], ["--coupling", "anisotropic", "--g", "0.5"]]
+    )
+    def test_collapse_huge_alpha_exits_2(self, capsys, coupling):
+        # collapse_bound's expm1(2 alpha) overflows past alpha ~ 354.9
+        assert dispatch(["collapse", "--alpha", "400", "--ratio", "1", *coupling]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oudiff: invalid configuration: root not bracketed")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("ratio", ["-1", "0", "nan", "inf"])
+    def test_collapse_bad_ratio_names_ratio(self, capsys, ratio):
+        assert dispatch(["collapse", "--alpha", "1", "--ratio", ratio]) == 2
+        assert capsys.readouterr().err == (
+            f"oudiff: invalid configuration: ratio={float(ratio)!r} must be finite and > 0\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, field",
         [
             (["--sigma2", "nan"], "sigma2_x"),
@@ -154,8 +171,9 @@ class TestScalarCommands:
 
 
 class TestOutputBytes:
-    """Output bytes pinned before the speciation closed forms were shared;
-    a change to the solvers or closed forms must reproduce them exactly."""
+    """Output bytes pinned before the speciation closed forms were shared
+    and before the samplers shared one Euler-Maruyama loop; a change to the
+    solvers, closed forms or sampler loops must reproduce them exactly."""
 
     @pytest.mark.parametrize(
         "argv, code, expected",
@@ -191,6 +209,44 @@ class TestOutputBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "16536c1871d44285d0a5418f3d8dffd58d7d9b1e218572597c55129285b5b229"
         )
+
+    def test_toy_conditional_csv(self, tmp_path):
+        # d > 2 and three chunks (16, 16, 8): the off-plane fill and a partial chunk
+        cfg = {"theta_points": 2, "trials": 40, "steps": 30, "dim_d": 5, "chunk": 16}
+        cfg_path = tmp_path / "toy.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "toy.csv"
+        assert dispatch(
+            ["toy-conditional", "--config", str(cfg_path), "--seed", "11", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "59dde970a1d1c79323e65bf363994b2353dc41e578d85bbf1403ce6017b2301a"
+        )
+
+    @pytest.mark.parametrize(
+        "coupling, mode, digest",
+        [
+            ("symmetric", "forward",
+             "186974c298f73d2ca5d3d8615b55ea0237a1fe41ec841af7f90af99fa8a36edf"),
+            ("symmetric", "reverse",
+             "cd62223e1e0143090938b8aacac530a7eeff4ed75a1c3e0896c6ebc592459b30"),
+            ("symmetric", "flow",
+             "cb755e87a6ce47d97a57bc766fbd460018f7c0e31e37ce559562c385959733eb"),
+            ("anisotropic", "forward",
+             "8b2a314a142a8b4ef908e480b8563a24116951de55fe7c8108bf25ff63e2a02b"),
+            ("anisotropic", "reverse",
+             "1897a089312f77c7449aa40032f3122c250efa62183c4142ead9c159b88a9f52"),
+            ("anisotropic", "flow",
+             "593500d81e23478c9c187e8c1ef0d6c3502557b5acdeadcfc319246b58cafb0b"),
+        ],
+    )
+    def test_sample_csv(self, tmp_path, coupling, mode, digest):
+        out = tmp_path / "sample.csv"
+        assert dispatch(
+            ["sample", "--mode", mode, "--coupling", coupling, "--g", "0.5", "--dim", "3",
+             "--paths", "16", "--steps", "20", "--seed", "7", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweeps:

@@ -183,6 +183,29 @@ class TestBound:
     def test_large_alpha_vanishes(self):
         assert collapse_bound(params(alpha=40.0)) < 1e-30
 
+    def test_limit_past_expm1_range(self):
+        # expm1(2 alpha) overflows past alpha ~ 354.9; in range the bytes stay
+        assert collapse_bound(params(alpha=354.0)) == 1.0 / math.expm1(708.0)
+        assert collapse_bound(params(alpha=354.9)) == math.exp(-709.8)
+        assert collapse_bound(params(alpha=400.0)) == 0.0
+
+    @pytest.mark.parametrize("mode", ["+", "-"])
+    @pytest.mark.parametrize("alpha", [354.9, 360.0, 400.0])
+    def test_mode_refuses_underflowed_time(self, mode, alpha):
+        # t_c ~ ratio e^{-2 alpha} is subnormal past alpha ~ 354.2 and 0 past ~ 372.6
+        with pytest.raises(InvalidArgument, match=f"underflows at alpha={alpha!r}"):
+            collapse_time_mode(params(alpha=alpha, g=0.5), mode)
+        assert collapse_time_mode(params(alpha=354.0, g=0.5), mode).residual == 0.0
+
+    @pytest.mark.parametrize(
+        "solve, coupling",
+        [(collapse_time_symmetric, Symmetric), (collapse_time_det, Symmetric),
+         (collapse_time_det, Anisotropic), (collapse_time_conditional, Anisotropic)],
+    )
+    def test_solvers_refuse_huge_alpha(self, solve, coupling):
+        with pytest.raises(InvalidArgument, match="root not bracketed"):
+            solve(params(alpha=400.0, g=0.5, coupling=coupling))
+
 
 class TestDetRoute:
     def test_symmetric_cross_check(self):

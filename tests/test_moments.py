@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oudiff.analysis import CloneConfig, clone_agreement
 from oudiff.blockmat import mat_exp
+from oudiff.collapse import CollapseParams, collapse_time_det, collapse_time_symmetric
 from oudiff.errors import InvalidArgument, UnsupportedShape
 from oudiff.moments import (
     Anisotropic,
@@ -23,6 +25,7 @@ from oudiff.moments import (
     moments_rk4,
     transition_cov,
 )
+from oudiff.sampler import forward_sample, stationary_cov
 
 
 def quad_transition_cov(spec: ModelSpec, t: float) -> np.ndarray:
@@ -87,6 +90,29 @@ class TestModelSpec:
         assert ModelSpec(1.0, Symmetric(0.5), 1.0).is_stable
         assert not ModelSpec(1.0, Symmetric(1.2), 1.0).is_stable
         assert ModelSpec(1.0, Anisotropic(5.0), 1.0).is_stable
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda spec, init: stationary_cov(spec),
+            lambda spec, init: forward_sample(spec, init, 4, np.random.default_rng(0)),
+            lambda spec, init: collapse_time_symmetric(CollapseParams(1.0, 0.5, spec, init)),
+            lambda spec, init: collapse_time_det(CollapseParams(1.0, 0.5, spec, init)),
+            lambda spec, init: clone_agreement(
+                spec, init, [0.5], CloneConfig(), np.random.default_rng(0)
+            ),
+        ],
+        ids=["stationary_cov", "forward_sample", "collapse_mode_rates",
+             "collapse_time_det", "clone_agreement"],
+    )
+    @pytest.mark.parametrize("g", [1.0, -1.5])
+    def test_unstable_refused_by_one_check(self, entry, g):
+        spec = ModelSpec(1.0, Symmetric(g), 1.0)
+        init = MixtureInit(0.5, 0.5, ModeMeans(1.0, 1.0))
+        message = f"symmetric coupling needs beta > |g|, got beta=1.0, g={g!r}"
+        with pytest.raises(InvalidArgument) as info:
+            entry(spec, init)
+        assert str(info.value) == message
 
     def test_scheduled_value(self):
         sched = ScheduleSpec("late", 1.0, 1.0)

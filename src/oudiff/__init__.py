@@ -33,7 +33,7 @@ from .moments import (
     mean_at,
     mode_kernels,
     moments_ode,
-    moments_rk4,
+    stacked_moments,
     transition_cov,
 )
 from .sampler import (

@@ -199,7 +199,8 @@ def schur_complement(c11, c12, c22):
     Returns ``(c_y_given_x, gain)`` where ``c_y_given_x = c22 - c12^2/c11``
     and ``gain = c12/c11`` is the regression coefficient of y on x.  The
     entries are scalars or arrays that broadcast; raises
-    NotPositiveDefinite unless every c11 and every c_y_given_x is positive.
+    NotPositiveDefinite unless every c11 and every c_y_given_x is positive
+    and finite.
     """
     _require_positive("c11", c11)
     c_yx = c22 - c12 * c12 / c11
@@ -208,17 +209,21 @@ def schur_complement(c11, c12, c22):
 
 
 def _require_positive(name: str, values):
-    """One-line NotPositiveDefinite unless every entry is positive: the
-    first failing value and, for arrays, the failing count and first index."""
+    """One-line NotPositiveDefinite unless every entry is positive and
+    finite: the first failing value, or that some are non-finite (an
+    overflow or a nan), and for arrays the failing count and first index."""
     values = np.asarray(values)
-    bad = values <= 0.0
+    finite = np.isfinite(values)
+    bad = values <= 0.0 if finite.all() else ~finite
     if np.any(bad):
         first = np.unravel_index(np.argmax(bad), bad.shape)
+        value = float(values[first])
+        what = f"={value!r}" if math.isfinite(value) else " holds non-finite values"
         where = (
             f" at {np.count_nonzero(bad)} of {bad.size} entries, first at index "
             f"{tuple(int(i) for i in first)}"
         ) if bad.ndim else ""
-        raise NotPositiveDefinite(f"block not SPD: {name}={float(values[first])!r}{where}")
+        raise NotPositiveDefinite(f"block not SPD: {name}{what}{where}")
 
 
 def schur_conditional(c: Block2) -> tuple[float, float]:

@@ -393,6 +393,12 @@ def _cmd_sample(args) -> int:
                 ),
             }
         )
+    bad = [col for col in SAMPLE_HEADER if not all(math.isfinite(r[col]) for r in rows)]
+    if bad:
+        raise InvalidArgument(
+            f"sample statistics hold non-finite values ({', '.join(bad)}); "
+            "the run diverged"
+        )
     write_csv(rows, SAMPLE_HEADER, args.out)
     return 0
 

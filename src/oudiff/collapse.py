@@ -171,23 +171,41 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     |f| <= LOG_RESIDUAL_TOL.
 
     The bracket is [1e-12 / beta, collapse_bound + 1 / beta], its top
-    doubled while f stays positive, up to 1e8 / beta.  ``collapse_bound``
-    raises NoCollapse unless alpha > 0.
+    doubled while f stays positive, up to 1e8 / beta.  f rises to +inf as
+    t -> 0+, so when f(1e-12 / beta) < 0 the root lies below it: unless
+    ``collapse_bound`` underflows to 0, the bracket is then [t, 2t] with
+    f(t) >= 0 > f(2t), found in steps of a factor 2 from the bound where
+    that is lower.  ``collapse_bound`` raises NoCollapse unless alpha > 0.
+    A bisection that stops with |f| above the tolerance raises
+    InvalidArgument rather than return a non-root.
     """
     beta = params.spec.beta
+    bound = collapse_bound(params)
     lo = 1e-12 / beta
-    hi = collapse_bound(params) + 1.0 / beta
+    hi = bound + 1.0 / beta
     while f(hi) > 0.0:
         hi *= 2.0
         if hi > 1e8 / beta:
             raise NoCollapse("collapse equation has no root below the cap")
     f_lo = f(lo)
+    if f_lo < 0.0 and bound > 0.0:
+        hi = min(lo, bound)
+        while f(hi) >= 0.0:
+            hi *= 2.0
+        lo = 0.5 * hi
+        while (f_lo := f(lo)) < 0.0:
+            hi, lo = lo, 0.5 * lo
     f_hi = f(hi)
     if f_lo < 0.0 or f_hi > 0.0:
         raise InvalidArgument(
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
     t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
+    if not residual <= LOG_RESIDUAL_TOL:
+        raise InvalidArgument(
+            f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r} "
+            f"after {MAX_BISECT} halvings"
+        )
     # a numpy alpha makes f, and with it the bisection, numpy-scalar valued
     return CollapseResult(t_c=float(t_c), residual=residual, kind=kind)
 

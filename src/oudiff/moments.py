@@ -1,7 +1,8 @@
 """Exact first and second moments of the coupled forward process.
 
-Closed forms cover both constant coupling kinds; a classic RK4 integrator
-handles time-dependent coupling schedules.  Means are carried as
+Closed forms cover both constant coupling kinds; a coupling schedule is
+followed on a time grid by the exact moment map of each step, with the
+coupling held at its step-midpoint value.  Means are carried as
 per-dimension coordinates in the 2D plane spanned by the two mean
 directions, which is sufficient for every downstream quadratic form and
 is materialized into full d-vectors only by the samplers.
@@ -323,11 +324,19 @@ def _poly_tail_k(a):
     return np.where(a < 0.5, series, direct)
 
 
+def _cube(x):
+    """x**3; where a Python float's cube overflows, inf, as numpy gives."""
+    try:
+        return x**3
+    except OverflowError:
+        return math.inf
+
+
 def _poly_tail_h(a):
     """1 - e^{-a}(1 + a + a^2/2), series-evaluated below a=0.5."""
     # sum_{n>=3} (-1)^{n+1} a^n (n-1)(n-2) / (2 n!)
     direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
-    term = a**3 / 6.0
+    term = _cube(a) / 6.0
     series = term
     for n in range(4, 19):
         term = term * (-a) * (n - 1) / (n * (n - 3))
@@ -341,12 +350,13 @@ def _aniso_q(beta, sw2, g, ts):
     Built from the tails u(t) = 1 - e^{-2 beta t},
     k(t) = 1 - e^{-2 beta t}(1 + 2 beta t) and
     h(t) = 1 - e^{-2 beta t}(1 + 2 beta t + 2 beta^2 t^2).
+    Where beta^2 or beta^3 overflows, the g terms take their limit 0.
     """
     a = 2.0 * beta * ts
     u = -np.expm1(-a)
     q11 = sw2 * u / (2.0 * beta)
     q12 = sw2 * g * _poly_tail_k(a) / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * _poly_tail_h(a) / (4.0 * beta**3))
+    q22 = sw2 * (u / (2.0 * beta) + g * g * _poly_tail_h(a) / (4.0 * _cube(beta)))
     return q11, q12, q22
 
 
@@ -462,27 +472,61 @@ def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
 
 
 # ---------------------------------------------------------------------------
-# scheduled coupling: RK4 moment integration
+# moments on a time grid: the exact map of each step
 
 
-def _ode_rhs(m: np.ndarray, noise: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/dt of the stacked moments s = (mu, C, Q), shaped (3, cells, 2, 2):
-    dmu = M mu, dC = M C + C M^T + noise and dQ alike."""
-    ds = m @ s
-    ds[1:] += s[1:] @ np.swapaxes(m, -1, -2)
-    ds[1:] += noise
-    return ds
+def _step_maps(specs, grid: np.ndarray):
+    """Per grid step and spec, the exact moment map with the coupling held
+    at its value at the step midpoint: Phi = e^{M h} and the noise Q(h)
+    gathered over the step, each shaped (steps, cells, 2, 2).
+
+    One-way coupling (anisotropic or scheduled) has
+    Phi = e^{-beta h} [[1, 0], [g h, 1]] and Q(h) from ``_aniso_q``;
+    symmetric coupling takes the eigenmode forms of ``mean_at`` and
+    ``transition_cov``.  Each entry reads only its own spec and step.
+    """
+    h = np.diff(grid)
+    h_cells = h[:, None]  # broadcasts against the cell axis
+    t_mid = 0.5 * (grid[:-1] + grid[1:])
+    g = np.stack([spec.coupling_at(t_mid) for spec in specs], axis=1)
+    beta = np.array([spec.beta for spec in specs])
+    sw2 = np.array([spec.sigma_w2 for spec in specs])
+    phi = np.zeros(g.shape + (2, 2))
+    q_h = np.empty(g.shape + (2, 2))
+    decay = np.exp(-beta * h_cells)
+    phi[..., 0, 0] = phi[..., 1, 1] = decay
+    phi[..., 1, 0] = decay * (g * h_cells)
+    q_h[..., 0, 0], q_h[..., 0, 1], q_h[..., 1, 1] = _aniso_q(beta, sw2, g, h_cells)
+    q_h[..., 1, 0] = q_h[..., 0, 1]
+    for j, spec in enumerate(specs):
+        if not isinstance(spec.coupling, Symmetric):
+            continue
+        modes = spec.modes()
+        mode_pairs = []
+        for lam, tau in ((modes.lambda_plus, modes.tau_plus),
+                         (modes.lambda_minus, modes.tau_minus)):
+            # (1 - e^{-tau h}) / tau, which is h at tau = 0
+            q_mode = -np.expm1(-tau * h) / tau if tau else h
+            mode_pairs.append((np.exp(lam * h), spec.sigma_w2 * q_mode))
+        (phi_p, q_p), (phi_m, q_m) = mode_pairs
+        for out, plus, minus in ((phi, phi_p, phi_m), (q_h, q_p, q_m)):
+            out[:, j, 0, 0] = out[:, j, 1, 1] = 0.5 * (plus + minus)
+            out[:, j, 0, 1] = out[:, j, 1, 0] = 0.5 * (plus - minus)
+    return phi, q_h
 
 
-def moments_rk4(specs, init: MixtureInit, grid):
-    """RK4 moments of a stack of specs that share one initial law and grid.
+def stacked_moments(specs, init: MixtureInit, grid):
+    """Moments of a stack of specs that share one initial law and grid.
 
     Returns ``(mu, c, q)``, each shaped ``(len(grid), len(specs), 2, 2)``:
     ``mu[k, j]`` holds the mean plane coordinates of spec j at ``grid[k]``
     (rows: channel x, y), and ``c``/``q`` its symmetrised C and Q blocks
-    (S = C - Q).  Each spec is integrated with its own relaxation matrix
-    and noise; the arithmetic per spec is that of a stack of one, so spec
-    j's states do not depend on which other specs share the stack.
+    (S = C - Q).  Each grid step applies its exact affine map
+    (``_step_maps``): mu <- Phi mu, C <- Phi C Phi^T + Q(h) and
+    Q <- Phi Q Phi^T + Q(h).  A piecewise-constant schedule is therefore
+    followed exactly when its switch time lies on a grid point.  Every
+    operation acts on one spec's entries alone, so spec j's states do not
+    depend on which other specs share the stack.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -491,36 +535,20 @@ def moments_rk4(specs, init: MixtureInit, grid):
         raise InvalidArgument("grid must start at t=0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise InvalidArgument("grid must be strictly increasing")
-    n_cells = len(specs)
-    if n_cells < 1:
-        raise InvalidArgument("moments_rk4 needs at least one spec")
-    # schedules are piecewise constant: freezing the coupling at the step
-    # midpoint integrates each constant segment exactly when the switch
-    # time lies on a grid point.  M is built as ``ModelSpec.relaxation``
-    # builds it: [[-beta, g], [g, -beta]] (symmetric) or [[-beta, 0], [g, -beta]].
-    t_mid = 0.5 * (grid[:-1] + grid[1:])
-    m_steps = np.zeros((grid.size - 1, n_cells, 2, 2))
-    for j, spec in enumerate(specs):
-        m_steps[:, j, 0, 0] = m_steps[:, j, 1, 1] = -spec.beta
-        m_steps[:, j, 1, 0] = spec.coupling_at(t_mid)
-        if isinstance(spec.coupling, Symmetric):
-            m_steps[:, j, 0, 1] = m_steps[:, j, 1, 0]
-    noise = np.array([spec.sigma_w2 for spec in specs])[:, None, None] * np.eye(2)
+    if len(specs) < 1:
+        raise InvalidArgument("stacked_moments needs at least one spec")
+    phi, q_h = _step_maps(specs, grid)
+    phi_t = np.swapaxes(phi, -1, -2)
 
     # rows of s[k]: mu, C, Q; mu's plane coordinates sit on the last axis
-    s = np.empty((grid.size, 3, n_cells, 2, 2))
+    s = np.empty((grid.size, 3, len(specs), 2, 2))
     s[0, 0] = np.stack(init.mean_plane())  # rows: channel, cols: plane coordinate
     s[0, 1] = init.sigma0().as_array()
     s[0, 2] = 0.0
     for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        m = m_steps[k]
-        s_k = s[k]
-        k1 = _ode_rhs(m, noise, s_k)
-        k2 = _ode_rhs(m, noise, s_k + 0.5 * h * k1)
-        k3 = _ode_rhs(m, noise, s_k + 0.5 * h * k2)
-        k4 = _ode_rhs(m, noise, s_k + h * k3)
-        s[k + 1] = s_k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s_next = np.matmul(phi[k], s[k], out=s[k + 1])
+        s_next[1:] = s_next[1:] @ phi_t[k]
+        s_next[1:] += q_h[k]
     c, q = s[:, 1], s[:, 2]
     return (
         np.ascontiguousarray(s[:, 0]),
@@ -530,14 +558,14 @@ def moments_rk4(specs, init: MixtureInit, grid):
 
 
 def moments_ode(spec: ModelSpec, init: MixtureInit, grid) -> list[MomentState]:
-    """Integrate the mean and covariance ODEs on a time grid with RK4.
+    """Moments on a time grid, one ``MomentState`` per grid time.
 
-    Handles any coupling kind; for constant coupling the result agrees
-    with the closed forms to integrator accuracy.  The grid must be
-    strictly increasing and start at 0.  This is ``moments_rk4`` for a
-    stack of one spec, one ``MomentState`` per grid time.
+    Handles any coupling kind; a schedule is held at its step-midpoint
+    value over each step, and for constant coupling the result is the
+    closed form to rounding.  The grid must be strictly increasing and
+    start at 0.  This is ``stacked_moments`` for a stack of one spec.
     """
-    mu, c, q = moments_rk4([spec], init, grid)
+    mu, c, q = stacked_moments([spec], init, grid)
     return [
         MomentState.from_arrays(t, mu[k, 0], c[k, 0], q[k, 0])
         for k, t in enumerate(np.asarray(grid, dtype=float))

@@ -302,6 +302,10 @@ def _scan(values: np.ndarray):
 
 def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int):
     """The result or error a scan settles on its own; None when bisection must."""
+    if sup_kappa != sup_kappa:  # the grid maximum carries any nan
+        return InvalidArgument(
+            "kappa is nan on the scan grid; the closed forms left the float range"
+        )
     if sup_kappa <= 1.0 + SUP_TOL:
         return SpeciationResult(
             t_s=None, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_NO_SPECIATION

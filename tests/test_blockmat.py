@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,3 +203,23 @@ class TestSchur:
         # the second entry has c11 <= 0 or c22 - c12^2/c11 = 0
         with pytest.raises(NotPositiveDefinite, match=r"at 1 of 2 entries, first at index \(1,\)$"):
             schur_complement(np.array(c11), np.array([0.0, 0.5]), np.array(c22))
+
+    @pytest.mark.parametrize(
+        "c11, c12, c22, name",
+        [
+            (1.0, 0.0, math.nan, "c22 - c12^2/c11"),
+            (1.0, 1e200, 1.0, "c22 - c12^2/c11"),  # c12^2 overflows
+            (math.inf, 0.0, 1.0, "c11"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow case
+    def test_non_finite_entries_named(self, c11, c12, c22, name):
+        # an overflow or a nan is named as such, not printed as a value
+        message = f"block not SPD: {name} holds non-finite values"
+        with pytest.raises(NotPositiveDefinite, match=f"^{re.escape(message)}$"):
+            schur_complement(c11, c12, c22)
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=f"^{re.escape(message)} at 1 of 2 entries, first at index \\(1,\\)$",
+        ):
+            schur_complement(np.array([1.0, c11]), np.array([0.0, c12]), np.array([1.0, c22]))

@@ -69,6 +69,47 @@ class TestScalarCommands:
         assert err.startswith("oudiff: invalid configuration: root not bracketed")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "coupling, expected",
+        [
+            ([], '{\n  "t_c": 5.109089028062894e-12,\n  "t_c_plus": 5.109089028063325e-12,\n'
+                 '  "t_c_minus": 5.109089028063325e-12,\n  "t_max": 5.109089028089428e-12\n}\n'),
+            (["--coupling", "anisotropic", "--g", "0.5"],
+             '{\n  "t_c": 5.1090890280662025e-12,\n  "t_c_conditional": 5.1090890280662025e-12,\n'
+             '  "t_max": 5.109089028089428e-12\n}\n'),
+        ],
+    )
+    def test_collapse_past_the_bracket_floor(self, capsys, coupling, expected):
+        # alpha = 13 kept its bytes; from 14 on t_c lies below 1e-12 / beta,
+        # where the bracket used to stop
+        assert dispatch(["collapse", "--alpha", "13", "--ratio", "1", *coupling]) == 0
+        assert capsys.readouterr().out == expected
+        for alpha in ("14", "20"):
+            code, payload = run_json(
+                capsys, ["collapse", "--alpha", alpha, "--ratio", "1", *coupling]
+            )
+            assert code == 0
+            assert 0.0 < payload["t_c"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
+              "--sigma-w2", "1.001"], "kappa is nan on the scan grid"),
+            (["collapse", "--coupling", "anisotropic", "--alpha", "1", "--ratio", "1",
+              "--beta", "1e160", "--g", "0.5"], "non-finite entry"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inputs overflow
+    def test_huge_beta_exits_2(self, capsys, argv, message):
+        # 2 beta, or 2 beta t squared, leaves the float range: a typed error on
+        # one line, not an OverflowError traceback
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oudiff: invalid configuration: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("ratio", ["-1", "0", "nan", "inf"])
     def test_collapse_bad_ratio_names_ratio(self, capsys, ratio):
         assert dispatch(["collapse", "--alpha", "1", "--ratio", ratio]) == 2
@@ -211,7 +252,9 @@ class TestOutputBytes:
         )
 
     def test_toy_conditional_csv(self, tmp_path):
-        # d > 2 and three chunks (16, 16, 8): the off-plane fill and a partial chunk
+        # d > 2 and three chunks (16, 16, 8): the off-plane fill and a partial
+        # chunk.  Pinned again when the moments became the exact step map:
+        # only d_mse and d_nll moved, by RK4's error at h = 1/15
         cfg = {"theta_points": 2, "trials": 40, "steps": 30, "dim_d": 5, "chunk": 16}
         cfg_path = tmp_path / "toy.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -220,7 +263,7 @@ class TestOutputBytes:
             ["toy-conditional", "--config", str(cfg_path), "--seed", "11", "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "59dde970a1d1c79323e65bf363994b2353dc41e578d85bbf1403ce6017b2301a"
+            "4df4b7bb0605075194329f2e6b4d8094d83fb5356f7a38da99a94caeb238ee42"
         )
 
     @pytest.mark.parametrize(
@@ -579,6 +622,30 @@ class TestSweeps:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "flow", "--beta", "1e-300", "--sigma-w2", "1e308"],
+             "stationary covariance out of float range at beta=1e-300"),
+            (["--mode", "reverse", "--beta", "1e150"],
+             "stationary covariance out of float range at beta=1e+150"),
+            (["--mode", "forward", "--horizon", "1e308", "--dim", "2", "--paths", "2",
+              "--steps", "3"],
+             "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
+             "cov_xy); the run diverged"),
+        ],
+        ids=["flow-tiny-beta", "reverse-huge-beta", "forward-huge-horizon"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward run overflows
+    def test_sample_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
+        # beta^2 underflows, beta^3 overflows or the paths overflow: refused
+        # on one line, with no file written
+        out = tmp_path / "s.csv"
+        code = dispatch(["sample", "--coupling", "anisotropic", *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"oudiff: invalid configuration: {message}\n"
+        assert not out.exists()
 
 class TestSeedResolution:
     def test_env_seed_fallback(self, tmp_path, monkeypatch):

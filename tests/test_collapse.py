@@ -7,6 +7,7 @@ from oudiff.collapse import (
     KIND_CONDITIONAL,
     KIND_JOINT_ANISO,
     KIND_JOINT_SYMMETRIC,
+    LOG_RESIDUAL_TOL,
     CollapseParams,
     alpha_from_counts,
     cgf,
@@ -205,6 +206,27 @@ class TestBound:
     def test_solvers_refuse_huge_alpha(self, solve, coupling):
         with pytest.raises(InvalidArgument, match="root not bracketed"):
             solve(params(alpha=400.0, g=0.5, coupling=coupling))
+
+    @pytest.mark.parametrize("alpha", [13.0, 14.0, 20.0])
+    @pytest.mark.parametrize(
+        "solve, coupling",
+        [(collapse_time_symmetric, Symmetric), (collapse_time_det, Symmetric),
+         (collapse_time_det, Anisotropic), (collapse_time_conditional, Anisotropic)],
+    )
+    def test_root_below_the_default_floor(self, solve, coupling, alpha):
+        # at ratio 1, t_c falls below the bracket floor 1e-12 / beta past
+        # alpha ~ 13.8; there tau t_c << 1, so every route's root sits at
+        # the closed-form bound ratio / (e^{2 alpha} - 1)
+        p = params(alpha=alpha, g=0.5, coupling=coupling)
+        result = solve(p)
+        assert result.residual <= LOG_RESIDUAL_TOL
+        assert result.t_c == pytest.approx(collapse_bound(p), rel=1e-9)
+
+    def test_unsolved_bisection_refused(self):
+        # at beta = 1e70 the root (~8e-69) lies below what 200 halvings of
+        # [1e-82, 0.16] reach; the last midpoint is no root and is refused
+        with pytest.raises(InvalidArgument, match="collapse equation not solved"):
+            collapse_time_det(params(g=0.5, beta=1e70, coupling=Anisotropic))
 
 
 class TestDetRoute:

@@ -22,7 +22,7 @@ from oudiff.moments import (
     mean_at,
     mode_kernels,
     moments_ode,
-    moments_rk4,
+    stacked_moments,
     transition_cov,
 )
 from oudiff.sampler import forward_sample, stationary_cov
@@ -233,6 +233,16 @@ class TestTransitionCov:
                 assert abs(k - want_k) <= 5e-14 * want_k, x
                 assert abs(h - want_h) <= 5e-14 * want_h, x
 
+    def test_limit_past_cube_overflow(self):
+        # beta^3 and (2 beta t)^3 overflow a Python float past ~5.6e102; the
+        # g^2 term of q22 and the unused series branch take their limits
+        from oudiff.moments import _poly_tail_h
+
+        assert _poly_tail_h(1e120) == 1.0
+        q = transition_cov(ModelSpec(1e120, Anisotropic(0.5), 2.0), 1e-120)
+        assert q.a22 == q.a11 == pytest.approx(-math.expm1(-2.0) / 1e120, rel=1e-14)
+        assert q.a12 == pytest.approx((1.0 - 3.0 * math.exp(-2.0)) / 4e240, rel=1e-14)
+
     def test_entries_are_python_floats(self):
         for spec, _ in (sym_model(), aniso_model()):
             q = transition_cov(spec, 0.7)
@@ -397,19 +407,26 @@ class TestKernelK:
 
 
 class TestMomentsOde:
-    def test_constant_reduces_to_closed_form(self):
-        spec = ModelSpec(1.0, Scheduled(ScheduleSpec("constant", 0.7, 0.0)), 2.0)
-        ref_spec = ModelSpec(1.0, Anisotropic(0.7), 2.0)
-        init = MixtureInit(1.0, 1.0, AngledMeans(1.0, 1.0, 0.9))
-        grid = np.linspace(0.0, 2.0, 801)
+    @pytest.mark.parametrize(
+        "coupling, ref",
+        [(Scheduled(ScheduleSpec("constant", 0.7, 0.0)), Anisotropic(0.7)),
+         (Symmetric(0.4), Symmetric(0.4))],
+        ids=["scheduled", "symmetric"],
+    )
+    def test_constant_reduces_to_closed_form(self, coupling, ref):
+        # each step is exact, so even 40 steps give the closed form to rounding
+        spec = ModelSpec(1.0, coupling, 2.0)
+        ref_spec = ModelSpec(1.0, ref, 2.0)
+        init = MixtureInit(1.0, 0.6, AngledMeans(1.0, 1.0, 0.9))
+        grid = np.linspace(0.0, 2.0, 41)
         states = moments_ode(spec, init, grid)
-        for idx in (100, 400, 800):
+        for idx in (5, 20, 40):
             t = grid[idx]
             want = diffusion_kernel(ref_spec, init, float(t))
-            assert np.max(np.abs(states[idx].c.as_array() - want.c.as_array())) < 1e-8
-            assert np.max(np.abs(states[idx].q.as_array() - want.q.as_array())) < 1e-8
-            assert np.allclose(states[idx].mu_x, want.mu_x, atol=1e-10)
-            assert np.allclose(states[idx].mu_y, want.mu_y, atol=1e-10)
+            assert np.max(np.abs(states[idx].c.as_array() - want.c.as_array())) < 1e-13
+            assert np.max(np.abs(states[idx].q.as_array() - want.q.as_array())) < 1e-13
+            assert np.allclose(states[idx].mu_x, want.mu_x, rtol=0.0, atol=1e-14)
+            assert np.allclose(states[idx].mu_y, want.mu_y, rtol=0.0, atol=1e-14)
 
     def test_zero_schedule_decouples(self):
         spec = ModelSpec(1.0, Scheduled(ScheduleSpec("constant", 0.0, 0.0)), 2.0)
@@ -464,7 +481,7 @@ class TestMomentsOde:
         init = MixtureInit(1.0, 1.0, AngledMeans(1.0, 1.0, theta), 5)
         grid = np.linspace(0.0, 2.0, 31)  # t0 = 0.7 falls between grid points
         for order in (specs, specs[::-1]):
-            mu, c, q = moments_rk4(order, init, grid)
+            mu, c, q = stacked_moments(order, init, grid)
             assert mu.shape == c.shape == q.shape == (grid.size, len(order), 2, 2)
             for j, spec in enumerate(order):
                 for k, st in enumerate(moments_ode(spec, init, grid)):

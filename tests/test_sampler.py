@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oudiff.blockmat import block_inverse, mat_exp, spectral_decompose
-from oudiff.errors import InvalidArgument, KernelDegenerate, NotPositiveDefinite
+from oudiff.errors import InvalidArgument, KernelDegenerate
 from oudiff.moments import (
     Anisotropic,
     AngledMeans,
@@ -16,9 +16,11 @@ from oudiff.moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _aniso_q,
     diffusion_kernel,
     mean_at,
     moments_ode,
+    stacked_moments,
     transition_cov,
 )
 from oudiff.sampler import (
@@ -810,19 +812,21 @@ class TestConditionalReverse:
         assert out["y0"].shape == (200, 4)
         assert np.all(np.isfinite(out["y0"]))
 
-    def test_unstable_step_size_reported_on_one_line(self):
-        # h = 10/3 is past RK4's limit for the covariance rate 2 beta, so
-        # c_yx turns negative from grid index 1 on (3 of the 4 entries)
+    @pytest.mark.parametrize("horizon, steps", [(10.0, 3), (50.0, 20)])
+    def test_long_steps_stay_positive_definite(self, horizon, steps):
+        # h = 10/3 and 5/2 lie past RK4's stability limit for the covariance
+        # rate 2 beta (about 1.39 / beta); the exact step map is stable at
+        # any h, so c_yx stays > 0
         cfg = ConditionalRunConfig(
             dim_d=4, theta=0.5, schedule=ScheduleSpec("late", 0.5, 5.0),
-            horizon=10.0, steps=3, trials=4, chunk=4,
+            horizon=horizon, steps=steps, trials=4, chunk=4,
         )
-        with pytest.raises(NotPositiveDefinite) as info:
-            conditional_reverse_sample(cfg, np.random.default_rng(0))
-        message = str(info.value)
-        assert "\n" not in message
-        assert "c22 - c12^2/c11=" in message
-        assert message.endswith("at 3 of 4 entries, first at index (1, 0, 0, 0)")
+        spec, init = cfg.model()
+        _, c, _ = stacked_moments([spec], init, np.linspace(0.0, horizon, steps + 1))
+        assert np.all(c[..., 1, 1] - c[..., 0, 1] ** 2 / c[..., 0, 0] > 0.0)
+        out = conditional_reverse_sample(cfg, np.random.default_rng(0))
+        assert np.all(np.isfinite(out["x0"]))
+        assert np.all(np.isfinite(out["y0"]))
 
     def test_each_cell_matches_its_group_slice(self):
         # several chunks, odd d, a switch time off the grid: every cell run
@@ -873,8 +877,9 @@ class TestConditionalReverse:
 
 
 def _rk4_oracle(specs, init, grid):
-    """``moments_rk4`` as first written: mu, C and Q as three RK4 stacks,
-    and one relaxation block built per step and spec."""
+    """RK4 on the moment ODEs dmu = M mu, dC = M C + C M^T + sW2 I and dQ
+    alike, as three stacks, with one relaxation block built per step and
+    spec at the step midpoint, as ``stacked_moments`` holds the coupling."""
 
     def rhs(m, noise, mu, c, q):
         mt = np.swapaxes(m, -1, -2)
@@ -908,7 +913,8 @@ def _rk4_oracle(specs, init, grid):
 def _group_oracle(configs, rng):
     """``conditional_reverse_group`` as first written: each reverse step
     forms the mixture law from full d-vectors and allocates every
-    temporary, and each cell keeps its own class weights.
+    temporary, and each cell keeps its own class weights.  The moments
+    are the library's ``stacked_moments``, so this tests the loop alone.
 
     Returns x0, y0, the labels and, per coordinate of y0, the magnitude
     of its linear part: past the mean plane y0 is linear in the draws,
@@ -922,7 +928,7 @@ def _group_oracle(configs, rng):
     d, n_steps, beta, sw2 = config.dim_d, config.steps, config.beta, config.sigma_w2
     h = config.horizon / n_steps
     grid = np.linspace(0.0, config.horizon, n_steps + 1)
-    mu, c, q = _rk4_oracle(specs, init, grid)
+    mu, c, q = stacked_moments(specs, init, grid)
     c11, c12, c22 = (c[:, :, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 1)))
     px, py = mu[:, :, None, 0], mu[:, :, None, 1]
     g = np.array([[spec.coupling_at(float(t)) for spec in specs] for t in grid])
@@ -988,8 +994,9 @@ def _group_oracle(configs, rng):
 
 
 class TestGroupOracle:
-    """The plane loop, off-plane weights and stacked moments against the
-    allocating d-wide forms they replaced.  x0, the labels and the plane
+    """The plane loop and off-plane weights against the allocating d-wide
+    forms they replaced, and the stacked moments against a per-spec copy
+    of the step map and against RK4.  x0, the labels and the plane
     coordinates of y0 match bit for bit (per-step allocation churn shows
     in no peak-memory figure, so this equality is its guard); the other
     coordinates of y0 are summed in another order, so they match within
@@ -1044,7 +1051,7 @@ class TestGroupOracle:
         # every step, so this is where the rounding gap is widest
         self._check(self._cells(self.SCHEDULES, 23, 5, steps=800), 33)
 
-    @pytest.mark.parametrize(
+    COUPLINGS = pytest.mark.parametrize(
         "couplings",
         [
             [Symmetric(0.3)],
@@ -1054,15 +1061,75 @@ class TestGroupOracle:
         ],
         ids=["symmetric", "anisotropic", "mixed"],
     )
-    def test_moments_match_unstacked_rk4(self, couplings):
-        from oudiff.moments import moments_rk4
 
+    @staticmethod
+    def _model(couplings):
         specs = [ModelSpec(1.2, cpl, 1.5, dim_d=4) for cpl in couplings]
-        init = MixtureInit(1.0, 0.7, AngledMeans(1.0, 0.8, 0.9), dim_d=4)
+        return specs, MixtureInit(1.0, 0.7, AngledMeans(1.0, 0.8, 0.9), dim_d=4)
+
+    @COUPLINGS
+    def test_moments_match_per_spec_step_map(self, couplings):
+        specs, init = self._model(couplings)
         grid = np.linspace(0.0, 2.0, 41)
-        for got, want in zip(moments_rk4(specs, init, grid), _rk4_oracle(specs, init, grid)):
+        for got, want in zip(stacked_moments(specs, init, grid),
+                             _step_map_oracle(specs, init, grid)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @COUPLINGS
+    def test_rk4_gap_shrinks_as_h_to_the_fourth(self, couplings):
+        # RK4 on the same held couplings differs from the exact step map
+        # by its own global error, O(h^4): 16x less per halving of h
+        specs, init = self._model(couplings)
+        gaps = []
+        for points in (41, 81, 161):
+            grid = np.linspace(0.0, 2.0, points)
+            exact, rk4 = stacked_moments(specs, init, grid), _rk4_oracle(specs, init, grid)
+            gaps.append(np.max([np.abs(a - b).max(axis=(0, 2, 3)) for a, b in zip(exact, rk4)],
+                               axis=0))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert np.all((14.0 < coarse / fine) & (coarse / fine < 18.0))
+
+
+def _step_map_oracle(specs, init, grid):
+    """``stacked_moments`` one spec at a time: per step, Phi = e^{M h} and
+    Q(h) from the closed forms, applied as mu <- Phi mu, C <- Phi C Phi^T
+    + Q(h) and Q <- Phi Q Phi^T + Q(h) on that spec's 2x2 blocks."""
+    h = np.diff(grid)
+    t_mid = 0.5 * (grid[:-1] + grid[1:])
+    mu = np.empty((grid.size, len(specs), 2, 2))
+    c = np.empty_like(mu)
+    q = np.empty_like(mu)
+    for j, spec in enumerate(specs):
+        beta = np.full(h.shape, spec.beta)  # array arithmetic, as in a stack
+        g = spec.coupling_at(t_mid)
+        phi = np.empty(h.shape + (2, 2))
+        q_h = np.empty(h.shape + (2, 2))
+        if isinstance(spec.coupling, Symmetric):
+            modes = spec.modes()
+            exps, qs = [], []
+            for lam, tau in ((modes.lambda_plus, modes.tau_plus),
+                             (modes.lambda_minus, modes.tau_minus)):
+                exps.append(np.exp(lam * h))
+                qs.append(spec.sigma_w2 * (-np.expm1(-tau * h) / tau))
+            for out, (plus, minus) in ((phi, exps), (q_h, qs)):
+                out[:, 0, 0] = out[:, 1, 1] = 0.5 * (plus + minus)
+                out[:, 0, 1] = out[:, 1, 0] = 0.5 * (plus - minus)
+        else:
+            decay = np.exp(-beta * h)
+            phi[:] = 0.0
+            phi[:, 0, 0] = phi[:, 1, 1] = decay
+            phi[:, 1, 0] = decay * (g * h)
+            q11, q12, q22 = _aniso_q(beta, spec.sigma_w2, g, h)
+            q_h[:, 0, 0], q_h[:, 0, 1], q_h[:, 1, 0], q_h[:, 1, 1] = q11, q12, q12, q22
+        mu[0, j] = np.stack(init.mean_plane())
+        c[0, j] = init.sigma0().as_array()
+        q[0, j] = 0.0
+        for k in range(h.size):
+            mu[k + 1, j] = phi[k] @ mu[k, j]
+            c[k + 1, j] = (phi[k] @ c[k, j]) @ phi[k].T + q_h[k]
+            q[k + 1, j] = (phi[k] @ q[k, j]) @ phi[k].T + q_h[k]
+    return mu, 0.5 * (c + np.swapaxes(c, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
 class TestStationary:
@@ -1073,6 +1140,12 @@ class TestStationary:
         modes = spectral_decompose(block)
         assert modes.lambda_plus == pytest.approx(2.0)
         assert modes.lambda_minus == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("beta, sigma_w2", [(1e-300, 1e308), (1e150, 2.0), (1e-160, 2.0)])
+    def test_out_of_range_refused(self, beta, sigma_w2):
+        # beta^2 underflows to 0, beta^3 overflows, or an entry is inf
+        with pytest.raises(InvalidArgument):
+            stationary_cov(ModelSpec(beta, Anisotropic(0.5), sigma_w2))
 
     def test_anisotropic_matches_long_time_q(self):
         from oudiff.moments import transition_cov

@@ -166,6 +166,14 @@ def collapse_bound(params: CollapseParams) -> float:
     return _over_expm1(params.ratio, 2.0 * params.alpha)
 
 
+def _halve_down(f, hi: float):
+    """Bracket [t, 2t] with f(t) >= 0 > f(2t), halving down from hi with f(hi) < 0."""
+    lo = 0.5 * hi
+    while (f_lo := f(lo)) < 0.0:
+        hi, lo = lo, 0.5 * lo
+    return lo, hi, f_lo
+
+
 def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     """Root of a decreasing collapse equation f(t) = 0, bisected to
     |f| <= LOG_RESIDUAL_TOL.
@@ -176,8 +184,11 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     ``collapse_bound`` underflows to 0, the bracket is then [t, 2t] with
     f(t) >= 0 > f(2t), found in steps of a factor 2 from the bound where
     that is lower.  ``collapse_bound`` raises NoCollapse unless alpha > 0.
-    A bisection that stops with |f| above the tolerance raises
-    InvalidArgument rather than return a non-root.
+    A root far below the top of a wide bracket is out of reach of
+    ``MAX_BISECT`` halvings; where the bisection stops above the tolerance
+    with f < 0 there, the root is bracketed as [t, 2t] below that point
+    and bisected once more.  A bisection that still stops with |f| above
+    the tolerance raises InvalidArgument rather than return a non-root.
     """
     beta = params.spec.beta
     bound = collapse_bound(params)
@@ -192,15 +203,16 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
         hi = min(lo, bound)
         while f(hi) >= 0.0:
             hi *= 2.0
-        lo = 0.5 * hi
-        while (f_lo := f(lo)) < 0.0:
-            hi, lo = lo, 0.5 * lo
+        lo, hi, f_lo = _halve_down(f, hi)
     f_hi = f(hi)
     if f_lo < 0.0 or f_hi > 0.0:
         raise InvalidArgument(
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
     t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
+    if residual > LOG_RESIDUAL_TOL and f(t_c) < 0.0:
+        lo, hi, _ = _halve_down(f, t_c)
+        t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
     if not residual <= LOG_RESIDUAL_TOL:
         raise InvalidArgument(
             f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r} "

@@ -312,16 +312,60 @@ def _expm1_ratio(tau: float, t: float) -> float:
     return -math.expm1(-x) / tau
 
 
-def _poly_tail_k(a):
-    """1 - e^{-a}(1 + a), series-evaluated below a=0.5 to avoid cancellation."""
-    # sum_{n>=2} (-1)^n a^n (n-1)/n!
-    direct = 1.0 - np.exp(-a) * (1.0 + a)
-    term = a * a / 2.0
-    series = term
-    for n in range(3, 18):
-        term = term * (-a) * (n - 1) / (n * (n - 2))
-        series = series + term
-    return np.where(a < 0.5, series, direct)
+# per step, the numerators and denominators of the term ratios of the two
+# tail series, rows (k, h): the n-th term of k is the previous one times
+# -a (n - 1) / (n (n - 2)), n = 3..17, and the (n + 1)-th of h times
+# -a n / ((n + 1) (n - 2)); as columns, for the rows of an array recurrence
+_TAIL_RATIOS = [((n - 1, n), (n * (n - 2), (n + 1) * (n - 2))) for n in range(3, 18)]
+_TAIL_COLUMNS = [
+    (np.array(num, dtype=float)[:, None], np.array(den, dtype=float)[:, None])
+    for num, den in _TAIL_RATIOS
+]
+
+
+def _tail_series(a):
+    """The power series of the tails (k, h) of ``_poly_tails`` at a float,
+    or at each entry of a 1-D array, where they run as the two rows of one
+    recurrence.  Each term is the previous one times -a, times the integer
+    numerator, over the integer denominator, in that order."""
+    neg = -a
+    if isinstance(a, np.ndarray):
+        term = np.stack([a * a / 2.0, a**3 / 6.0])
+        series = term
+        for num, den in _TAIL_COLUMNS:
+            term = term * neg * num / den
+            series = series + term
+        return series
+    # Python floats: an order faster than numpy on one point, and Python's
+    # a**3 can differ from numpy's in the last bit
+    term_k, term_h = a * a / 2.0, a**3 / 6.0
+    sum_k, sum_h = term_k, term_h
+    for (num_k, num_h), (den_k, den_h) in _TAIL_RATIOS:
+        term_k = term_k * neg * num_k / den_k
+        term_h = term_h * neg * num_h / den_h
+        sum_k, sum_h = sum_k + term_k, sum_h + term_h
+    return sum_k, sum_h
+
+
+def _poly_tails(a):
+    """(e^{-a}, k, h) with k = 1 - e^{-a}(1 + a) and h = 1 - e^{-a}(1 + a + a^2/2).
+
+    Below a = 0.5, where the direct forms cancel, both tails come from
+    their power series (``_tail_series``), evaluated on those points only.
+    Where e^{-a} underflows to 0 both take their limit 1, also past the
+    overflow of a^2/2.
+    """
+    decay = np.exp(-a)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, limit 1 below
+        k = np.where(decay == 0.0, 1.0, 1.0 - decay * (1.0 + a))
+        h = np.where(decay == 0.0, 1.0, 1.0 - decay * (1.0 + a + 0.5 * a * a))
+    small = a < 0.5
+    if isinstance(a, np.ndarray):
+        if small.any():
+            k[small], h[small] = _tail_series(a[small])
+    elif small:
+        k, h = _tail_series(a)
+    return decay, k, h
 
 
 def _cube(x):
@@ -332,31 +376,25 @@ def _cube(x):
         return math.inf
 
 
-def _poly_tail_h(a):
-    """1 - e^{-a}(1 + a + a^2/2), series-evaluated below a=0.5."""
-    # sum_{n>=3} (-1)^{n+1} a^n (n-1)(n-2) / (2 n!)
-    direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
-    term = _cube(a) / 6.0
-    series = term
-    for n in range(4, 19):
-        term = term * (-a) * (n - 1) / (n * (n - 3))
-        series = series + term
-    return np.where(a < 0.5, series, direct)
+def _q_parts(beta, ts):
+    """The time-only parts (e^{-2 beta t}, u, k, h) of the anisotropic Q(t),
+    with a = 2 beta t, u = 1 - e^{-a} and the tails k, h of ``_poly_tails``."""
+    a = 2.0 * beta * ts
+    decay, k, h = _poly_tails(a)
+    return decay, -np.expm1(-a), k, h
 
 
-def _aniso_q(beta, sw2, g, ts):
-    """Anisotropic Q(t) entries (q11, q12, q22) on broadcast arrays of g, ts.
-
-    Built from the tails u(t) = 1 - e^{-2 beta t},
-    k(t) = 1 - e^{-2 beta t}(1 + 2 beta t) and
-    h(t) = 1 - e^{-2 beta t}(1 + 2 beta t + 2 beta^2 t^2).
+def _aniso_q(beta, sw2, g, parts):
+    """Anisotropic Q(t) entries (q11, q12, q22) on broadcast arrays of g and
+    the time-only ``parts`` of ``_q_parts``:
+    q11 = sW2 u / (2 beta), q12 = sW2 g k / (4 beta^2),
+    q22 = q11 + sW2 g^2 h / (4 beta^3).
     Where beta^2 or beta^3 overflows, the g terms take their limit 0.
     """
-    a = 2.0 * beta * ts
-    u = -np.expm1(-a)
+    _, u, k, h = parts
     q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * g * _poly_tail_k(a) / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * _poly_tail_h(a) / (4.0 * _cube(beta)))
+    q12 = sw2 * g * k / (4.0 * beta * beta)
+    q22 = sw2 * (u / (2.0 * beta) + g * g * h / (4.0 * _cube(beta)))
     return q11, q12, q22
 
 
@@ -375,7 +413,8 @@ def transition_cov(spec: ModelSpec, t: float) -> Block2:
         qm = sw2 * _expm1_ratio(modes.tau_minus, t)
         return from_modes(qp, qm)
     # Python floats: a numpy scalar would print as np.float64(...)
-    q11, q12, q22 = (float(q) for q in _aniso_q(spec.beta, sw2, spec.coupling.g, t))
+    parts = _q_parts(spec.beta, t)
+    q11, q12, q22 = (float(q) for q in _aniso_q(spec.beta, sw2, spec.coupling.g, parts))
     return Block2(q11, q12, q12, q22)
 
 
@@ -496,7 +535,9 @@ def _step_maps(specs, grid: np.ndarray):
     decay = np.exp(-beta * h_cells)
     phi[..., 0, 0] = phi[..., 1, 1] = decay
     phi[..., 1, 0] = decay * (g * h_cells)
-    q_h[..., 0, 0], q_h[..., 0, 1], q_h[..., 1, 1] = _aniso_q(beta, sw2, g, h_cells)
+    q_h[..., 0, 0], q_h[..., 0, 1], q_h[..., 1, 1] = _aniso_q(
+        beta, sw2, g, _q_parts(beta, h_cells)
+    )
     q_h[..., 1, 0] = q_h[..., 0, 1]
     for j, spec in enumerate(specs):
         if not isinstance(spec.coupling, Symmetric):

@@ -35,6 +35,7 @@ from .moments import (
     _aniso_q,
     _k_parts,
     _mode_kernel,
+    _q_parts,
     _require_mode_kernels,
     _require_time,
     diffusion_kernel,
@@ -208,17 +209,19 @@ def _scan_grid(t_max: float) -> np.ndarray:
     return grid
 
 
-def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, stats):
+def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, parts, stats):
     """Anisotropic kappa(t) through the closed-form K(t), on broadcast arrays.
 
-    C(t) and the parts of K(t) (``_k_parts``) take the broadcast shape of
-    ``g`` and ``ts``; only the mean terms broadcast further against the
-    channel statistics ``stats = (mxx, myy, mxy)``.  Returns kappa and the
-    mask, in the shape of (g, ts), of times at which D(t) vanishes and
-    the drift operator is degenerate.
+    ``parts`` are the time-only parts of Q(t) at ``ts`` (``_q_parts``),
+    which a scan computes once for all its couplings.  C(t) and the parts
+    of K(t) (``_k_parts``) take the broadcast shape of ``g`` and ``ts``;
+    only the mean terms broadcast further against the channel statistics
+    ``stats = (mxx, myy, mxy)``.  Returns kappa and the mask, in the shape
+    of (g, ts), of times at which D(t) vanishes and the drift operator is
+    degenerate.
     """
-    q11, q12, q22 = _aniso_q(beta, sw2, g, ts)
-    decay2 = np.exp(-2.0 * beta * ts)
+    q11, q12, q22 = _aniso_q(beta, sw2, g, parts)
+    decay2 = parts[0]
     c11 = decay2 * sx2 + q11
     c12 = decay2 * g * ts * sx2 + q12
     c22 = decay2 * (sy2 + g * g * ts * ts * sx2) + q22
@@ -246,7 +249,7 @@ def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarra
         raise UnsupportedShape("kappa needs a constant coupling kind")
     values, bad = _aniso_kappa(
         spec.beta, spec.sigma_w2, init.sigma2_x, init.sigma2_y, spec.coupling.g,
-        ts, init.channel_stats(),
+        ts, _q_parts(spec.beta, ts), init.channel_stats(),
     )
     if np.any(bad):
         raise DegenerateDrift(float(ts[np.argmax(bad)]))
@@ -330,7 +333,8 @@ def _aniso_speciation(
     channel statistics ``(mxx, myy, mxy)`` in ``stats``.
 
     C(t), D(t) and N_ij depend on the coupling and time only, so one grid
-    scan per coupling covers all statistics at once.  One ``_bisect`` call
+    scan per coupling covers all statistics at once, and the time-only
+    parts of Q(t) on the grid serve every coupling.  One ``_bisect`` call
     then sharpens every bracket elementwise, each cell stopping on its own
     once |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings; a cell whose
     midpoint is degenerate stops there with DegenerateDrift.
@@ -340,11 +344,12 @@ def _aniso_speciation(
     beta, sw2 = spec_template.beta, spec_template.sigma_w2
     sx2, sy2 = init_template.sigma2_x, init_template.sigma2_y
     grid = _scan_grid(t_max_search)
+    grid_parts = _q_parts(beta, grid)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes = []
     pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
     for g in gs:
-        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, columns)
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, grid_parts, columns)
         if np.any(bad):
             outcomes.extend([DegenerateDrift(float(grid[np.argmax(bad)]))] * len(stats))
             continue
@@ -363,7 +368,7 @@ def _aniso_speciation(
 
     def residual(t):
         # NaN marks a degenerate midpoint, where the cell's bisection stops
-        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, t, mean_stats)
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, t, _q_parts(beta, t), mean_stats)
         return np.where(bad, np.nan, values - 1.0)
 
     t_root, err = _bisect(

@@ -97,13 +97,13 @@ class TestScalarCommands:
             (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
               "--sigma-w2", "1.001"], "kappa is nan on the scan grid"),
             (["collapse", "--coupling", "anisotropic", "--alpha", "1", "--ratio", "1",
-              "--beta", "1e160", "--g", "0.5"], "non-finite entry"),
+              "--beta", "1e160", "--g", "0.5"], "collapse equation not solved"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inputs overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 2 beta overflows
     def test_huge_beta_exits_2(self, capsys, argv, message):
-        # 2 beta, or 2 beta t squared, leaves the float range: a typed error on
-        # one line, not an OverflowError traceback
+        # 2 beta leaves the float range, or det C and det Q near the root are
+        # subnormal: a typed error on one line, not an OverflowError traceback
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("oudiff: invalid configuration: ")
@@ -250,6 +250,26 @@ class TestOutputBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "16536c1871d44285d0a5418f3d8dffd58d7d9b1e218572597c55129285b5b229"
         )
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            # the phase-grid benchmark's config file
+            ({"g_points": 25, "theta_points": 12},
+             "16536c1871d44285d0a5418f3d8dffd58d7d9b1e218572597c55129285b5b229"),
+            # the defaults: 21 x 9
+            ({}, "0ae66556472bd96cec4e89be0dd06f43cb3313ea74872c21ea9dbe7b058c8ea8"),
+        ],
+    )
+    def test_phase_diagram_csv_from_config(self, tmp_path, config, digest):
+        # pinned before the time-only parts of Q(t) were shared by the scan
+        cfg_path = tmp_path / "phase.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "pd.csv"
+        assert dispatch(
+            ["phase-diagram", "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_toy_conditional_csv(self, tmp_path):
         # d > 2 and three chunks (16, 16, 8): the off-plane fill and a partial

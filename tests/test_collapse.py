@@ -222,11 +222,21 @@ class TestBound:
         assert result.residual <= LOG_RESIDUAL_TOL
         assert result.t_c == pytest.approx(collapse_bound(p), rel=1e-9)
 
-    def test_unsolved_bisection_refused(self):
+    @pytest.mark.parametrize("solve", [collapse_time_det, collapse_time_conditional])
+    def test_root_below_the_reach_of_linear_halvings(self, solve):
         # at beta = 1e70 the root (~8e-69) lies below what 200 halvings of
-        # [1e-82, 0.16] reach; the last midpoint is no root and is refused
+        # [1e-82, 0.16] reach; the solver brackets it as [t, 2t] below the
+        # last midpoint and bisects again
+        result = solve(params(g=0.5, beta=1e70, coupling=Anisotropic))
+        assert result.residual <= LOG_RESIDUAL_TOL
+        assert result.t_c == pytest.approx(8.000975857400566e-69, rel=1e-9)
+
+    def test_unsolved_bisection_refused(self):
+        # at beta = 1e160 det C and det Q near the root (~1.8e-158) are
+        # subnormal, so f jumps by ~1e-5 between neighbouring floats: no
+        # midpoint meets the tolerance, and the last one is refused
         with pytest.raises(InvalidArgument, match="collapse equation not solved"):
-            collapse_time_det(params(g=0.5, beta=1e70, coupling=Anisotropic))
+            collapse_time_det(params(g=0.5, beta=1e160, coupling=Anisotropic))
 
 
 class TestDetRoute:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oudiff.moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _poly_tails,
     diffusion_kernel,
     kernel_K,
     mean_at,
@@ -63,6 +65,33 @@ def rk4_lyapunov(spec: ModelSpec, sigma0: np.ndarray, t: float, n: int = 4000):
         k4 = rhs(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+def _poly_tail_k_oracle(a):
+    """The former ``moments._poly_tail_k``, kept as the bit-level oracle of
+    ``_poly_tails``: 1 - e^{-a}(1 + a), series-evaluated below a=0.5."""
+    direct = 1.0 - np.exp(-a) * (1.0 + a)
+    term = a * a / 2.0
+    series = term
+    for n in range(3, 18):
+        term = term * (-a) * (n - 1) / (n * (n - 2))
+        series = series + term
+    return np.where(a < 0.5, series, direct)
+
+
+def _poly_tail_h_oracle(a):
+    """The former ``moments._poly_tail_h``: 1 - e^{-a}(1 + a + a^2/2),
+    series-evaluated below a=0.5 (the series cube as ``_cube`` took it)."""
+    direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
+    try:
+        term = a**3 / 6.0
+    except OverflowError:
+        term = math.inf
+    series = term
+    for n in range(4, 19):
+        term = term * (-a) * (n - 1) / (n * (n - 3))
+        series = series + term
+    return np.where(a < 0.5, series, direct)
 
 
 def sym_model(beta=1.0, g=0.5, sw2=2.0, s2=1.0):
@@ -209,13 +238,12 @@ class TestTransitionCov:
 
     def test_small_time_series_matches_direct(self):
         # series branch agrees with the direct formula where both are accurate
-        from oudiff.moments import _poly_tail_h, _poly_tail_k
-
         for a in (0.3, 0.4, 0.499):
             k_direct = 1.0 - math.exp(-a) * (1.0 + a)
             h_direct = 1.0 - math.exp(-a) * (1.0 + a + 0.5 * a * a)
-            assert _poly_tail_k(a) == pytest.approx(k_direct, rel=1e-12)
-            assert _poly_tail_h(a) == pytest.approx(h_direct, rel=1e-11)
+            _, k, h = _poly_tails(a)
+            assert k == pytest.approx(k_direct, rel=1e-12)
+            assert h == pytest.approx(h_direct, rel=1e-11)
 
         # arrays across both branches against 50 digits: the direct branch
         # at the a = 0.5 switch loses (1 - h)/h ~ 69 times ~2 ulp ~ 3e-14
@@ -223,7 +251,7 @@ class TestTransitionCov:
         a = np.concatenate(
             [np.geomspace(1e-12, 40.0, 400), [np.nextafter(0.5, 0.0), 0.5]]
         )
-        got_k, got_h = _poly_tail_k(a), _poly_tail_h(a)
+        _, got_k, got_h = _poly_tails(a)
         with mp.workdps(50):
             for x, k, h in zip(a.tolist(), got_k.tolist(), got_h.tolist()):
                 x_mp = mp.mpf(x)
@@ -236,12 +264,58 @@ class TestTransitionCov:
     def test_limit_past_cube_overflow(self):
         # beta^3 and (2 beta t)^3 overflow a Python float past ~5.6e102; the
         # g^2 term of q22 and the unused series branch take their limits
-        from oudiff.moments import _poly_tail_h
-
-        assert _poly_tail_h(1e120) == 1.0
+        assert _poly_tails(1e120)[2] == 1.0
         q = transition_cov(ModelSpec(1e120, Anisotropic(0.5), 2.0), 1e-120)
         assert q.a22 == q.a11 == pytest.approx(-math.expm1(-2.0) / 1e120, rel=1e-14)
         assert q.a12 == pytest.approx((1.0 - 3.0 * math.exp(-2.0)) / 4e240, rel=1e-14)
+
+    @staticmethod
+    def _tail_inputs():
+        rng = np.random.default_rng(3)
+        below = np.concatenate([
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(0.5, 0.0)],
+            np.geomspace(1e-300, 0.49, 60),
+            rng.uniform(0.0, 0.5, 60),
+        ])
+        above = np.concatenate(
+            [[0.5, np.nextafter(0.5, 1.0), 1e3], np.geomspace(0.5, 1e3, 60),
+             rng.uniform(0.5, 1e3, 60)]
+        )
+        return np.concatenate([below, above])
+
+    @staticmethod
+    def _same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", ["float", "numpy scalar", (), (-1,), (-1, 8)])
+    def test_tails_match_former_loops_bit_for_bit(self, shape):
+        # one recurrence for both series keeps every operation of the two
+        # former loops in order, on Python floats, numpy scalars and 0-d,
+        # 1-d and 2-d arrays
+        a = self._tail_inputs()
+        if shape == "float":
+            inputs = a.tolist()
+        elif shape == "numpy scalar":
+            inputs = list(a)
+        elif shape == ():
+            inputs = [np.asarray(x) for x in a.tolist()]
+        else:
+            inputs = [a.reshape(shape)]
+        for x in inputs:
+            decay, k, h = _poly_tails(x)
+            assert self._same_bits(decay, np.exp(-x)), x
+            assert self._same_bits(k, _poly_tail_k_oracle(x)), x
+            assert self._same_bits(h, _poly_tail_h_oracle(x)), x
+
+    def test_tails_limit_past_overflow_without_warnings(self):
+        # (1 + a + a^2/2) overflows past a ~ 1.9e154, where e^{-a} is long 0
+        values = [1e154, 1e200, 1e308, math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in values + [np.array(values), np.array(values).reshape(2, 2)]:
+                decay, k, h = _poly_tails(a)
+                assert np.all(decay == 0.0) and np.all(k == 1.0) and np.all(h == 1.0)
 
     def test_entries_are_python_floats(self):
         for spec, _ in (sym_model(), aniso_model()):

@@ -17,6 +17,7 @@ from oudiff.moments import (
     ScheduleSpec,
     Symmetric,
     _aniso_q,
+    _q_parts,
     diffusion_kernel,
     mean_at,
     moments_ode,
@@ -1120,7 +1121,7 @@ def _step_map_oracle(specs, init, grid):
             phi[:] = 0.0
             phi[:, 0, 0] = phi[:, 1, 1] = decay
             phi[:, 1, 0] = decay * (g * h)
-            q11, q12, q22 = _aniso_q(beta, spec.sigma_w2, g, h)
+            q11, q12, q22 = _aniso_q(beta, spec.sigma_w2, g, _q_parts(beta, h))
             q_h[:, 0, 0], q_h[:, 0, 1], q_h[:, 1, 0], q_h[:, 1, 1] = q11, q12, q12, q22
         mu[0, j] = np.stack(init.mean_plane())
         c[0, j] = init.sigma0().as_array()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oudiff.moments import (
     ModeMeans,
     ModelSpec,
     Symmetric,
+    _q_parts,
 )
 from oudiff.speciation import (
     KAPPA_TOL,
@@ -319,6 +321,18 @@ class TestPhaseDiagram:
         cells = phase_diagram(spec, init, [0.5], [0.0], 8.0)
         assert len(cells) == 1
 
+    def test_memory_bounded_at_benchmark_size(self):
+        # the scan holds one coupling's (stats, t) arrays at a time, so the
+        # 25 x 12 grid of the benchmark peaks near 0.5 MB
+        spec, init = aniso(0.0, theta=0.0)
+        tracemalloc.start()
+        try:
+            phase_diagram(spec, init, np.linspace(0.0, 2.0, 25), np.linspace(0.0, math.pi, 12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 def _oracle_cell(spec, init, t_max):
     """Scan and bisection of one cell on the scalar Block2 kappa()."""
@@ -456,10 +470,11 @@ def _batched_oracle(spec, init, gs, stats, t_max):
     beta, sw2 = spec.beta, spec.sigma_w2
     sx2, sy2 = init.sigma2_x, init.sigma2_y
     grid = _scan_grid(t_max)
+    grid_parts = _q_parts(beta, grid)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes, pending = [], []
     for g in gs:
-        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, columns)
+        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, grid_parts, columns)
         if np.any(bad):
             outcomes.extend([str(DegenerateDrift(float(grid[np.argmax(bad)])))] * len(stats))
             continue
@@ -477,7 +492,9 @@ def _batched_oracle(spec, init, gs, stats, t_max):
     active = np.arange(cell.size)
     for _ in range(80):
         mid = 0.5 * (lo[active] + hi[active])
-        val, bad = _aniso_kappa(beta, sw2, sx2, sy2, g[active], mid, mean_stats[:, active])
+        val, bad = _aniso_kappa(
+            beta, sw2, sx2, sy2, g[active], mid, _q_parts(beta, mid), mean_stats[:, active]
+        )
         t_root[active] = mid
         for k in active[bad]:
             outcomes[cell[k]] = str(DegenerateDrift(float(t_root[k])))

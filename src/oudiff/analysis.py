@@ -341,6 +341,69 @@ def _label_modes(spec: ModelSpec, init: MixtureInit):
     return taus, amps
 
 
+def _clone_states(taus, amps, s2, sw2, scan_steps, config, rng) -> np.ndarray:
+    """Final mode states of every clone-protocol path, as one (2, paths)
+    array: the baseline pairs, the masters, then the clone pairs of each
+    of the sorted ``scan_steps``, latest first, so the paths moving at any
+    step are a prefix.
+
+    Everything that depends only on time (c(kh), the mean decay and the
+    live column count of each step k) is computed once, before the loop;
+    each step then runs in place on two scratch buffers of O(paths).
+    """
+    steps = config.steps
+    h = config.horizon / steps
+    n_pairs = config.repeats * config.batch
+    n_top = 2 * config.baseline_factor * n_pairs + n_pairs
+    n_scan = scan_steps.size
+
+    ks = np.arange(steps + 1)
+    t = (ks * h)[:, None, None]  # the same doubles as k * h
+    _, cs = _mode_kernel(s2, sw2, taus, t)
+    mus = np.exp(-0.5 * taus * t) * amps
+    # the clones of scan step k join at step k
+    lives = n_top + 2 * n_pairs * (n_scan - np.searchsorted(scan_steps, ks))
+
+    z = np.empty((2, n_top + 2 * n_scan * n_pairs))
+    z[:, :n_top] = np.sqrt(sw2 / taus) * rng.standard_normal((2, n_top))
+    masters = z[:, n_top - n_pairs:n_top]
+    noise = math.sqrt(sw2) * math.sqrt(h)
+    half_tau = 0.5 * taus
+    # flat, so that each (2, live) view is contiguous; the score buffer
+    # takes the step noise once the score is spent
+    score_buf = np.empty(z.size)
+    drift_buf = np.empty(z.size)
+    live = n_top
+    for k in range(steps, -1, -1):
+        start, live = live, int(lives[k])
+        if live > start:
+            z[:, start:live] = np.tile(masters, (live - start) // n_pairs)
+        if k == 0:
+            break
+        mu, c = mus[k], cs[k]
+        paths = z[:, :live]
+        score = score_buf[:2 * live].reshape(2, live)
+        drift = drift_buf[:2 * live].reshape(2, live)
+        # score = (mu tanh(mu z / c) - z) / c
+        np.multiply(mu, paths, out=score)
+        score /= c
+        np.tanh(score, out=score)
+        score *= mu
+        score -= paths
+        score /= c
+        # z += h (tau z / 2 + sW2 score)
+        np.multiply(half_tau, paths, out=drift)
+        score *= sw2
+        drift += score
+        drift *= h
+        paths += drift
+        if k > 1:
+            rng.standard_normal(out=score)
+            score *= noise
+            paths += score
+    return z
+
+
 def clone_agreement(
     spec: ModelSpec,
     init: MixtureInit,
@@ -366,7 +429,6 @@ def clone_agreement(
     last step adds no noise.
     """
     taus, amps = _label_modes(spec, init)
-    sw2, s2 = spec.sigma_w2, init.sigma2_x
     h = config.horizon / config.steps
     scan_times = np.asarray(sorted(scan_times), dtype=float)
     scan_steps = np.clip(np.rint(scan_times / h).astype(int), 0, config.steps)
@@ -374,31 +436,11 @@ def clone_agreement(
     n_scan = scan_times.size
     n_pairs = config.repeats * config.batch
     n_base = config.baseline_factor * n_pairs
-
-    # columns: baseline pairs, masters, then the clone pairs of each scan
-    # time, latest first, so the paths moving at any step are a prefix
     n_top = 2 * n_base + n_pairs
-    z = np.empty((2, n_top + 2 * n_scan * n_pairs))
-    z[:, :n_top] = np.sqrt(sw2 / taus) * rng.standard_normal((2, n_top))
-    masters = z[:, 2 * n_base:n_top]
-    noise = math.sqrt(sw2) * math.sqrt(h)
-    live = n_top
-    for k in range(config.steps, -1, -1):
-        # the clones of scan step k start from their masters' state
-        start = live
-        live = n_top + 2 * n_pairs * int(np.count_nonzero(scan_steps >= k))
-        z[:, start:live] = np.tile(masters, (live - start) // n_pairs)
-        if k == 0:
-            break
-        _, c = _mode_kernel(s2, sw2, taus, k * h)
-        mu = np.exp(-0.5 * taus * (k * h)) * amps
-        paths = z[:, :live]
-        score = (mu * np.tanh(mu * paths / c) - paths) / c
-        paths += h * (0.5 * taus * paths + sw2 * score)
-        if k > 1:
-            paths += noise * rng.standard_normal(paths.shape)
 
-    labels = z > 0.0
+    labels = _clone_states(
+        taus, amps, init.sigma2_x, spec.sigma_w2, scan_steps, config, rng
+    ) > 0.0
     base = np.count_nonzero(labels[:, :n_base] == labels[:, n_base:2 * n_base], axis=1)
     clones = labels[:, n_top:].reshape(2, n_scan, 2, n_pairs)[:, ::-1]
     agree = np.count_nonzero(clones[:, :, 0] == clones[:, :, 1], axis=2)

@@ -359,40 +359,42 @@ def _cmd_sample(args) -> int:
     if args.dry_run:
         return _dry_run(args, resolved)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    if args.mode == "forward":
-        traj = forward_sample(
-            spec, init, args.steps, rng,
-            horizon=args.horizon, n_paths=args.paths, record_path=True,
-        )
-    elif args.mode == "reverse":
-        traj = reverse_sample(
-            spec, population_score_fn(spec, init), args.steps, rng,
-            horizon=args.horizon, n_paths=args.paths, record_path=True,
-        )
-    else:
-        start = sample_block_gaussian(stationary_cov(spec), args.paths, dim, rng)
-        traj = flow_sample(
-            spec, init, args.steps, start, horizon=args.horizon, record_path=True
-        )
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        x, y = split_channels(state, dim)
-        rows.append(
-            {
-                "t": float(t),
-                "mean_x": float(np.mean(x)),
-                "mean_y": float(np.mean(y)),
-                "var_x": float(np.mean(np.var(x, axis=0))),
-                "var_y": float(np.mean(np.var(y, axis=0))),
-                "cov_xy": float(
-                    np.mean(
+    # a diverged run is refused below on one line, without numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.mode == "forward":
+            traj = forward_sample(
+                spec, init, args.steps, rng,
+                horizon=args.horizon, n_paths=args.paths, record_path=True,
+            )
+        elif args.mode == "reverse":
+            traj = reverse_sample(
+                spec, population_score_fn(spec, init), args.steps, rng,
+                horizon=args.horizon, n_paths=args.paths, record_path=True,
+            )
+        else:
+            start = sample_block_gaussian(stationary_cov(spec), args.paths, dim, rng)
+            traj = flow_sample(
+                spec, init, args.steps, start, horizon=args.horizon, record_path=True
+            )
+        rows = []
+        for t, state in zip(traj.times, traj.states):
+            x, y = split_channels(state, dim)
+            rows.append(
+                {
+                    "t": float(t),
+                    "mean_x": float(np.mean(x)),
+                    "mean_y": float(np.mean(y)),
+                    "var_x": float(np.mean(np.var(x, axis=0))),
+                    "var_y": float(np.mean(np.var(y, axis=0))),
+                    "cov_xy": float(
                         np.mean(
-                            (x - x.mean(axis=0)) * (y - y.mean(axis=0)), axis=0
+                            np.mean(
+                                (x - x.mean(axis=0)) * (y - y.mean(axis=0)), axis=0
+                            )
                         )
-                    )
-                ),
-            }
-        )
+                    ),
+                }
+            )
     bad = [col for col in SAMPLE_HEADER if not all(math.isfinite(r[col]) for r in rows)]
     if bad:
         raise InvalidArgument(
@@ -493,21 +495,12 @@ def _cmd_clone(args) -> int:
 # parser and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oudiff",
-        description="Phase transitions and exact-score sampling for coupled "
-        "two-channel OU diffusions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("speciation", help="solve kappa(t)=1 for the speciation time")
+def _speciation_args(p: argparse.ArgumentParser):
     _add_model_flags(p)
     p.add_argument("--t-max-search", dest="t_max_search", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_speciation)
 
-    p = sub.add_parser("collapse", help="joint/per-mode/conditional collapse times")
+
+def _collapse_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
@@ -515,56 +508,86 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--coupling", choices=("symmetric", "anisotropic"), default="symmetric"
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_collapse)
 
-    p = sub.add_parser("stability", help="confinement report for symmetric coupling")
-    _add_model_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("phase-diagram", help="(g, theta) speciation sweep")
+def _phase_args(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None)
     for name in ("beta", "sigma-w2", "sigma2", "m-x2", "m-y2",
                  "g-min", "g-max", "theta-min", "theta-max", "t-max-search"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
     p.add_argument("--g-points", dest="g_points", type=int, default=None)
     p.add_argument("--theta-points", dest="theta_points", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_phase_diagram)
 
-    p = sub.add_parser("sample", help="forward/reverse/flow trajectories")
+
+def _sample_args(p: argparse.ArgumentParser):
     _add_model_flags(p)
     p.add_argument("--mode", choices=("forward", "reverse", "flow"), default="forward")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--paths", type=int, default=256)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--horizon", type=float, default=2.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("toy-conditional", help="conditional coupling sweep")
+
+def _toy_args(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--theta-points", dest="theta_points", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_toy)
 
-    p = sub.add_parser("clone-speciation", help="cloning synchronization sweep")
+
+def _clone_args(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None)
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--summary-out", dest="summary_out", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_clone)
 
+
+# name: (help, the subcommand's own arguments, handler), in usage order
+SUBCOMMANDS = {
+    "speciation": (
+        "solve kappa(t)=1 for the speciation time", _speciation_args, _cmd_speciation
+    ),
+    "collapse": (
+        "joint/per-mode/conditional collapse times", _collapse_args, _cmd_collapse
+    ),
+    "stability": (
+        "confinement report for symmetric coupling", _add_model_flags, _cmd_stability
+    ),
+    "phase-diagram": ("(g, theta) speciation sweep", _phase_args, _cmd_phase_diagram),
+    "sample": ("forward/reverse/flow trajectories", _sample_args, _cmd_sample),
+    "toy-conditional": ("conditional coupling sweep", _toy_args, _cmd_toy),
+    "clone-speciation": ("cloning synchronization sweep", _clone_args, _cmd_clone),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The oudiff parser with every subcommand, or with only ``command``'s;
+    its usage names all of them either way."""
+    parser = argparse.ArgumentParser(
+        prog="oudiff",
+        description="Phase transitions and exact-score sampling for coupled "
+        "two-channel OU diffusions",
+    )
+    names = SUBCOMMANDS if command is None else (command,)
+    # the usage argparse writes for all the choices; the full parser keeps
+    # no metavar, which its errors would name in place of "command"
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, func = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        _add_common(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    # a known subcommand first needs only its own parser; anything else
+    # (help, no command, an unknown one) gets the full parser's message
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -344,21 +344,26 @@ def _aniso_speciation(
     beta, sw2 = spec_template.beta, spec_template.sigma_w2
     sx2, sy2 = init_template.sigma2_x, init_template.sigma2_y
     grid = _scan_grid(t_max_search)
-    grid_parts = _q_parts(beta, grid)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes = []
     pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
-    for g in gs:
-        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, grid_parts, columns)
-        if np.any(bad):
-            outcomes.extend([DegenerateDrift(float(grid[np.argmax(bad)]))] * len(stats))
-            continue
-        for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
-            outcome = _scan_outcome(*scanned)
-            if outcome is None:
-                kappa0, sup_kappa, _, bracket = scanned
-                pending.append((len(outcomes), g, j, kappa0, sup_kappa, bracket))
-            outcomes.append(outcome)
+    # past the float range (2 beta overflows near 9e307) the closed forms
+    # hold NaN, which _scan_outcome refuses: numpy need not warn first
+    with np.errstate(invalid="ignore"):
+        grid_parts = _q_parts(beta, grid)
+        for g in gs:
+            values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, grid_parts, columns)
+            if np.any(bad):
+                outcomes.extend(
+                    [DegenerateDrift(float(grid[np.argmax(bad)]))] * len(stats)
+                )
+                continue
+            for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
+                outcome = _scan_outcome(*scanned)
+                if outcome is None:
+                    kappa0, sup_kappa, _, bracket = scanned
+                    pending.append((len(outcomes), g, j, kappa0, sup_kappa, bracket))
+                outcomes.append(outcome)
     if not pending:
         return outcomes
 

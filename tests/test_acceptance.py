@@ -467,7 +467,9 @@ def test_criterion_10_clone_synchronization_gap():
         clone=CloneConfig(repeats=5, batch=128, steps=800, horizon=4.0),
         seed=SEED,
     )
+    t0 = time.perf_counter()
     r0, r5 = run_clone_experiment(cfg, jobs=1)
+    sweep_dt = time.perf_counter() - t0
 
     ok0 = (
         r0.gap is not None
@@ -484,7 +486,7 @@ def test_criterion_10_clone_synchronization_gap():
         10, ok,
         f"g=0: |gap| {abs(r0.gap):.3f} < CI width {r0.gap_ci_width:.3f}; "
         f"g=0.5: gap {r5.gap:.3f} > CI width {r5.gap_ci_width:.3f} "
-        f"(t_u={r5.t_spec_u:.3f}, t_v={r5.t_spec_v:.3f})",
+        f"(t_u={r5.t_spec_u:.3f}, t_v={r5.t_spec_v:.3f}); sweep {sweep_dt:.2f} s",
     )
 
 

@@ -464,6 +464,108 @@ class TestCloneProtocol:
         assert w2 < w1 * 0.65
 
 
+def _clone_states_oracle(taus, amps, s2, sw2, scan_steps, config, rng):
+    """The clone loop with every time-only term computed per step and
+    fresh temporaries for each expression: the loop ``_clone_states``
+    must match bit for bit, draw for draw."""
+    h = config.horizon / config.steps
+    n_scan = scan_steps.size
+    n_pairs = config.repeats * config.batch
+    n_base = config.baseline_factor * n_pairs
+    n_top = 2 * n_base + n_pairs
+    z = np.empty((2, n_top + 2 * n_scan * n_pairs))
+    z[:, :n_top] = np.sqrt(sw2 / taus) * rng.standard_normal((2, n_top))
+    masters = z[:, 2 * n_base:n_top]
+    noise = math.sqrt(sw2) * math.sqrt(h)
+    live = n_top
+    for k in range(config.steps, -1, -1):
+        start = live
+        live = n_top + 2 * n_pairs * int(np.count_nonzero(scan_steps >= k))
+        z[:, start:live] = np.tile(masters, (live - start) // n_pairs)
+        if k == 0:
+            break
+        c = s2 * np.exp(-taus * (k * h)) + sw2 * (-np.expm1(-taus * (k * h))) / taus
+        mu = np.exp(-0.5 * taus * (k * h)) * amps
+        paths = z[:, :live]
+        score = (mu * np.tanh(mu * paths / c) - paths) / c
+        paths += h * (0.5 * taus * paths + sw2 * score)
+        if k > 1:
+            paths += noise * rng.standard_normal(paths.shape)
+    return z
+
+
+# (beta, g, sW2, s2, m+^2, m-^2, d, steps, horizon, scan times, repeats,
+#  batch, baseline_factor)
+CLONE_ORACLE_CASES = [
+    # one noiseless step; scan times at 0 and at the horizon
+    (1.0, 0.4, 2.0, 1.0, 1.0, 1.0, 6, 1, 4.0, [0.0, 4.0], 2, 8, 1),
+    # h = 2: 0 and 0.9 snap to step 0, the two 4.0 to step 2
+    (1.0, 0.0, 2.0, 1.0, 0.7, 1.3, 4, 2, 4.0, [4.0, 0.0, 0.9, 4.0, 2.0], 1, 16, 4),
+    # twelve scan times on seven steps, three repeats
+    (1.3, -0.5, 1.7, 0.4, 1.5, 0.2, 3, 7, 3.0, list(np.linspace(0.0, 3.0, 12)),
+     3, 8, 2),
+    # unsorted, below 0 and past the horizon (clipped), one near-duplicate
+    (1.0, 0.4, 2.0, 1.0, 1.0, 1.0, 16, 40, 4.0, [5.0, 0.0, 2.0, -1.0, 2.01],
+     2, 24, 1),
+    (0.8, 0.3, 2.5, 1.2, 0.5, 2.0, 2, 60, 4.0, list(np.linspace(0.0, 4.0, 6)),
+     1, 32, 1),
+]
+
+
+class TestCloneLoopOracle:
+    """``_clone_states`` and ``clone_agreement`` against the per-step loop."""
+
+    @staticmethod
+    def _setup(case):
+        beta, g, sw2, s2, mp2, mm2, d, steps, horizon, scans, reps, batch, bf = case
+        spec = ModelSpec(beta, Symmetric(g), sw2, dim_d=d)
+        init = MixtureInit(s2, s2, ModeMeans(mp2, mm2), dim_d=d)
+        config = CloneConfig(
+            repeats=reps, batch=batch, steps=steps, horizon=horizon,
+            baseline_factor=bf,
+        )
+        h = horizon / steps
+        scan_steps = np.clip(np.rint(np.sort(scans) / h).astype(int), 0, steps)
+        return spec, init, config, scans, scan_steps
+
+    @pytest.mark.parametrize("case", CLONE_ORACLE_CASES)
+    def test_states_bit_for_bit(self, case):
+        spec, init, config, _, scan_steps = self._setup(case)
+        taus, amps = analysis._label_modes(spec, init)
+        args = (taus, amps, init.sigma2_x, spec.sigma_w2, scan_steps, config)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        got = analysis._clone_states(*args, rng_a)
+        want = _clone_states_oracle(*args, rng_b)
+        assert got.tobytes() == want.tobytes()
+        # the same number of draws, in the same order
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("case", CLONE_ORACLE_CASES)
+    def test_curves_match(self, case):
+        spec, init, config, scans, scan_steps = self._setup(case)
+        taus, amps = analysis._label_modes(spec, init)
+        z = _clone_states_oracle(
+            taus, amps, init.sigma2_x, spec.sigma_w2, scan_steps, config,
+            np.random.default_rng(9),
+        )
+        n_pairs = config.repeats * config.batch
+        n_base = config.baseline_factor * n_pairs
+        labels = z > 0.0
+        base = np.count_nonzero(labels[:, :n_base] == labels[:, n_base:2 * n_base], axis=1)
+        assert np.all(base < n_base)  # phi_ex is defined in every case
+        clones = labels[:, 2 * n_base + n_pairs:].reshape(2, scan_steps.size, 2, n_pairs)
+        agree = np.count_nonzero(clones[:, ::-1, 0] == clones[:, ::-1, 1], axis=2)
+
+        curves = clone_agreement(spec, init, scans, config, np.random.default_rng(9))
+        for m, mode in ((0, "u"), (1, "v")):
+            curve = curves[mode]
+            snapped = scan_steps * (config.horizon / config.steps)
+            assert curve.scan_times.tobytes() == snapped.tobytes()
+            assert np.array_equal(np.rint(curve.phi_raw * n_pairs), agree[m])
+            assert curve.phi_raw.tobytes() == (agree[m] / n_pairs).tobytes()
+            assert curve.phi_indep == int(base[m]) / n_base
+
+
 def _exact_phi_ex(tau, m2, d, sw2, s2, t):
     """Continuous-time excess clone agreement E[(2p - 1)^2] of one mode.
 

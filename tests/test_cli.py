@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oudiff
-from oudiff.cli import CLONE_FIELDS, TOY_FIELDS, dispatch
+from oudiff.cli import CLONE_FIELDS, SUBCOMMANDS, TOY_FIELDS, build_parser, dispatch
 from oudiff.collapse import CollapseParams, collapse_time_det
 from oudiff.moments import MixtureInit, ModeMeans, ModelSpec, Symmetric
 
@@ -100,7 +100,6 @@ class TestScalarCommands:
               "--beta", "1e160", "--g", "0.5"], "collapse equation not solved"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 2 beta overflows
     def test_huge_beta_exits_2(self, capsys, argv, message):
         # 2 beta leaves the float range, or det C and det Q near the root are
         # subnormal: a typed error on one line, not an OverflowError traceback
@@ -310,6 +309,35 @@ class TestOutputBytes:
              "--paths", "16", "--steps", "20", "--seed", "7", "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "config, jobs, csv_digest, json_digest",
+        [
+            # the clone-sweep benchmark's config at seed 1
+            ({"g_list": [0.0, 0.5], "dim_d": 16, "scan_count": 12, "batch": 128,
+              "steps": 200, "repeats": 1, "horizon": 4.0, "baseline_factor": 4,
+              "seed": 1}, "1",
+             "e7773cb4e1199360fe22568f21299fdc2e32341bdcb121d926e5a0c0efe87003",
+             "30c66977dfa7e27466a38f41e046c06348584f17e9e076248ef9400faf056099"),
+            # h = 0.8: the scan times 4/3 and 2 both snap to step 2
+            ({"g_list": [0.0, 0.3], "dim_d": 4, "scan_count": 7, "batch": 16,
+              "steps": 5, "repeats": 2, "horizon": 4.0, "seed": 3}, "2",
+             "8c1ded430d863a41294e6aa50941619bd974f14d68979c76698669ff5827b73d",
+             "1ffdc2f0b478cd5988a96a2c89e6b0f1f6cf4d89ca11b368833f3faa93726187"),
+        ],
+    )
+    def test_clone_speciation_outputs(self, tmp_path, config, jobs, csv_digest,
+                                      json_digest):
+        # pinned before the clone loop ran its steps in place
+        cfg_path = tmp_path / "clone.json"
+        cfg_path.write_text(json.dumps(config))
+        out, summary = tmp_path / "curves.csv", tmp_path / "summary.json"
+        assert dispatch(
+            ["clone-speciation", "--config", str(cfg_path), "--jobs", jobs,
+             "--out", str(out), "--summary-out", str(summary)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == json_digest
 
 
 class TestSweeps:
@@ -657,7 +685,6 @@ class TestSweeps:
         ],
         ids=["flow-tiny-beta", "reverse-huge-beta", "forward-huge-horizon"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward run overflows
     def test_sample_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
         # beta^2 underflows, beta^3 overflows or the paths overflow: refused
         # on one line, with no file written
@@ -666,6 +693,63 @@ class TestSweeps:
         assert code == 2
         assert capsys.readouterr().err == f"oudiff: invalid configuration: {message}\n"
         assert not out.exists()
+
+
+class TestParser:
+    """dispatch builds only the invoked subcommand's arguments; whatever
+    argparse prints must read as it does from the full parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([name, "--help"] for name in SUBCOMMANDS),
+            ["--help"],
+            ["-h", "speciation"],
+            [],
+            ["no-such-command"],
+            ["speciation", "--no-such-flag"],
+            ["clone-speciation", "extra"],
+            ["sample", "--paths", "many"],
+            ["sample", "--mode", "sideways"],
+            ["collapse", "--alpha", "1"],
+        ],
+        ids=lambda argv: " ".join(argv) or "empty",
+    )
+    def test_messages_match_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        want = (exc.value.code or 0, *capsys.readouterr())
+        code = dispatch(argv)
+        assert (code, *capsys.readouterr()) == want
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["frob"], "oudiff: error: argument command: invalid choice: 'frob' (choose "
+             "from 'speciation', 'collapse', 'stability', 'phase-diagram', 'sample', "
+             "'toy-conditional', 'clone-speciation')"),
+            ([], "oudiff: error: the following arguments are required: command"),
+        ],
+    )
+    def test_full_parser_errors_name_the_command(self, capsys, argv, last_line):
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == last_line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speciation", "--g", "0.3"],
+            ["collapse", "--alpha", "1", "--ratio", "2"],
+            ["stability"],
+            ["phase-diagram", "--g-points", "3"],
+            ["sample", "--paths", "3", "--jobs", "2", "--dry-run"],
+            ["toy-conditional", "--trials", "4"],
+            ["clone-speciation", "--summary-out", "s.json"],
+        ],
+    )
+    def test_one_subcommand_parses_as_full(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
 
 class TestSeedResolution:
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
@@ -780,3 +864,29 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
+          "--sigma-w2", "1.001"],
+         "kappa is nan on the scan grid; the closed forms left the float range"),
+        (["sample", "--mode", "forward", "--coupling", "anisotropic", "--horizon", "1e308",
+          "--dim", "2", "--paths", "2", "--steps", "3"],
+         "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
+         "cov_xy); the run diverged"),
+    ],
+    ids=["speciation-huge-beta", "sample-huge-horizon"],
+)
+def test_out_of_range_refusal_is_one_stderr_line(argv, message):
+    # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as
+    # they do from the command line instead of raising as errors here
+    src = Path(oudiff.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "from oudiff.cli import main; main()", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"oudiff: invalid configuration: {message}\n"

@@ -5,11 +5,10 @@ stability regions and phase diagrams, plus exact-score forward/reverse
 samplers and synchronization diagnostics on Gaussian-mixture data.
 """
 
-from .blockmat import Block2, ModeDecomposition, block_inverse, mat_exp, schur_conditional, spectral_decompose
+from .blockmat import Block2, ModeDecomposition, block_inverse, mat_exp, spectral_decompose
 from .collapse import (
     CollapseParams,
     CollapseResult,
-    alpha_from_counts,
     cgf,
     chi,
     collapse_bound,
@@ -31,7 +30,6 @@ from .moments import (
     diffusion_kernel,
     kernel_K,
     mean_at,
-    mode_kernels,
     moments_ode,
     stacked_moments,
     transition_cov,
@@ -57,7 +55,6 @@ from .speciation import (
     StabilityReport,
     kappa,
     kappa0_aniso,
-    kappa_symmetric_closed,
     phase_diagram,
     speciation_time,
     speciation_time_pure_mode,

@@ -41,10 +41,6 @@ class Block2:
                 raise InvalidArgument(f"non-finite entry {name}={v!r}")
 
     @staticmethod
-    def identity() -> "Block2":
-        return Block2(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
     def diag(a: float, b: float) -> "Block2":
         return Block2(float(a), 0.0, 0.0, float(b))
 
@@ -123,12 +119,6 @@ class ModeDecomposition:
     v_minus: tuple[float, float]
     tau_plus: float
     tau_minus: float
-
-    def projector_plus(self) -> Block2:
-        return Block2.exchange(0.5, 0.5)
-
-    def projector_minus(self) -> Block2:
-        return Block2.exchange(0.5, -0.5)
 
 
 def spectral_decompose(m: Block2) -> ModeDecomposition:
@@ -224,14 +214,3 @@ def _require_positive(name: str, values):
             f"{tuple(int(i) for i in first)}"
         ) if bad.ndim else ""
         raise NotPositiveDefinite(f"block not SPD: {name}{what}{where}")
-
-
-def schur_conditional(c: Block2) -> tuple[float, float]:
-    """``schur_complement`` of a symmetric block."""
-    if not m_close(c.a12, c.a21):
-        raise UnsupportedShape("Schur complement requires a symmetric block")
-    return schur_complement(c.a11, 0.5 * (c.a12 + c.a21), c.a22)
-
-
-def m_close(a: float, b: float, rel: float = 1e-9) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))

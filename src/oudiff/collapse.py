@@ -24,7 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .blockmat import schur_conditional
 from .errors import (
     CgfDomainError,
     InvalidArgument,
@@ -35,8 +34,10 @@ from .moments import (
     Anisotropic,
     MixtureInit,
     ModelSpec,
+    Scheduled,
     Symmetric,
-    diffusion_kernel,
+    _mode_kernel,
+    _q_parts,
 )
 from .speciation import _bisect
 
@@ -100,13 +101,6 @@ class CollapseResult:
     kind: str
 
 
-def alpha_from_counts(n: int, d: int) -> float:
-    """Entropy density log(n) / (2d) of n samples in 2d dimensions."""
-    if n < 1 or d < 1:
-        raise InvalidArgument("n and d must be positive integers")
-    return math.log(n) / (2.0 * d)
-
-
 def _taus(params: CollapseParams) -> tuple[float, float]:
     spec = params.spec
     if not isinstance(spec.coupling, Symmetric):
@@ -117,11 +111,14 @@ def _taus(params: CollapseParams) -> tuple[float, float]:
 
 
 def _over_expm1(num: float, x: float) -> float:
-    """num / (e^x - 1); past e^709.8, where expm1 overflows, its limit num e^{-x}."""
+    """num / (e^x - 1); past e^709.8, where expm1 overflows, its limit
+    num e^{-x}, and at x = 0 (where tau t underflows) its limit +inf."""
     try:
         return num / math.expm1(x)
     except OverflowError:
         return num * math.exp(-x)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def chi(params: CollapseParams, t: float) -> tuple[float, float]:
@@ -147,11 +144,6 @@ def cgf(params: CollapseParams, beta_rem: float, t: float) -> float:
     return out
 
 
-def rate_at_saddle(params: CollapseParams, t: float) -> float:
-    """Large-deviation rate at the inverse-temperature-1 saddle: -L_t(1) - 1/2."""
-    return -cgf(params, 1.0, t) - 0.5
-
-
 def _require_alpha(params: CollapseParams):
     if params.alpha <= 0.0:
         raise NoCollapse(
@@ -163,7 +155,12 @@ def _require_alpha(params: CollapseParams):
 def collapse_bound(params: CollapseParams) -> float:
     """Upper bound t_C <= ratio / (n^{1/d} - 1) from e^x - 1 >= x."""
     _require_alpha(params)
-    return _over_expm1(params.ratio, 2.0 * params.alpha)
+    bound = _over_expm1(params.ratio, 2.0 * params.alpha)
+    if bound == math.inf:
+        raise InvalidArgument(
+            f"collapse bound overflows at alpha={params.alpha!r}, ratio={params.ratio!r}"
+        )
+    return bound
 
 
 def _halve_down(f, hi: float):
@@ -255,58 +252,111 @@ def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
         raise InvalidArgument(
             f"collapse time underflows at alpha={params.alpha!r}, ratio={params.ratio!r}"
         )
+    if t_c == math.inf:
+        raise InvalidArgument(
+            f"ratio tau / (e^(2 alpha) - 1) overflows at alpha={params.alpha!r}, "
+            f"ratio={params.ratio!r}"
+        )
     residual = abs(
-        math.log1p(params.ratio * tau / math.expm1(tau * t_c))
-        - 2.0 * params.alpha
+        math.log1p(_over_expm1(params.ratio * tau, tau * t_c)) - 2.0 * params.alpha
     )
     kind = KIND_MODE_PLUS if mode == "+" else KIND_MODE_MINUS
     return CollapseResult(t_c=t_c, residual=residual, kind=kind)
 
 
+def _log_pivot_ratios(spec: ModelSpec, init: MixtureInit):
+    """t -> (log(c1 / q1), log(c2 / q2)) for the LDL^T pivots of C(t) and
+    Q(t) scaled by 2 beta / sW2, in Python floats (an overflow is a silent inf).
+
+    det C / det Q = c1 c2 / (q1 q2) and C_y|x / Q_y|x = c2 / q2 do not
+    change under the scaling, which keeps the pivots of order one where the
+    unscaled determinants are subnormal (beta ~ 1e158).  In a = 2 beta t,
+    gamma = g / beta and rho = 2 beta s2 / sW2, one-way coupling has
+    Q^ = [[u, gamma k / 2], [., u + gamma^2 h / 2]], with (e^{-a}, u, k, h)
+    from ``_q_parts``, and C^ = Q^ + e^{-a} [[rho_x, rho_x gamma a / 2],
+    [., rho_x gamma^2 a^2 / 4 + rho_y]].  With P = e^{-a} rho_x,
+    v = a (a u / 4 - k / 2) + h / 2 and w = u h / 2 - k^2 / 4 its pivots are
+    c1 = P + u, q1 = u, q2 = u + gamma^2 w / u and
+    c2 = e^{-a} rho_y + u + gamma^2 (P v + w) / c1, the rho_x^2 terms
+    cancelled.  Symmetric coupling takes the mode forms (e, q) of
+    ``_mode_kernel`` at rates 1 -+ gamma: q1 = q_+, q2 = q_-,
+    c1 = rho e_+ + q_+ and c2 = q_- + e_- (e_+ rho_x rho_y + rho q_+) / c1,
+    with rho = (rho_x + rho_y) / 2.  Where Q^ is degenerate, as where a
+    underflows to 0, both ratios take their limit +inf.
+    """
+    if isinstance(spec.coupling, Scheduled):
+        raise UnsupportedShape("the collapse routes need a constant coupling kind")
+    spec.require_stable()
+    beta, g = spec.beta, spec.coupling.g
+    rho_x, rho_y = (2.0 * beta / spec.sigma_w2 * s2 for s2 in (init.sigma2_x, init.sigma2_y))
+    rho = 0.5 * (rho_x + rho_y)
+    gamma = g / beta
+    gamma2 = gamma * gamma
+    if not (sys.float_info.min <= min(rho_x, rho_y) and max(rho_x, rho_y, gamma2) < math.inf):
+        raise InvalidArgument(
+            f"beta={beta!r}, g={g!r}: the scaled variances 2 beta s2 / sW2 "
+            "or (g / beta)^2 leave the float range"
+        )
+    symmetric = isinstance(spec.coupling, Symmetric)
+
+    def at(t: float):
+        a = 2.0 * beta * t
+        if symmetric:
+            e_p, q1 = (float(x) for x in _mode_kernel(0.0, 1.0, 1.0 - gamma, a))
+            e_m, q2 = (float(x) for x in _mode_kernel(0.0, 1.0, 1.0 + gamma, a))
+            c1 = rho * e_p + q1
+            c2 = q2 + e_m * (e_p * rho_x / c1 * rho_y + rho * (q1 / c1))
+        else:
+            decay, q1, k, h = (float(x) for x in _q_parts(beta, t))
+            if q1 == 0.0:
+                return math.inf, math.inf
+            p = decay * rho_x
+            w = q1 * h / 2.0 - k * k / 4.0
+            v = a * (a * q1 / 4.0 - k / 2.0) + h / 2.0
+            c1 = p + q1
+            # where e^{-a} rho_x underflows to 0, a^2 in v may overflow: P v = 0
+            c2 = decay * rho_y + q1 + gamma2 * (((p * v if p else 0.0) + w) / c1)
+            q2 = q1 + gamma2 * (w / q1)
+        if not (q1 > 0.0 and q2 > 0.0):
+            return math.inf, math.inf
+        return math.log(c1) - math.log(q1), math.log(c2) - math.log(q2)
+
+    return at
+
+
 def collapse_time_det(params: CollapseParams) -> CollapseResult:
     """Joint collapse from the determinant form alpha = (1/4) log(det C / det Q).
 
-    Valid for both coupling kinds; on the symmetric model it coincides
+    Valid for both constant coupling kinds, on the pivots of the scaled
+    blocks (``_log_pivot_ratios``); on the symmetric model it coincides
     with the eigenmode transcendental equation.
     """
-    spec, init = params.spec, params.init
-    spec.require_stable()
+    spec = params.spec
+    ratios = _log_pivot_ratios(spec, params.init)
 
     def f(t: float) -> float:
-        ms = diffusion_kernel(spec, init, t)
-        det_c = ms.c.det
-        det_q = ms.q.det
-        if det_q <= 0.0:
-            return float("inf")  # shrink bracket upward from degenerate Q
-        return 0.25 * (math.log(det_c) - math.log(det_q)) - params.alpha
+        first, second = ratios(t)
+        return 0.25 * (first + second) - params.alpha
 
-    kind = (
-        KIND_JOINT_SYMMETRIC
-        if isinstance(spec.coupling, Symmetric)
-        else KIND_JOINT_ANISO
-    )
+    kind = KIND_JOINT_SYMMETRIC if isinstance(spec.coupling, Symmetric) else KIND_JOINT_ANISO
     return _solve(params, f, kind)
 
 
 def collapse_time_conditional(params: CollapseParams) -> CollapseResult:
     """Conditional collapse of the target channel given the conditioning one.
 
-    Root of alpha = (1/2) log(C_y|x / Q_y|x) built from Schur complements;
-    the prefactor halves relative to the joint form because the effective
-    dimension is d.
+    Root of alpha = (1/2) log(C_y|x / Q_y|x), the second pivots of the
+    scaled blocks (``_log_pivot_ratios``); the prefactor halves relative to
+    the joint form because the effective dimension is d.
     """
-    spec, init = params.spec, params.init
+    spec = params.spec
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape(
             "conditional collapse is defined for anisotropic coupling"
         )
+    ratios = _log_pivot_ratios(spec, params.init)
 
     def f(t: float) -> float:
-        ms = diffusion_kernel(spec, init, t)
-        if ms.q.det <= 0.0 or ms.q.a11 <= 0.0:
-            return float("inf")
-        c_yx, _ = schur_conditional(ms.c)
-        q_yx, _ = schur_conditional(ms.q)
-        return 0.5 * (math.log(c_yx) - math.log(q_yx)) - params.alpha
+        return 0.5 * ratios(t)[1] - params.alpha
 
     return _solve(params, f, KIND_CONDITIONAL)

@@ -453,22 +453,6 @@ def _mode_kernel(s2, sw2, tau, ts):
     return decay, s2 * decay + sw2 * (-np.expm1(-tau * ts)) / tau
 
 
-def mode_kernels(spec: ModelSpec, init: MixtureInit, t: float) -> tuple[float, float]:
-    """Diffusion-kernel eigenvalues c_pm(t) for symmetric coupling.
-
-    c_pm = s2 e^{-tau_pm t} + sW2 (1 - e^{-tau_pm t}) / tau_pm, requiring
-    equal channel variances so that C(t) commutes with the eigenmode
-    projectors.
-    """
-    _require_time(t)
-    _require_mode_kernels(spec, init)
-    modes = spec.modes()
-    return tuple(
-        float(_mode_kernel(init.sigma2_x, spec.sigma_w2, tau, t)[1])
-        for tau in (modes.tau_plus, modes.tau_minus)
-    )
-
-
 def _k_parts(beta, sw2, g, c11, c12, c22):
     """K(t) = N / (Delta D) from the entries of C(t), on scalars or arrays:
     the numerators (N11, N12, N21, N22), Delta D and the mask of D(t)

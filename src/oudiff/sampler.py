@@ -584,21 +584,6 @@ def _cell_mixture(spec, init: MixtureInit, x: np.ndarray, t: float, moments):
     return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x)
 
 
-def conditional_components(
-    spec: ModelSpec,
-    init: MixtureInit,
-    x: np.ndarray,
-    t: float,
-    moments: MomentState | None = None,
-):
-    """Mixture representation of P_t(y | x): weights (m, 2), component
-    means (m, 2, d) and the conditional variance."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u, gain, delta, c_yx = _cell_mixture(spec, init, x, t, moments)
-    means = gain * x[..., None, :] + np.array([[1.0], [-1.0]]) * delta
-    return _class_weights(u), means, c_yx
-
-
 def conditional_score(
     spec: ModelSpec,
     init: MixtureInit,

@@ -37,7 +37,6 @@ from .moments import (
     _mode_kernel,
     _q_parts,
     _require_mode_kernels,
-    _require_time,
     diffusion_kernel,
     kernel_K,
 )
@@ -103,7 +102,11 @@ def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
     stats = ms.mean_stats()
     sw2 = spec.sigma_w2
     if isinstance(spec.coupling, Symmetric):
-        kappa_symmetric_closed(spec, init, t)  # raises where confinement fails
+        # at the exact stability boundary denom == 0: reported through bad
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, bad = _symmetric_kappa(spec, init)(t)
+        if bad:
+            raise UnstableAtTime(t)
         cinv = block_inverse(ms.c)
         inner = spec.relaxation().add(cinv.scale(sw2))
         a = block_inverse(inner).matmul(cinv.scale(sw2))
@@ -144,21 +147,6 @@ def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
         return kappa_t, bad
 
     return at
-
-
-def kappa_symmetric_closed(spec: ModelSpec, init: MixtureInit, t: float) -> float:
-    """Eigenmode closed form: kappa = sW2 * (SNR_plus + SNR_minus).
-
-    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).  Raises
-    UnstableAtTime when tail confinement fails at t.
-    """
-    _require_time(t)
-    # at the exact stability boundary denom == 0: reported through bad
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, bad = _symmetric_kappa(spec, init)(t)
-    if bad:
-        raise UnstableAtTime(t)
-    return float(value)
 
 
 def _kappa0_terms(spec: ModelSpec, init: MixtureInit, mxx: float, myy: float):

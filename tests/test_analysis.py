@@ -27,7 +27,12 @@ from oudiff.moments import (
     Symmetric,
     diffusion_kernel,
 )
-from oudiff.sampler import ConditionalRunConfig, materialize_means
+from oudiff.sampler import (
+    ConditionalRunConfig,
+    _cell_mixture,
+    _class_weights,
+    materialize_means,
+)
 
 
 class TestWilson:
@@ -117,6 +122,15 @@ class TestCrossing:
         assert crossing_time(times, values, 0.5) == 1.0
 
 
+def conditional_components(spec, init, x, t, moments=None):
+    """Mixture representation of P_t(y | x): weights (m, 2), component
+    means (m, 2, d) and the conditional variance."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u, gain, delta, c_yx = _cell_mixture(spec, init, x, t, moments)
+    means = gain * x[..., None, :] + np.array([[1.0], [-1.0]]) * delta
+    return _class_weights(u), means, c_yx
+
+
 def toy_pairs(n=500, d=6, m2=1.0, theta=0.7, seed=0):
     init = MixtureInit(1.0, 1.0, AngledMeans(m2, m2, theta), dim_d=d)
     spec = ModelSpec(1.0, Symmetric(0.0), 2.0, dim_d=d)
@@ -151,8 +165,6 @@ class TestToyMetrics:
     def test_nll_matches_entropy_oracle(self):
         # draws from the exact conditional make NLL estimate the entropy
         init, ms, rng, mu_x, mu_y, s, x0 = toy_pairs(n=4000, theta=0.9)
-        from oudiff.sampler import conditional_components
-
         w, means, c_yx = conditional_components(None, init, x0, 0.0, ms)
         pick = rng.uniform(size=4000) < w[:, 0]
         y0 = np.where(pick[:, None], means[:, 0, :], means[:, 1, :])

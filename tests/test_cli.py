@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -97,15 +98,41 @@ class TestScalarCommands:
             (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
               "--sigma-w2", "1.001"], "kappa is nan on the scan grid"),
             (["collapse", "--coupling", "anisotropic", "--alpha", "1", "--ratio", "1",
-              "--beta", "1e160", "--g", "0.5"], "collapse equation not solved"),
+              "--beta", "1e308", "--g", "0.5"], "leave the float range"),
         ],
     )
     def test_huge_beta_exits_2(self, capsys, argv, message):
-        # 2 beta leaves the float range, or det C and det Q near the root are
-        # subnormal: a typed error on one line, not an OverflowError traceback
+        # 2 beta leaves the float range: a typed error on one line, not an
+        # OverflowError traceback
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("oudiff: invalid configuration: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # tau t underflows to 0 in chi, and 2 beta t in the scaled blocks
+            (["--beta=2.7e-165", "--ratio=6.4e-259"], "collapse equation not solved"),
+            (["--coupling", "anisotropic", "--beta=1e-10", "--ratio=1e-290",
+              "--alpha=28"], "collapse equation not solved"),
+            # 2 beta s2 / sW2 below the normal range, (g / beta)^2 past it
+            (["--coupling", "anisotropic", "--beta=2.7e-165", "--ratio=6.4e-259"],
+             "leave the float range"),
+            (["--coupling", "anisotropic", "--g=1e200", "--ratio=1"],
+             "leave the float range"),
+            (["--coupling", "anisotropic", "--alpha=1e-300", "--ratio=1e10"],
+             "collapse bound overflows"),
+            (["--beta=1.56e74", "--alpha=1.35e-160", "--ratio=1.56e74"],
+             "ratio tau / (e^(2 alpha) - 1) overflows"),
+        ],
+    )
+    def test_collapse_outside_the_float_range_exits_2(self, capsys, argv, message):
+        # refused on one line, not a ZeroDivisionError or OverflowError
+        # traceback, nor a null (an inf) in the output
+        assert dispatch(["collapse", "--alpha=1", *argv]) == 2
+        err = capsys.readouterr().err
         assert message in err
         assert len(err.splitlines()) == 1
 
@@ -309,6 +336,27 @@ class TestOutputBytes:
              "--paths", "16", "--steps", "20", "--seed", "7", "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_collapse_grid(self, capsys):
+        # pinned before the det and conditional routes moved onto the scaled
+        # blocks.  alpha = 20 is left out: its root lies below 1e-12 / beta,
+        # where f is a difference of logarithms near 76 that rounds at ~1e-14,
+        # so which midpoint first meets |f| <= 1e-12 can change with the
+        # rounding.  At ratio 4 the det t_c moved from 1.6993417021135448e-17
+        # to 1.699341702119727e-17, both 1.8e-12 (relative) from the 50-digit
+        # root 1.69934170211664e-17, with |f| = 9.1e-13;
+        # test_root_below_the_default_floor checks alpha = 20 to rel 1e-9
+        digest = hashlib.sha256()
+        for coupling, beta, g, alpha, ratio in itertools.product(
+            ("symmetric", "anisotropic"), ("0.5", "1", "3", "7"),
+            ("0", "0.2", "-0.4", "1.5"), ("0.1", "1", "5", "13"), ("0.3", "1", "4"),
+        ):
+            code = dispatch(["collapse", "--coupling", coupling, f"--beta={beta}",
+                             f"--g={g}", f"--alpha={alpha}", f"--ratio={ratio}"])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == (
+            "fbd805198536ad11496cbdcaca3d7ba9d65350175f76b0cb3690cd8d32261791"
+        )
 
     @pytest.mark.parametrize(
         "config, jobs, csv_digest, json_digest",

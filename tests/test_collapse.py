@@ -1,15 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oudiff.blockmat import schur_complement
 from oudiff.collapse import (
     KIND_CONDITIONAL,
     KIND_JOINT_ANISO,
     KIND_JOINT_SYMMETRIC,
     LOG_RESIDUAL_TOL,
     CollapseParams,
-    alpha_from_counts,
+    _solve,
     cgf,
     chi,
     collapse_bound,
@@ -17,7 +19,6 @@ from oudiff.collapse import (
     collapse_time_det,
     collapse_time_mode,
     collapse_time_symmetric,
-    rate_at_saddle,
 )
 from oudiff.errors import CgfDomainError, InvalidArgument, NoCollapse, UnsupportedShape
 from oudiff.moments import (
@@ -25,15 +26,24 @@ from oudiff.moments import (
     MixtureInit,
     ModeMeans,
     ModelSpec,
+    Scheduled,
+    ScheduleSpec,
     Symmetric,
+    diffusion_kernel,
 )
 
 
-def params(alpha=1.0, ratio=1.0, g=0.0, beta=1.0, coupling=Symmetric):
+def params(alpha=1.0, ratio=1.0, g=0.0, beta=1.0, coupling=Symmetric, sigma2_y=None):
     sw2 = 1.0
     spec = ModelSpec(beta=beta, coupling=coupling(g), sigma_w2=sw2)
-    init = MixtureInit(ratio * sw2, ratio * sw2, ModeMeans(1.0, 0.0))
+    sy2 = ratio * sw2 if sigma2_y is None else sigma2_y
+    init = MixtureInit(ratio * sw2, sy2, ModeMeans(1.0, 0.0))
     return CollapseParams(alpha=alpha, ratio=ratio, spec=spec, init=init)
+
+
+def rate_at_saddle(p, t):
+    """Large-deviation rate at the inverse-temperature-1 saddle: -L_t(1) - 1/2."""
+    return -cgf(p, 1.0, t) - 0.5
 
 
 T_REF = 0.5 * math.log(1.0 + 2.0 / (math.e**2 - 1.0))  # 0.136136...
@@ -231,12 +241,47 @@ class TestBound:
         assert result.residual <= LOG_RESIDUAL_TOL
         assert result.t_c == pytest.approx(8.000975857400566e-69, rel=1e-9)
 
-    def test_unsolved_bisection_refused(self):
-        # at beta = 1e160 det C and det Q near the root (~1.8e-158) are
-        # subnormal, so f jumps by ~1e-5 between neighbouring floats: no
-        # midpoint meets the tolerance, and the last one is refused
-        with pytest.raises(InvalidArgument, match="collapse equation not solved"):
-            collapse_time_det(params(g=0.5, beta=1e160, coupling=Anisotropic))
+    @pytest.mark.parametrize("beta", [1e156, 1e158, 1e200, 1e300])
+    @pytest.mark.parametrize(
+        "solve, coupling",
+        [(collapse_time_det, Symmetric), (collapse_time_det, Anisotropic),
+         (collapse_time_conditional, Anisotropic)],
+    )
+    def test_huge_beta_solved(self, solve, coupling, beta):
+        # unscaled, det C and det Q near the root (t_c beta = ln(beta) / 2 - 0.58)
+        # are subnormal from beta ~ 1e158 and 0 from ~ 1e200; the pivots of
+        # the blocks scaled by 2 beta / sW2 stay of order one.  At g / beta
+        # ~ 0 every route meets the symmetric one.
+        p = params(g=0.5, beta=beta, coupling=coupling)
+        result = solve(p)
+        assert result.residual <= LOG_RESIDUAL_TOL
+        assert result.t_c == pytest.approx(
+            collapse_time_symmetric(params(g=0.5, beta=beta)).t_c, rel=1e-9
+        )
+
+    def test_huge_beta_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        beta, g = 1e300, 0.5
+        t_c = collapse_time_det(params(g=g, beta=beta, coupling=Anisotropic)).t_c
+        assert t_c == 3.448070442683215e-298
+        with mp.workdps(50):
+            b, gg = mp.mpf(beta), mp.mpf(g)
+
+            def f(t):
+                # 1/4 log(det C / det Q) - alpha with s2 = sW2 = 1, unscaled
+                e = mp.exp(-2 * b * t)
+                a = 2 * b * t
+                k = 1 - e * (1 + a)
+                h = 1 - e * (1 + a + a * a / 2)
+                q11 = (1 - e) / (2 * b)
+                q12 = gg * k / (4 * b**2)
+                q22 = q11 + gg**2 * h / (4 * b**3)
+                c11, c12, c22 = q11 + e, q12 + e * gg * t, q22 + e * (1 + (gg * t) ** 2)
+                return mp.log((c11 * c22 - c12**2) / (q11 * q22 - q12**2)) / 4 - 1
+
+            # in x = beta t, where the root is of order one (344.8)
+            root = mp.findroot(lambda x: f(x / b), mp.mpf(t_c) * b) / b
+            assert float(root) == pytest.approx(t_c, rel=1e-11)
 
 
 class TestDetRoute:
@@ -285,12 +330,64 @@ class TestConditional:
             collapse_time_conditional(params(g=0.2))
 
 
-class TestParams:
-    def test_alpha_from_counts(self):
-        assert alpha_from_counts(16, 4) == pytest.approx(math.log(16) / 8.0)
-        with pytest.raises(InvalidArgument):
-            alpha_from_counts(0, 4)
+def block_f(p: CollapseParams, conditional: bool):
+    """f(t) of the collapse routes on the unscaled blocks of
+    ``diffusion_kernel``: 1/4 log(det C / det Q) - alpha, or with
+    ``conditional`` 1/2 log(C_y|x / Q_y|x) - alpha from Schur complements."""
 
+    def f(t: float) -> float:
+        ms = diffusion_kernel(p.spec, p.init, t)
+        if conditional:
+            if ms.q.det <= 0.0 or ms.q.a11 <= 0.0:
+                return float("inf")
+            c_yx, _ = schur_complement(ms.c.a11, ms.c.a12, ms.c.a22)
+            q_yx, _ = schur_complement(ms.q.a11, ms.q.a12, ms.q.a22)
+            return 0.5 * (math.log(c_yx) - math.log(q_yx)) - p.alpha
+        if ms.q.det <= 0.0:
+            return float("inf")
+        return 0.25 * (math.log(ms.c.det) - math.log(ms.q.det)) - p.alpha
+
+    return f
+
+
+# the grid of the CLI's collapse pin, and two unequal initial variances
+ORACLE_GRID = [
+    dict(beta=beta, g=g, alpha=alpha, ratio=ratio)
+    for beta, g, alpha, ratio in itertools.product(
+        (0.5, 1.0, 3.0, 7.0), (0.0, 0.2, -0.4, 1.5), (0.1, 1.0, 5.0, 13.0), (0.3, 1.0, 4.0)
+    )
+] + [
+    dict(beta=1.0, g=g, alpha=alpha, ratio=1.0, sigma2_y=sy2)
+    for g, alpha, sy2 in itertools.product((0.0, 0.6), (0.1, 1.0, 5.0), (0.05, 3.0))
+]
+
+
+class TestBlockOracle:
+    @pytest.mark.parametrize(
+        "solve, coupling, conditional, kind",
+        [(collapse_time_det, Symmetric, False, KIND_JOINT_SYMMETRIC),
+         (collapse_time_det, Anisotropic, False, KIND_JOINT_ANISO),
+         (collapse_time_conditional, Anisotropic, True, KIND_CONDITIONAL)],
+    )
+    def test_scaled_pivots_match_the_block_route(self, solve, coupling, conditional, kind):
+        for case in ORACLE_GRID:
+            if coupling is Symmetric and abs(case["g"]) >= case["beta"]:
+                continue  # refused as unstable by both
+            p = params(coupling=coupling, **case)
+            want = _solve(p, block_f(p, conditional), kind)
+            got = solve(p)
+            assert got.kind == kind
+            assert got.residual <= LOG_RESIDUAL_TOL
+            assert got.t_c == pytest.approx(want.t_c, rel=1e-11), case
+
+    @pytest.mark.parametrize("solve", [collapse_time_det, collapse_time_conditional])
+    def test_schedule_refused(self, solve):
+        p = params(coupling=lambda g: Scheduled(ScheduleSpec("late", g, 0.5)), g=0.5)
+        with pytest.raises(UnsupportedShape):
+            solve(p)
+
+
+class TestParams:
     def test_ratio_consistency_enforced(self):
         spec = ModelSpec(1.0, Symmetric(0.0), 2.0)
         init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 0.0))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from oudiff.analysis import CloneConfig, clone_agreement
-from oudiff.blockmat import mat_exp
+from oudiff.blockmat import Block2, mat_exp
 from oudiff.collapse import CollapseParams, collapse_time_det, collapse_time_symmetric
 from oudiff.errors import InvalidArgument, UnsupportedShape
 from oudiff.moments import (
@@ -18,11 +18,12 @@ from oudiff.moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _mode_kernel,
     _poly_tails,
+    _require_mode_kernels,
     diffusion_kernel,
     kernel_K,
     mean_at,
-    mode_kernels,
     moments_ode,
     stacked_moments,
     transition_cov,
@@ -379,13 +380,20 @@ class TestDiffusionKernel:
 
     def test_symmetric_commutes_with_projectors(self):
         spec, init = sym_model(g=0.7)
-        modes = spec.modes()
-        pp = modes.projector_plus()
-        pm = modes.projector_minus()
+        pp, pm = Block2.exchange(0.5, 0.5), Block2.exchange(0.5, -0.5)
         for t in (0.1, 0.9, 3.0):
             c = diffusion_kernel(spec, init, t).c
             resid = (pp @ c @ pm).as_array()
             assert np.max(np.abs(resid)) < 1e-12
+
+
+def mode_kernels(spec, init, t):
+    """c_pm(t) of the plus and minus eigenmodes, from ``_mode_kernel``."""
+    modes = spec.modes()
+    return tuple(
+        float(_mode_kernel(init.sigma2_x, spec.sigma_w2, tau, t)[1])
+        for tau in (modes.tau_plus, modes.tau_minus)
+    )
 
 
 class TestModeKernels:
@@ -411,12 +419,12 @@ class TestModeKernels:
         spec = ModelSpec(1.0, Symmetric(0.3), 2.0)
         init = MixtureInit(1.0, 1.5, ModeMeans(1.0, 0.0))
         with pytest.raises(UnsupportedShape):
-            mode_kernels(spec, init, 0.5)
+            _require_mode_kernels(spec, init)
 
     def test_rejects_anisotropic(self):
         spec, init = aniso_model()
         with pytest.raises(UnsupportedShape):
-            mode_kernels(spec, init, 0.5)
+            _require_mode_kernels(spec, init)
 
 
 class TestKernelK:

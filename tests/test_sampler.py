@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oudiff.blockmat import block_inverse, mat_exp, spectral_decompose
+from oudiff.blockmat import Block2, block_inverse, mat_exp, spectral_decompose
 from oudiff.errors import InvalidArgument, KernelDegenerate
 from oudiff.moments import (
     Anisotropic,
@@ -27,6 +27,8 @@ from oudiff.moments import (
 from oudiff.sampler import (
     ConditionalRunConfig,
     DatasetEmpirical,
+    _cell_mixture,
+    _class_weights,
     conditional_log_density,
     conditional_reverse_group,
     conditional_reverse_sample,
@@ -592,12 +594,20 @@ class TestFlow:
         spec, init = sym_model(g=0.5, d=4)
         start = np.random.default_rng(16).standard_normal((8, 8))
         traj = flow_sample(spec, init, 32, start, record_path=True)
-        modes = spec.modes()
-        pp = modes.projector_plus()
+        pp = Block2.exchange(0.5, 0.5)  # projector on the plus mode
         for state in traj.states:
             x, y = split_channels(state, 4)
             ux, uy = pp.apply(x, y)
             assert ux.shape == (8, 4)
+
+
+def conditional_components(spec, init, x, t, moments=None):
+    """Mixture representation of P_t(y | x): weights (m, 2), component
+    means (m, 2, d) and the conditional variance."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u, gain, delta, c_yx = _cell_mixture(spec, init, x, t, moments)
+    means = gain * x[..., None, :] + np.array([[1.0], [-1.0]]) * delta
+    return _class_weights(u), means, c_yx
 
 
 class TestConditional:
@@ -620,8 +630,6 @@ class TestConditional:
         ms = diffusion_kernel(spec, init, 0.4)
         mu_x, _ = materialize_means(init)
         x = 30.0 * mu_x  # overwhelming evidence for the + class
-        from oudiff.sampler import conditional_components
-
         w, means, c_yx = conditional_components(spec, init, x, 0.4, ms)
         assert w[0, 0] > 1 - 1e-12
         s = conditional_score(spec, init, x, means[0, 0], 0.4, ms)
@@ -729,8 +737,6 @@ class TestConditionalClosedForm:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 32])
     def test_matches_log_space_mixture(self, d):
-        from oudiff.sampler import conditional_components
-
         rng = np.random.default_rng(100 + d)
         for _ in range(12):
             g = rng.uniform(-1.5, 1.5)

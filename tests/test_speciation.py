@@ -34,7 +34,6 @@ from oudiff.speciation import (
     g_crit_aligned,
     kappa,
     kappa0_aniso,
-    kappa_symmetric_closed,
     phase_diagram,
     speciation_time,
     speciation_time_pure_mode,
@@ -73,9 +72,9 @@ class TestKappa:
 
     def test_closed_form_value_at_zero(self):
         spec, init = sym(0.0, m_plus2=1.0, m_minus2=1.0)
-        assert kappa_symmetric_closed(spec, init, 0.0) == pytest.approx(4.0)
+        assert _symmetric_kappa(spec, init)(0.0)[0] == pytest.approx(4.0)
         spec, init = sym(0.5, m_plus2=1.0, m_minus2=0.0)
-        assert kappa_symmetric_closed(spec, init, 0.0) == pytest.approx(4.0 / 3.0)
+        assert _symmetric_kappa(spec, init)(0.0)[0] == pytest.approx(4.0 / 3.0)
 
     def test_matrix_matches_closed(self):
         rng = np.random.default_rng(0)
@@ -90,7 +89,8 @@ class TestKappa:
             init = MixtureInit(s2, s2, ModeMeans(rng.uniform(0, 2), rng.uniform(0, 2)))
             t = rng.uniform(0.0, 4.0)
             a = kappa(spec, init, t)
-            b = kappa_symmetric_closed(spec, init, t)
+            b, bad = _symmetric_kappa(spec, init)(t)
+            assert not bad
             assert a == pytest.approx(b, abs=1e-10, rel=1e-10)
 
     def test_anisotropic_at_zero_matches_closed(self):
@@ -104,7 +104,7 @@ class TestKappa:
         spec = ModelSpec(1.0, Symmetric(0.5), 2.0)
         init = MixtureInit(4.0, 4.0, ModeMeans(1.0, 1.0))
         with pytest.raises(UnstableAtTime):
-            kappa_symmetric_closed(spec, init, 0.0)
+            kappa(spec, init, 0.0)
         res = speciation_time(spec, init)
         assert res.regime == REGIME_UNSTABLE and res.unstable_t == 0.0
 

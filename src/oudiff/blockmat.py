@@ -4,8 +4,10 @@ Every operator in the coupled two-channel model (relaxation matrix, noise
 covariance, transition covariance, diffusion kernel) is a 2x2 matrix of
 scalar blocks on R^{2d}.  The d-fold tensor factor is implicit throughout,
 so all linear algebra reduces to closed-form arithmetic on four scalars:
-exponentials, the exchange-symmetric eigenmode decomposition, inversion
-and Schur complements.
+products, the exchange-symmetric eigenmode decomposition, inversion and
+Schur complements.  The model's transition kernel, e^{Mt} and Q(t), is
+``moments._transition``; ``mat_exp`` stays as an independent exponential
+for the acceptance tests.
 """
 
 from __future__ import annotations

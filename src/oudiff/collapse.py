@@ -48,6 +48,9 @@ KIND_JOINT_ANISO = "joint-aniso"
 KIND_CONDITIONAL = "conditional-y-given-x"
 
 LOG_RESIDUAL_TOL = 1e-12
+# relative to alpha: the det and conditional routes' f rounds at about
+# 1e-16, so they solve down to alpha ~ 1e-8
+ALPHA_RESIDUAL_TOL = 1e-8
 MAX_BISECT = 200
 
 
@@ -173,7 +176,8 @@ def _halve_down(f, hi: float):
 
 def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     """Root of a decreasing collapse equation f(t) = 0, bisected to
-    |f| <= LOG_RESIDUAL_TOL.
+    |f| <= min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * alpha): past the root
+    f tends to about -4 alpha, which lies inside 1e-12 once alpha is small.
 
     The bracket is [1e-12 / beta, collapse_bound + 1 / beta], its top
     doubled while f stays positive, up to 1e8 / beta.  f rises to +inf as
@@ -181,11 +185,11 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     ``collapse_bound`` underflows to 0, the bracket is then [t, 2t] with
     f(t) >= 0 > f(2t), found in steps of a factor 2 from the bound where
     that is lower.  ``collapse_bound`` raises NoCollapse unless alpha > 0.
-    A root far below the top of a wide bracket is out of reach of
-    ``MAX_BISECT`` halvings; where the bisection stops above the tolerance
-    with f < 0 there, the root is bracketed as [t, 2t] below that point
-    and bisected once more.  A bisection that still stops with |f| above
-    the tolerance raises InvalidArgument rather than return a non-root.
+    A root far inside a bracket of many decades is out of reach of
+    ``MAX_BISECT`` halvings; where the bisection stops above the tolerance,
+    the root is bracketed as [t, 2t] on the side of the last midpoint that
+    f's sign gives, and bisected once more.  A bisection that still stops
+    with |f| above the tolerance raises InvalidArgument, not a non-root.
     """
     beta = params.spec.beta
     bound = collapse_bound(params)
@@ -206,11 +210,17 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
         raise InvalidArgument(
             f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
         )
-    t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
-    if residual > LOG_RESIDUAL_TOL and f(t_c) < 0.0:
-        lo, hi, _ = _halve_down(f, t_c)
-        t_c, residual = _bisect(f, lo, hi, LOG_RESIDUAL_TOL, MAX_BISECT)
-    if not residual <= LOG_RESIDUAL_TOL:
+    tol = min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * params.alpha)
+    t_c, residual = _bisect(f, lo, hi, tol, MAX_BISECT)
+    if residual > tol:
+        if f(t_c) < 0.0:
+            lo, hi, _ = _halve_down(f, t_c)
+        else:  # [t, 2t], doubling up from the last midpoint
+            lo, hi = t_c, 2.0 * t_c
+            while f(hi) > 0.0:
+                lo, hi = hi, 2.0 * hi
+        t_c, residual = _bisect(f, lo, hi, tol, MAX_BISECT)
+    if not residual <= tol:
         raise InvalidArgument(
             f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r} "
             f"after {MAX_BISECT} halvings"

@@ -16,9 +16,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .blockmat import (
-    SQRT1_2, Block2, ModeDecomposition, from_modes, mat_exp, spectral_decompose,
-)
+from .blockmat import SQRT1_2, Block2, ModeDecomposition, spectral_decompose
 from .errors import DegenerateDrift, InvalidArgument, UnsupportedShape
 
 
@@ -284,34 +282,6 @@ def _require_closed_form(spec: ModelSpec):
         )
 
 
-def mean_at(spec: ModelSpec, mu0, t: float):
-    """Propagate a mean pair through exp(M t).
-
-    ``mu0`` is a pair (mu_x, mu_y) of scalars or arrays.  Symmetric
-    coupling goes through the eigenmode split; anisotropic coupling uses
-    the nilpotent closed form mu_y(t) = e^{-beta t}(mu_y + g t mu_x).
-    """
-    _require_time(t)
-    _require_closed_form(spec)
-    mux, muy = mu0
-    mux = np.asarray(mux, dtype=float)
-    muy = np.asarray(muy, dtype=float)
-    if isinstance(spec.coupling, Symmetric):
-        e = mat_exp(spec.relaxation(), t)
-        return e.apply(mux, muy)
-    g = spec.coupling.g
-    decay = math.exp(-spec.beta * t)
-    return decay * mux, decay * (muy + g * t * mux)
-
-
-def _expm1_ratio(tau: float, t: float) -> float:
-    """(1 - e^{-tau t}) / tau, stable for tau*t near zero."""
-    x = tau * t
-    if x == 0.0:
-        return t
-    return -math.expm1(-x) / tau
-
-
 # per step, the numerators and denominators of the term ratios of the two
 # tail series, rows (k, h): the n-th term of k is the previous one times
 # -a (n - 1) / (n (n - 2)), n = 3..17, and the (n + 1)-th of h times
@@ -369,7 +339,11 @@ def _poly_tails(a):
 
 
 def _cube(x):
-    """x**3; where a Python float's cube overflows, inf, as numpy gives."""
+    """x**3; where the cube overflows, inf, on a Python float as on an array,
+    without a RuntimeWarning."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return x**3
     try:
         return x**3
     except OverflowError:
@@ -398,39 +372,57 @@ def _aniso_q(beta, sw2, g, parts):
     return q11, q12, q22
 
 
-def transition_cov(spec: ModelSpec, t: float) -> Block2:
-    """Accumulated noise covariance Q(t) of the forward transition kernel.
+def _transition(symmetric: bool, beta, sw2, g, t):
+    """The forward transition kernel over a time t at a constant coupling g:
+    the entries (a11, a12, a21, a22) of Phi = e^{Mt} and of the noise Q(t),
+    on floats or broadcast arrays.
 
-    Symmetric coupling: q_pm = sW2 (1 - e^{-tau_pm t}) / tau_pm on each
-    eigenmode.  Anisotropic coupling: the closed forms of ``_aniso_q``.
+    One-way coupling: Phi = e^{-beta t} [[1, 0], [g t, 1]], Q(t) from
+    ``_aniso_q``.  Symmetric coupling: on the eigenmodes, with rates
+    lambda_pm = -beta +- g and tau_pm = -2 lambda_pm, e^{lambda_pm t} and
+    q_pm = sW2 (1 - e^{-tau_pm t}) / tau_pm (sW2 t where tau_pm t is 0),
+    each block [[a, b], [b, a]] with a, b = (a_+ +- a_-) / 2.
     """
-    _require_time(t)
-    _require_closed_form(spec)
-    sw2 = spec.sigma_w2
-    if isinstance(spec.coupling, Symmetric):
-        modes = spec.modes()
-        qp = sw2 * _expm1_ratio(modes.tau_plus, t)
-        qm = sw2 * _expm1_ratio(modes.tau_minus, t)
-        return from_modes(qp, qm)
-    # Python floats: a numpy scalar would print as np.float64(...)
-    parts = _q_parts(spec.beta, t)
-    q11, q12, q22 = (float(q) for q in _aniso_q(spec.beta, sw2, spec.coupling.g, parts))
-    return Block2(q11, q12, q12, q22)
+    if not symmetric:
+        decay = np.exp(-beta * t)
+        q11, q12, q22 = _aniso_q(beta, sw2, g, _q_parts(beta, t))
+        return (decay, 0.0, decay * (g * t), decay), (q11, q12, q12, q22)
+    modes = []
+    for lam in (-beta + g, -beta - g):
+        x = -2.0 * lam * t
+        at_zero = x == 0.0
+        tau = np.where(at_zero, 1.0, -2.0 * lam)
+        modes.append((np.exp(lam * t), sw2 * np.where(at_zero, t, -np.expm1(-x) / tau)))
+    halves = [(0.5 * (plus + minus), 0.5 * (plus - minus)) for plus, minus in zip(*modes)]
+    return tuple((a, b, b, a) for a, b in halves)
 
 
-def drifted_cov(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
-    """S(t) = e^{Mt} Sigma(0) e^{M^T t}."""
+def _kernel_blocks(spec: ModelSpec, t: float) -> tuple[Block2, Block2]:
+    """(Phi, Q) of ``_transition`` at a time t, as blocks of Python floats
+    (a numpy scalar would print as np.float64(...))."""
     _require_time(t)
     _require_closed_form(spec)
-    e = mat_exp(spec.relaxation(), t)
-    return e.matmul(init.sigma0()).matmul(e.transpose())
+    symmetric = isinstance(spec.coupling, Symmetric)
+    blocks = _transition(symmetric, spec.beta, spec.sigma_w2, spec.coupling.g, t)
+    return tuple(Block2(*(float(x) for x in entries)) for entries in blocks)
+
+
+def mean_at(spec: ModelSpec, mu0, t: float):
+    """Propagate a mean pair (mu_x, mu_y), scalars or arrays, through Phi = e^{Mt}."""
+    return _kernel_blocks(spec, t)[0].apply(*(np.asarray(mu, dtype=float) for mu in mu0))
+
+
+def transition_cov(spec: ModelSpec, t: float) -> Block2:
+    """Accumulated noise covariance Q(t) of the forward transition kernel."""
+    return _kernel_blocks(spec, t)[1]
 
 
 def diffusion_kernel(spec: ModelSpec, init: MixtureInit, t: float) -> MomentState:
-    """Full moment state at time t: mean plane, S(t), Q(t), C(t) = S + Q."""
-    s = drifted_cov(spec, init, t)
-    q = transition_cov(spec, t)
-    mux, muy = mean_at(spec, init.mean_plane(), t)
+    """Full moment state at time t: the mean plane through Phi, the drifted
+    covariance S = Phi Sigma(0) Phi^T, Q(t) and C(t) = S + Q."""
+    phi, q = _kernel_blocks(spec, t)
+    s = phi.matmul(init.sigma0()).matmul(phi.transpose())
+    mux, muy = phi.apply(*init.mean_plane())
     return MomentState(t=float(t), mu_x=mux, mu_y=muy, s=s, q=q, c=s.add(q))
 
 
@@ -501,42 +493,25 @@ def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
 def _step_maps(specs, grid: np.ndarray):
     """Per grid step and spec, the exact moment map with the coupling held
     at its value at the step midpoint: Phi = e^{M h} and the noise Q(h)
-    gathered over the step, each shaped (steps, cells, 2, 2).
-
-    One-way coupling (anisotropic or scheduled) has
-    Phi = e^{-beta h} [[1, 0], [g h, 1]] and Q(h) from ``_aniso_q``;
-    symmetric coupling takes the eigenmode forms of ``mean_at`` and
-    ``transition_cov``.  Each entry reads only its own spec and step.
+    gathered over the step, each shaped (steps, cells, 2, 2), from one
+    ``_transition`` call per coupling kind.  Each entry reads only its own
+    spec and step.
     """
-    h = np.diff(grid)
-    h_cells = h[:, None]  # broadcasts against the cell axis
+    h_cells = np.diff(grid)[:, None]  # broadcasts against the cell axis
     t_mid = 0.5 * (grid[:-1] + grid[1:])
     g = np.stack([spec.coupling_at(t_mid) for spec in specs], axis=1)
     beta = np.array([spec.beta for spec in specs])
     sw2 = np.array([spec.sigma_w2 for spec in specs])
-    phi = np.zeros(g.shape + (2, 2))
+    symmetric = np.array([isinstance(spec.coupling, Symmetric) for spec in specs])
+    phi = np.empty(g.shape + (2, 2))
     q_h = np.empty(g.shape + (2, 2))
-    decay = np.exp(-beta * h_cells)
-    phi[..., 0, 0] = phi[..., 1, 1] = decay
-    phi[..., 1, 0] = decay * (g * h_cells)
-    q_h[..., 0, 0], q_h[..., 0, 1], q_h[..., 1, 1] = _aniso_q(
-        beta, sw2, g, _q_parts(beta, h_cells)
-    )
-    q_h[..., 1, 0] = q_h[..., 0, 1]
-    for j, spec in enumerate(specs):
-        if not isinstance(spec.coupling, Symmetric):
-            continue
-        modes = spec.modes()
-        mode_pairs = []
-        for lam, tau in ((modes.lambda_plus, modes.tau_plus),
-                         (modes.lambda_minus, modes.tau_minus)):
-            # (1 - e^{-tau h}) / tau, which is h at tau = 0
-            q_mode = -np.expm1(-tau * h) / tau if tau else h
-            mode_pairs.append((np.exp(lam * h), spec.sigma_w2 * q_mode))
-        (phi_p, q_p), (phi_m, q_m) = mode_pairs
-        for out, plus, minus in ((phi, phi_p, phi_m), (q_h, q_p, q_m)):
-            out[:, j, 0, 0] = out[:, j, 1, 1] = 0.5 * (plus + minus)
-            out[:, j, 0, 1] = out[:, j, 1, 0] = 0.5 * (plus - minus)
+    for kind in (False, True):
+        cells = symmetric == kind
+        if cells.any():
+            blocks = _transition(kind, beta[cells], sw2[cells], g[:, cells], h_cells)
+            for out, entries in zip((phi, q_h), blocks):
+                for (i, j), entry in zip(np.ndindex(2, 2), entries):
+                    out[:, cells, i, j] = entry
     return phi, q_h
 
 

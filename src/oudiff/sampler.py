@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmat import Block2, block_inverse, from_modes, mat_exp, schur_complement
+from .blockmat import Block2, block_inverse, from_modes, schur_complement
 from .errors import (
     InvalidArgument,
     KernelDegenerate,
@@ -35,9 +35,9 @@ from .moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _kernel_blocks,
     diffusion_kernel,
     stacked_moments,
-    transition_cov,
 )
 
 ScoreFn = Callable[[np.ndarray, float], np.ndarray]
@@ -405,9 +405,10 @@ def empirical_score(
         )
     zb = np.atleast_2d(z)
     d = spec.dim_d
-    qinv = block_inverse(transition_cov(spec, t))
+    phi, q = _kernel_blocks(spec, t)
+    qinv = block_inverse(q)
     qinv_z = _block_apply_state(qinv, zb, d)  # (m, 2d)
-    drifted = _block_apply_state(mat_exp(spec.relaxation(t), t), dataset.points, d)
+    drifted = _block_apply_state(phi, dataset.points, d)
     proj = _block_apply_state(qinv, drifted, d)  # (n, 2d)
 
     log_k = zb @ proj.T  # (m, n)

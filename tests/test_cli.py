@@ -312,21 +312,24 @@ class TestOutputBytes:
             "4df4b7bb0605075194329f2e6b4d8094d83fb5356f7a38da99a94caeb238ee42"
         )
 
+    # reverse and flow pinned again when Phi(t) and Q(t) became one closed
+    # form on numpy's exp: 2 to 27 of 126 values moved, by at most 1e-15
+    # relative
     @pytest.mark.parametrize(
         "coupling, mode, digest",
         [
             ("symmetric", "forward",
              "186974c298f73d2ca5d3d8615b55ea0237a1fe41ec841af7f90af99fa8a36edf"),
             ("symmetric", "reverse",
-             "cd62223e1e0143090938b8aacac530a7eeff4ed75a1c3e0896c6ebc592459b30"),
+             "d00e10528c677097b34391ef37544d608f90874be2602f825ab92136d8fa54ff"),
             ("symmetric", "flow",
-             "cb755e87a6ce47d97a57bc766fbd460018f7c0e31e37ce559562c385959733eb"),
+             "89797f027a2897f130c475c7ee5002bb1deb93911130136757f17c3ab80cef95"),
             ("anisotropic", "forward",
              "8b2a314a142a8b4ef908e480b8563a24116951de55fe7c8108bf25ff63e2a02b"),
             ("anisotropic", "reverse",
-             "1897a089312f77c7449aa40032f3122c250efa62183c4142ead9c159b88a9f52"),
+             "36abcfde70a2d25e3f15b401874a7c3f90b32a32fa2a71e7f370f56865311ad9"),
             ("anisotropic", "flow",
-             "593500d81e23478c9c187e8c1ef0d6c3502557b5acdeadcfc319246b58cafb0b"),
+             "b7ee4a95a922690bac7079d33783260c03c5de046d50eff19b54aeca536a5b1c"),
         ],
     )
     def test_sample_csv(self, tmp_path, coupling, mode, digest):

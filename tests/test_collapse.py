@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from oudiff.blockmat import schur_complement
+from oudiff.cli import dispatch
 from oudiff.collapse import (
     KIND_CONDITIONAL,
     KIND_JOINT_ANISO,
@@ -240,6 +242,57 @@ class TestBound:
         result = solve(params(g=0.5, beta=1e70, coupling=Anisotropic))
         assert result.residual <= LOG_RESIDUAL_TOL
         assert result.t_c == pytest.approx(8.000975857400566e-69, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "coupling, alpha, ratio, beta, g",
+        [("symmetric", 2.499992633245675e-05, 0.0019522500006667926,
+          2.813980931992716e60, 4.574907935711922),
+         ("anisotropic", 2.499992633245675e-05, 0.0019522500006667926,
+          2.813980931992716e60, 4.574907935711922),
+         ("symmetric", 26.240882573093707, 27.549353016708338, 3.996618513992128e81, 0.0)],
+    )
+    def test_root_above_the_last_midpoint(self, capsys, coupling, alpha, ratio, beta, g):
+        # the bracket [1e-12 / beta, bound + 1 / beta] spans some 60 to 74
+        # decades, so 200 linear halvings stop short with f > 0 at the last
+        # midpoint; the solver brackets the root as [t, 2t] above it and
+        # bisects again.  g / beta < 2e-60, so every route meets the
+        # per-mode closed form at g = 0
+        argv = ["collapse", "--coupling", coupling, f"--alpha={alpha!r}",
+                f"--ratio={ratio!r}", f"--beta={beta!r}", f"--g={g!r}"]
+        assert dispatch(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        want = collapse_time_mode(params(alpha=alpha, ratio=ratio, beta=beta), "+").t_c
+        assert out["t_c"] == pytest.approx(want, rel=1e-9)
+        if coupling == "anisotropic":
+            assert out["t_c_conditional"] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("g", [0.0, 0.5])
+    def test_alpha_far_below_the_absolute_tolerance(self, capsys, g):
+        # past the root f ~ -4 alpha, inside 1e-12 at alpha = 1e-14, so the
+        # tolerance scales with alpha: else the first midpoint (2.5e13) passes
+        argv = ["collapse", "--alpha", "1e-14", "--ratio", "1", f"--g={g}"]
+        assert dispatch(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        low, high = sorted((out["t_c_minus"], out["t_c_plus"]))
+        assert low * (1.0 - 1e-9) <= out["t_c"] <= high * (1.0 + 1e-9)
+        if g == 0.0:
+            assert out["t_c"] == pytest.approx(16.11809565095832, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "solve, coupling",
+        [(collapse_time_det, Symmetric), (collapse_time_det, Anisotropic),
+         (collapse_time_conditional, Anisotropic)],
+    )
+    def test_small_alpha_on_the_pivot_routes(self, solve, coupling):
+        # the pivot routes' f rounds at ~1e-16 absolute: at alpha = 1e-8 they
+        # meet the eigenmode route; at 1e-14, where 1e-8 alpha lies below
+        # that rounding, they refuse rather than return a midpoint
+        want = collapse_time_symmetric(params(alpha=1e-8)).t_c
+        assert solve(params(alpha=1e-8, coupling=coupling)).t_c == pytest.approx(
+            want, rel=1e-9
+        )
+        with pytest.raises(InvalidArgument, match="collapse equation not solved"):
+            solve(params(alpha=1e-14, coupling=coupling))
 
     @pytest.mark.parametrize("beta", [1e156, 1e158, 1e200, 1e300])
     @pytest.mark.parametrize(

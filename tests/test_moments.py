@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oudiff.analysis import CloneConfig, clone_agreement
-from oudiff.blockmat import Block2, mat_exp
+from oudiff.blockmat import Block2, from_modes, mat_exp
 from oudiff.collapse import CollapseParams, collapse_time_det, collapse_time_symmetric
 from oudiff.errors import InvalidArgument, UnsupportedShape
 from oudiff.moments import (
@@ -18,9 +19,12 @@ from oudiff.moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _aniso_q,
     _mode_kernel,
     _poly_tails,
+    _q_parts,
     _require_mode_kernels,
+    _step_maps,
     diffusion_kernel,
     kernel_K,
     mean_at,
@@ -93,6 +97,59 @@ def _poly_tail_h_oracle(a):
         term = term * (-a) * (n - 1) / (n * (n - 3))
         series = series + term
     return np.where(a < 0.5, series, direct)
+
+
+def _expm1_ratio(tau: float, t: float) -> float:
+    """(1 - e^{-tau t}) / tau, stable for tau*t near zero."""
+    x = tau * t
+    if x == 0.0:
+        return t
+    return -math.expm1(-x) / tau
+
+
+def block_chain(spec: ModelSpec, init: MixtureInit, t: float):
+    """The former ``Block2`` chain of ``mean_at``, ``transition_cov`` and
+    ``drifted_cov``, kept as the oracle of ``_transition``: Phi from
+    ``mat_exp``, symmetric Q from ``from_modes`` of ``_expm1_ratio``, the
+    one-way mean on ``math.exp``.  Returns (Phi, mu_x, mu_y, S, Q)."""
+    phi = mat_exp(spec.relaxation(), t)
+    beta, g, sw2 = spec.beta, spec.coupling.g, spec.sigma_w2
+    mux, muy = init.mean_plane()
+    if isinstance(spec.coupling, Symmetric):
+        modes = spec.modes()
+        q = from_modes(
+            sw2 * _expm1_ratio(modes.tau_plus, t), sw2 * _expm1_ratio(modes.tau_minus, t)
+        )
+        mux, muy = phi.apply(mux, muy)
+    else:
+        q11, q12, q22 = (float(x) for x in _aniso_q(beta, sw2, g, _q_parts(beta, t)))
+        q = Block2(q11, q12, q12, q22)
+        decay = math.exp(-beta * t)
+        mux, muy = decay * mux, decay * (muy + g * t * mux)
+    s = phi.matmul(init.sigma0()).matmul(phi.transpose())
+    return phi, mux, muy, s, q
+
+
+def assert_views_match_block_chain(spec, init, t, rel=1e-14):
+    """``mean_at``, ``transition_cov`` and ``diffusion_kernel`` against
+    ``block_chain``, each to ``rel`` of the largest entry of its block; past
+    e^{-745}, subnormal entries hold only their last bits."""
+    phi, mux, muy, s, q = block_chain(spec, init, t)
+    ms = diffusion_kernel(spec, init, t)
+    got_mean = np.stack(mean_at(spec, init.mean_plane(), t))
+    pairs = [
+        (transition_cov(spec, t).as_array(), q.as_array()),
+        (ms.q.as_array(), q.as_array()),
+        (ms.s.as_array(), s.as_array()),
+        (ms.c.as_array(), s.add(q).as_array()),
+        (got_mean, np.stack([mux, muy])),
+        (np.stack([ms.mu_x, ms.mu_y]), np.stack([mux, muy])),
+    ]
+    for unit in ((1.0, 0.0), (0.0, 1.0)):  # the columns of Phi
+        pairs.append((np.stack(mean_at(spec, unit, t)), np.stack(phi.apply(*unit))))
+    for got, want in pairs:
+        bound = rel * np.max(np.abs(want)) + sys.float_info.min
+        assert np.max(np.abs(got - want)) <= bound, (spec, t)
 
 
 def sym_model(beta=1.0, g=0.5, sw2=2.0, s2=1.0):
@@ -269,6 +326,9 @@ class TestTransitionCov:
         q = transition_cov(ModelSpec(1e120, Anisotropic(0.5), 2.0), 1e-120)
         assert q.a22 == q.a11 == pytest.approx(-math.expm1(-2.0) / 1e120, rel=1e-14)
         assert q.a12 == pytest.approx((1.0 - 3.0 * math.exp(-2.0)) / 4e240, rel=1e-14)
+        # the step maps cube an array of beta: the same limit, without a RuntimeWarning
+        _, q_h = _step_maps([ModelSpec(1e120, Anisotropic(0.5), 2.0)], np.array([0.0, 1e-120]))
+        assert q_h[0, 0, 1, 1] == q.a22
 
     @staticmethod
     def _tail_inputs():
@@ -353,6 +413,19 @@ class TestTransitionCov:
                 eig = np.linalg.eigvalsh(0.5 * (diff + diff.T))
                 assert eig.min() > -1e-12
                 prev = cur
+
+
+class TestTransition:
+    @pytest.mark.parametrize(
+        "coupling", [Symmetric(0.0), Symmetric(0.7), Symmetric(-1.3), Symmetric(1.5),
+                     Anisotropic(0.0), Anisotropic(2.5), Anisotropic(-0.4)],
+    )
+    def test_views_match_block_chain(self, coupling):
+        # |g| = beta on the last symmetric case, where tau_+ = 0 and q_+ = sW2 t
+        spec = ModelSpec(1.5, coupling, 2.0)
+        init = MixtureInit(1.0, 0.6, AngledMeans(1.0, 0.5, 0.9))
+        for t in (0.0, 1e-9, 0.3, 2.0, 40.0):
+            assert_views_match_block_chain(spec, init, t)
 
 
 class TestDiffusionKernel:

@@ -338,18 +338,6 @@ def _poly_tails(a):
     return decay, k, h
 
 
-def _cube(x):
-    """x**3; where the cube overflows, inf, on a Python float as on an array,
-    without a RuntimeWarning."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return x**3
-    try:
-        return x**3
-    except OverflowError:
-        return math.inf
-
-
 def _q_parts(beta, ts):
     """The time-only parts (e^{-2 beta t}, u, k, h) of the anisotropic Q(t),
     with a = 2 beta t, u = 1 - e^{-a} and the tails k, h of ``_poly_tails``."""
@@ -360,15 +348,17 @@ def _q_parts(beta, ts):
 
 def _aniso_q(beta, sw2, g, parts):
     """Anisotropic Q(t) entries (q11, q12, q22) on broadcast arrays of g and
-    the time-only ``parts`` of ``_q_parts``:
-    q11 = sW2 u / (2 beta), q12 = sW2 g k / (4 beta^2),
-    q22 = q11 + sW2 g^2 h / (4 beta^3).
-    Where beta^2 or beta^3 overflows, the g terms take their limit 0.
+    the time-only ``parts`` of ``_q_parts``, in gamma = g / beta:
+    q11 = sW2 u / (2 beta), q12 = sW2 gamma k / (4 beta),
+    q22 = q11 + sW2 gamma^2 h / (4 beta).
+    Finite wherever gamma^2 h / beta is, also past the overflow of g^2 and
+    beta^3.
     """
     _, u, k, h = parts
+    gamma = g / beta
     q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * g * k / (4.0 * beta * beta)
-    q22 = sw2 * (u / (2.0 * beta) + g * g * h / (4.0 * _cube(beta)))
+    q12 = sw2 * gamma * k / (4.0 * beta)
+    q22 = sw2 * (u / (2.0 * beta) + gamma * gamma * h / (4.0 * beta))
     return q11, q12, q22
 
 

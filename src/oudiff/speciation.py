@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockmat import Block2, block_inverse
 from .errors import (
     DegenerateDrift,
     DegenerateRate,
@@ -37,8 +36,7 @@ from .moments import (
     _mode_kernel,
     _q_parts,
     _require_mode_kernels,
-    diffusion_kernel,
-    kernel_K,
+    _require_time,
 )
 
 REGIME_SPECIATES = "speciates"
@@ -85,68 +83,65 @@ class StabilityReport:
         return None if self.stable else 0.0
 
 
-def _quad_form(block: Block2, stats: tuple[float, float, float]) -> float:
-    mxx, myy, mxy = stats
-    return block.a11 * mxx + (block.a12 + block.a21) * mxy + block.a22 * myy
+def _kappa_form(spec: ModelSpec, init: MixtureInit):
+    """kappa's closed form for the spec's coupling kind, and the error of a
+    time at which it is meaningless (UnstableAtTime for symmetric, where
+    tail confinement fails; DegenerateDrift for anisotropic, where D(t)
+    vanishes).
 
-
-def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
-    """Bifurcation parameter kappa(t), per dimension.
-
-    Symmetric coupling is evaluated through the generic block composition
-    (it matches the eigenmode closed form); anisotropic coupling goes
-    through the closed-form kernel.  Raises UnstableAtTime when symmetric
-    tail confinement (``_symmetric_kappa``) fails at t.
+    The form is curried on the times: ``at(ts)`` computes the time-only
+    parts once, for a float or an array of times, and returns
+    ``(g, stats) -> (kappa, bad)`` over broadcast couplings and channel
+    statistics ``stats = (mxx, myy, mxy)``.
     """
-    ms = diffusion_kernel(spec, init, t)
-    stats = ms.mean_stats()
-    sw2 = spec.sigma_w2
+    beta, sw2 = spec.beta, spec.sigma_w2
     if isinstance(spec.coupling, Symmetric):
-        # at the exact stability boundary denom == 0: reported through bad
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, bad = _symmetric_kappa(spec, init)(t)
-        if bad:
-            raise UnstableAtTime(t)
-        cinv = block_inverse(ms.c)
-        inner = spec.relaxation().add(cinv.scale(sw2))
-        a = block_inverse(inner).matmul(cinv.scale(sw2))
-        return _quad_form(cinv.matmul(a), stats)
+        _require_mode_kernels(spec, init)
+        s2 = init.sigma2_x
+
+        def at(ts):
+            return lambda g, stats: _symmetric_kappa(beta, sw2, s2, g, ts, stats)
+
+        return at, UnstableAtTime
     if isinstance(spec.coupling, Anisotropic):
-        k = kernel_K(spec, init, t)
-        return sw2 * _quad_form(k, stats)
+        sx2, sy2 = init.sigma2_x, init.sigma2_y
+
+        def at(ts):
+            parts = _q_parts(beta, ts)
+            return lambda g, stats: _aniso_kappa(beta, sw2, sx2, sy2, g, ts, parts, stats)
+
+        return at, DegenerateDrift
     raise UnsupportedShape("kappa needs a constant coupling kind")
 
 
-def _symmetric_kappa(spec: ModelSpec, init: MixtureInit):
-    """Eigenmode closed form of kappa as a function of time alone.
+def kappa(spec: ModelSpec, init: MixtureInit, t: float) -> float:
+    """Bifurcation parameter kappa(t), per dimension, at one time: a view of
+    ``_kappa_grid``.  Raises InvalidArgument unless t is finite and >= 0,
+    UnstableAtTime where symmetric tail confinement fails at t and
+    DegenerateDrift where the anisotropic D(t) vanishes."""
+    _require_time(t)
+    return _kappa_grid(spec, init, np.array([t], dtype=float))[0].item()
+
+
+def _symmetric_kappa(beta, sw2, s2, g, ts, stats):
+    """Symmetric kappa(t) on the eigenmodes, on floats or broadcast arrays.
 
     kappa = sW2 * (SNR_plus + SNR_minus) with
-    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)).  The
-    eigenmodes and mode norms are computed once; the returned
-    ``at(ts) -> (kappa, bad)`` takes a time or an array of times, and
-    ``bad`` marks the times at which tail confinement fails
+    SNR_pm = e^{-tau_pm t} m_pm^2 / (c_pm (lambda_pm c_pm + sW2)),
+    lambda_pm = -beta +- g, tau_pm = -2 lambda_pm and
+    m_pm^2 = (mxx + myy)/2 +- mxy from ``stats = (mxx, myy, mxy)``.
+    Returns kappa and the mask of times at which tail confinement fails
     (c_pm (lambda_pm c_pm + sW2) <= 0), where kappa is meaningless.
     """
-    _require_mode_kernels(spec, init)
-    modes = spec.modes()
-    mp2, mm2 = init.mode_norms()
-    s2 = init.sigma2_x
-    sw2 = spec.sigma_w2
-    terms = (
-        (modes.tau_plus, modes.lambda_plus, mp2),
-        (modes.tau_minus, modes.lambda_minus, mm2),
-    )
-
-    def at(ts):
-        kappa_t, bad = 0.0, False
-        for tau, lam, m2 in terms:
-            decay, c = _mode_kernel(s2, sw2, tau, ts)
-            denom = c * (lam * c + sw2)
-            bad = bad | (denom <= 0.0)
-            kappa_t = kappa_t + sw2 * decay * m2 / denom
-        return kappa_t, bad
-
-    return at
+    mxx, myy, mxy = stats
+    half = 0.5 * (mxx + myy)
+    kappa_t, bad = 0.0, False
+    for lam, m2 in ((-beta + g, half + mxy), (-beta - g, half - mxy)):
+        decay, c = _mode_kernel(s2, sw2, -2.0 * lam, ts)
+        denom = c * (lam * c + sw2)
+        bad = bad | (denom <= 0.0)
+        kappa_t = kappa_t + sw2 * decay * m2 / denom
+    return kappa_t, bad
 
 
 def _kappa0_terms(spec: ModelSpec, init: MixtureInit, mxx: float, myy: float):
@@ -180,11 +175,12 @@ def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
     """Confinement check for symmetric coupling, decided at t = 0."""
     if not isinstance(spec.coupling, Symmetric):
         raise UnsupportedShape("stability check applies to symmetric coupling")
-    kappa_at = _symmetric_kappa(spec, init)  # refuses unequal variances
+    at, _ = _kappa_form(spec, init)  # refuses unequal variances
     # see StabilityReport for why t = 0 decides; at the exact stability
     # boundary denom == 0, reported through bad
     with np.errstate(divide="ignore", invalid="ignore"):
-        return StabilityReport(stable=spec.is_stable and not kappa_at(0.0)[1])
+        _, bad = at(0.0)(spec.coupling.g, init.channel_stats())
+    return StabilityReport(stable=spec.is_stable and not bad)
 
 
 @functools.lru_cache(maxsize=16)
@@ -225,22 +221,15 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, parts, stats):
 
 
 def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarray:
-    """Vectorized kappa over a time grid via the closed forms."""
-    if isinstance(spec.coupling, Symmetric):
-        # at the exact stability boundary denom == 0: reported through bad
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values, bad = _symmetric_kappa(spec, init)(ts)
-        if np.any(bad):
-            raise UnstableAtTime(float(ts[np.argmax(bad)]))
-        return values
-    if not isinstance(spec.coupling, Anisotropic):
-        raise UnsupportedShape("kappa needs a constant coupling kind")
-    values, bad = _aniso_kappa(
-        spec.beta, spec.sigma_w2, init.sigma2_x, init.sigma2_y, spec.coupling.g,
-        ts, _q_parts(spec.beta, ts), init.channel_stats(),
-    )
+    """kappa over an array of times, by the closed form of the spec's
+    coupling kind (``_kappa_form``); raises its error at the first bad time."""
+    at, bad_time = _kappa_form(spec, init)
+    # kappa is meaningless at a bad time (a symmetric denominator may be 0
+    # there): reported through bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, bad = at(ts)(spec.coupling.g, init.channel_stats())
     if np.any(bad):
-        raise DegenerateDrift(float(ts[np.argmax(bad)]))
+        raise bad_time(float(ts[np.argmax(bad)]))
     return values
 
 
@@ -310,41 +299,35 @@ def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int
     return InvalidArgument("no kappa = 1 crossing found in the window")
 
 
-def _aniso_speciation(
-    spec_template: ModelSpec,
-    init_template: MixtureInit,
-    gs,
-    stats,
-    t_max_search: float,
-) -> list:
-    """Anisotropic speciation for every pair of a coupling in ``gs`` and
-    channel statistics ``(mxx, myy, mxy)`` in ``stats``.
+def _speciation_cells(form, gs, stats, t_max_search: float) -> list:
+    """Speciation for every pair of a coupling in ``gs`` and channel
+    statistics ``(mxx, myy, mxy)`` in ``stats``, on the kappa form and
+    bad-time error ``form`` of ``_kappa_form``.
 
-    C(t), D(t) and N_ij depend on the coupling and time only, so one grid
-    scan per coupling covers all statistics at once, and the time-only
-    parts of Q(t) on the grid serve every coupling.  One ``_bisect`` call
-    then sharpens every bracket elementwise, each cell stopping on its own
-    once |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings; a cell whose
-    midpoint is degenerate stops there with DegenerateDrift.
-    Returns a SpeciationResult or the cell's error for each pair, in
-    (g, stats) order.
+    The form broadcasts over couplings, times and statistics, so one grid
+    scan per coupling covers all statistics at once, and its time-only
+    parts on the grid serve every coupling.  One ``_bisect`` call then
+    sharpens every bracket, each cell stopping on its own once
+    |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings: elementwise on
+    arrays, or on Python floats for a lone cell, where that is several
+    times faster.  A cell that meets a bad time on the grid or at a
+    midpoint stops there with the form's error.  Returns a SpeciationResult
+    or the cell's error for each pair, in (g, stats) order.
     """
-    beta, sw2 = spec_template.beta, spec_template.sigma_w2
-    sx2, sy2 = init_template.sigma2_x, init_template.sigma2_y
+    at, bad_time = form
     grid = _scan_grid(t_max_search)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes = []
     pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
     # past the float range (2 beta overflows near 9e307) the closed forms
-    # hold NaN, which _scan_outcome refuses: numpy need not warn first
-    with np.errstate(invalid="ignore"):
-        grid_parts = _q_parts(beta, grid)
+    # hold NaN, which _scan_outcome refuses: numpy need not warn first; a
+    # bad time, where a denominator may vanish, is reported through bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on_grid = at(grid)
         for g in gs:
-            values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, grid, grid_parts, columns)
+            values, bad = on_grid(g, columns)
             if np.any(bad):
-                outcomes.extend(
-                    [DegenerateDrift(float(grid[np.argmax(bad)]))] * len(stats)
-                )
+                outcomes.extend([bad_time(float(grid[np.argmax(bad)]))] * len(stats))
                 continue
             for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
                 outcome = _scan_outcome(*scanned)
@@ -352,23 +335,29 @@ def _aniso_speciation(
                     kappa0, sup_kappa, _, bracket = scanned
                     pending.append((len(outcomes), g, j, kappa0, sup_kappa, bracket))
                 outcomes.append(outcome)
-    if not pending:
-        return outcomes
+        if not pending:
+            return outcomes
 
-    cell, g, j, kappa0, sup_kappa, bracket = zip(*pending)
-    g, bracket = np.array(g), np.array(bracket)
-    mean_stats = columns[:, list(j), 0]
+        cell, g, j, kappa0, sup_kappa, bracket = zip(*pending)
+        if len(cell) == 1:
+            (g,), mean_stats = g, stats[j[0]]
+            lo, hi = grid[bracket[0] - 1 : bracket[0] + 1].tolist()
+        else:
+            g, bracket = np.array(g), np.array(bracket)
+            mean_stats, lo, hi = columns[:, list(j), 0], grid[bracket - 1], grid[bracket]
 
-    def residual(t):
-        # NaN marks a degenerate midpoint, where the cell's bisection stops
-        values, bad = _aniso_kappa(beta, sw2, sx2, sy2, g, t, _q_parts(beta, t), mean_stats)
-        return np.where(bad, np.nan, values - 1.0)
+        def residual(t):
+            # NaN marks a bad midpoint, where the cell's bisection stops
+            values, bad = at(t)(g, mean_stats)
+            if isinstance(t, float):
+                return math.nan if bad else float(values) - 1.0
+            return np.where(bad, np.nan, values - 1.0)
 
-    t_root, err = _bisect(
-        residual, grid[bracket - 1], grid[bracket], 0.1 * KAPPA_TOL, 80
-    )
-    for c, t, e, k0, sk in zip(cell, t_root.tolist(), err.tolist(), kappa0, sup_kappa):
-        outcomes[c] = DegenerateDrift(t) if math.isnan(e) else SpeciationResult(
+        t_root, err = _bisect(residual, lo, hi, 0.1 * KAPPA_TOL, 80)
+    for c, t, e, k0, sk in zip(
+        cell, np.atleast_1d(t_root).tolist(), np.atleast_1d(err).tolist(), kappa0, sup_kappa
+    ):
+        outcomes[c] = bad_time(t) if math.isnan(e) else SpeciationResult(
             t_s=t, kappa0=k0, sup_kappa=sk, regime=REGIME_SPECIATES
         )
     return outcomes
@@ -383,21 +372,14 @@ def speciation_time(
 
     A grid scan (512 linear points plus geometric refinement near zero)
     brackets the highest crossing, which bisection then sharpens to
-    |kappa - 1| <= 1e-10.  Returns the no-speciation regime when the grid
-    supremum of kappa stays below 1, and the unstable regime at t = 0 when
-    ``stability_check`` finds the symmetric spec unstable (|g| >= beta, or
-    tail confinement fails).
+    |kappa - 1| <= 1e-10, as one cell of ``_speciation_cells``.  Returns
+    the no-speciation regime when the grid supremum of kappa stays below 1,
+    and the unstable regime at t = 0 when ``stability_check`` finds the
+    symmetric spec unstable (|g| >= beta, or tail confinement fails).
     """
+    form = _kappa_form(spec, init)  # refuses a non-constant coupling
     t_max_search = _search_window(spec, t_max_search)
-    if isinstance(spec.coupling, Anisotropic):
-        (outcome,) = _aniso_speciation(
-            spec, init, [spec.coupling.g], [init.channel_stats()], t_max_search
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    if not stability_check(spec, init).stable:
+    if isinstance(spec.coupling, Symmetric) and not stability_check(spec, init).stable:
         # see StabilityReport: confinement fails at t = 0 when anywhere
         return SpeciationResult(
             t_s=None,
@@ -406,25 +388,12 @@ def speciation_time(
             regime=REGIME_UNSTABLE,
             unstable_t=0.0,
         )
-    grid = _scan_grid(t_max_search)
-    values = _kappa_grid(spec, init, grid)
-    kappa0, sup_kappa, above_end, bracket = (r.item() for r in _scan(values))
-    outcome = _scan_outcome(kappa0, sup_kappa, above_end, bracket)
+    (outcome,) = _speciation_cells(
+        form, [spec.coupling.g], [init.channel_stats()], t_max_search
+    )
     if isinstance(outcome, Exception):
         raise outcome
-    if outcome is not None:
-        return outcome
-
-    # the scan saw no bad time, and bad times start at t = 0 when there
-    # are any (see StabilityReport), so the bracket holds none
-    kappa_at = _symmetric_kappa(spec, init)
-    t_root, _ = _bisect(
-        lambda t: float(kappa_at(t)[0]) - 1.0,
-        grid[bracket - 1].item(), grid[bracket].item(), 0.1 * KAPPA_TOL, 80,
-    )
-    return SpeciationResult(
-        t_s=t_root, kappa0=kappa0, sup_kappa=sup_kappa, regime=REGIME_SPECIATES
-    )
+    return outcome
 
 
 def speciation_time_pure_mode(
@@ -506,7 +475,7 @@ def phase_diagram(
     """Sweep speciation over a (g, theta) grid with anisotropic coupling.
 
     All cells are solved together in one batched scan and bisection
-    (``_aniso_speciation``) and reported in (g, theta) order; per-cell
+    (``_speciation_cells``) and reported in (g, theta) order; per-cell
     failures are recorded in the cell rather than aborting the sweep.
     Each cell also carries the kappa(0) = 1 boundary estimate
     g_crit(theta) where cos(theta) > 0.
@@ -531,9 +500,9 @@ def phase_diagram(
     except InvalidArgument as exc:  # recorded in every cell like any cell error
         outcomes = [exc] * (len(gs) * len(thetas))
     else:
-        outcomes = _aniso_speciation(
-            spec_template, init_template, gs,
-            [init.channel_stats() for init in inits], window,
+        form = _kappa_form(replace(spec_template, coupling=Anisotropic(0.0)), init_template)
+        outcomes = _speciation_cells(
+            form, gs, [init.channel_stats() for init in inits], window
         )
     cells = []
     for (g, (theta, gc)), outcome in zip(

@@ -69,9 +69,7 @@ def test_transition_against_block_chain(symmetric, beta, gamma, g_one_way, s, sw
     init = MixtureInit(1.0, 0.4, AngledMeans(1.0, 2.0, 0.7))
     assert_views_match_block_chain(spec, init, t)
 
-    # the float call against the same entry of an array call over g and t;
-    # beta stays one float, as numpy's cube of an array of beta can differ
-    # from Python's in the last bit
+    # the float call against the same entry of an array call over g and t
     g_arr = np.array([0.5 * g, g, -g])[:, None]
     t_arr = np.array([0.0, 2.0 * t, t, 0.5 * t])
     phi, q = _transition(symmetric, beta, sw2, g_arr, t_arr)

@@ -86,7 +86,8 @@ def _poly_tail_k_oracle(a):
 
 def _poly_tail_h_oracle(a):
     """The former ``moments._poly_tail_h``: 1 - e^{-a}(1 + a + a^2/2),
-    series-evaluated below a=0.5 (the series cube as ``_cube`` took it)."""
+    series-evaluated below a=0.5 (the series cube as Python took it, inf
+    where it overflows)."""
     direct = 1.0 - np.exp(-a) * (1.0 + a + 0.5 * a * a)
     try:
         term = a**3 / 6.0
@@ -320,15 +321,26 @@ class TestTransitionCov:
                 assert abs(h - want_h) <= 5e-14 * want_h, x
 
     def test_limit_past_cube_overflow(self):
-        # beta^3 and (2 beta t)^3 overflow a Python float past ~5.6e102; the
-        # g^2 term of q22 and the unused series branch take their limits
+        # (2 beta t)^3 overflows a Python float past ~5.6e102, which the unused
+        # series branch survives; the gamma^2 term of q22 underflows to 0
         assert _poly_tails(1e120)[2] == 1.0
         q = transition_cov(ModelSpec(1e120, Anisotropic(0.5), 2.0), 1e-120)
         assert q.a22 == q.a11 == pytest.approx(-math.expm1(-2.0) / 1e120, rel=1e-14)
         assert q.a12 == pytest.approx((1.0 - 3.0 * math.exp(-2.0)) / 4e240, rel=1e-14)
-        # the step maps cube an array of beta: the same limit, without a RuntimeWarning
+        # the step maps on an array of beta: the same limit, without a RuntimeWarning
         _, q_h = _step_maps([ModelSpec(1e120, Anisotropic(0.5), 2.0)], np.array([0.0, 1e-120]))
         assert q_h[0, 0, 1, 1] == q.a22
+
+    def test_gamma_form_past_g2_and_beta3_overflow(self):
+        # g^2 and beta^3 both overflow at beta = g = 1e200; in gamma = g / beta
+        # = 1 and a = 2 beta t = 2, Q(t) stays finite
+        beta = 1e200
+        q = transition_cov(ModelSpec(beta, Anisotropic(beta), 1.0), 1e-200)
+        e = math.exp(-2.0)
+        q11 = (1.0 - e) / (2.0 * beta)
+        assert q.a11 == pytest.approx(q11, rel=1e-14)
+        assert q.a12 == q.a21 == pytest.approx((1.0 - 3.0 * e) / (4.0 * beta), rel=1e-14)
+        assert q.a22 == pytest.approx(q11 + (1.0 - 5.0 * e) / (4.0 * beta), rel=1e-14)
 
     @staticmethod
     def _tail_inputs():

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oudiff.blockmat import block_inverse
 from oudiff.errors import (
     DegenerateDrift,
     DegenerateRate,
     InvalidArgument,
     UnstableAtTime,
+    UnsupportedShape,
 )
 from oudiff.moments import (
     Anisotropic,
@@ -16,8 +18,12 @@ from oudiff.moments import (
     MixtureInit,
     ModeMeans,
     ModelSpec,
+    Scheduled,
+    ScheduleSpec,
     Symmetric,
     _q_parts,
+    diffusion_kernel,
+    kernel_K,
 )
 from oudiff.speciation import (
     KAPPA_TOL,
@@ -55,6 +61,30 @@ def aniso(g, theta=0.0, m_x2=1.0, m_y2=1.0, s2=1.0, sw2=2.0):
     return spec, init
 
 
+def block_kappa(spec, init, t):
+    """kappa(t) through the ``Block2`` chain, as ``kappa()`` was first
+    written, kept as the oracle of the closed forms: symmetric coupling
+    composes sW2 C^-1 (M + sW2 C^-1)^-1 C^-1 with ``block_inverse``,
+    anisotropic coupling reads ``kernel_K``, both on ``diffusion_kernel``'s
+    C(t) and mean plane.  Raises UnstableAtTime where a symmetric mode fails
+    tail confinement, c_pm (lambda_pm c_pm + sW2) <= 0 with c_pm = c11 +- c12,
+    and DegenerateDrift (from ``kernel_K``) where D(t) vanishes."""
+    ms = diffusion_kernel(spec, init, t)
+    mxx, myy, mxy = ms.mean_stats()
+    sw2 = spec.sigma_w2
+    if isinstance(spec.coupling, Symmetric):
+        beta, g, c = spec.beta, spec.coupling.g, ms.c
+        for lam, c_mode in ((-beta + g, c.a11 + c.a12), (-beta - g, c.a11 - c.a12)):
+            if c_mode * (lam * c_mode + sw2) <= 0.0:
+                raise UnstableAtTime(t)
+        cinv = block_inverse(c)
+        inner = spec.relaxation().add(cinv.scale(sw2))
+        k = cinv.matmul(block_inverse(inner).matmul(cinv.scale(sw2)))
+    else:
+        k = kernel_K(spec, init, t).scale(sw2)
+    return k.a11 * mxx + (k.a12 + k.a21) * mxy + k.a22 * myy
+
+
 class TestKappa:
     def test_zero_mean_is_zero(self):
         spec, _ = sym(0.3)
@@ -72,9 +102,28 @@ class TestKappa:
 
     def test_closed_form_value_at_zero(self):
         spec, init = sym(0.0, m_plus2=1.0, m_minus2=1.0)
-        assert _symmetric_kappa(spec, init)(0.0)[0] == pytest.approx(4.0)
+        assert kappa(spec, init, 0.0) == pytest.approx(4.0)
         spec, init = sym(0.5, m_plus2=1.0, m_minus2=0.0)
-        assert _symmetric_kappa(spec, init)(0.0)[0] == pytest.approx(4.0 / 3.0)
+        assert kappa(spec, init, 0.0) == pytest.approx(4.0 / 3.0)
+
+    def test_symmetric_form_broadcasts(self):
+        # couplings x statistics x times in one call, each entry as its
+        # own float call; m_pm^2 = (mxx + myy)/2 +- mxy from the statistics
+        gs = np.array([-0.4, 0.0, 0.3])[:, None, None]
+        inits = [MixtureInit(1.0, 1.0, ModeMeans(*m)) for m in ((1.0, 0.0), (0.3, 0.8))]
+        stats = np.array([init.channel_stats() for init in inits]).T[:, None, :, None]
+        ts = np.array([0.0, 0.2, 1.5])
+        values, bad = _symmetric_kappa(1.0, 2.0, 1.0, gs, ts, stats)
+        # the confinement mask depends on the coupling and time alone
+        assert values.shape == (3, 2, 3) and bad.shape == (3, 1, 3) and not bad.any()
+        for i, g in enumerate(gs.ravel().tolist()):
+            for j, init in enumerate(inits):
+                for k, t in enumerate(ts.tolist()):
+                    one, one_bad = _symmetric_kappa(1.0, 2.0, 1.0, g, t, init.channel_stats())
+                    assert values[i, j, k] == pytest.approx(one, rel=1e-15) and not one_bad
+                    assert one == pytest.approx(
+                        block_kappa(ModelSpec(1.0, Symmetric(g), 2.0), init, t), rel=1e-12
+                    )
 
     def test_matrix_matches_closed(self):
         rng = np.random.default_rng(0)
@@ -88,10 +137,40 @@ class TestKappa:
             spec = ModelSpec(beta, Symmetric(g), sw2)
             init = MixtureInit(s2, s2, ModeMeans(rng.uniform(0, 2), rng.uniform(0, 2)))
             t = rng.uniform(0.0, 4.0)
-            a = kappa(spec, init, t)
-            b, bad = _symmetric_kappa(spec, init)(t)
-            assert not bad
-            assert a == pytest.approx(b, abs=1e-10, rel=1e-10)
+            assert kappa(spec, init, t) == pytest.approx(
+                block_kappa(spec, init, t), abs=1e-10, rel=1e-10
+            )
+
+    def test_anisotropic_matches_block_kappa(self):
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            spec = ModelSpec(rng.uniform(0.4, 2.0), Anisotropic(rng.uniform(-3.0, 3.0)),
+                             rng.uniform(1.2, 3.0))
+            init = MixtureInit(rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2), AngledMeans(
+                rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, math.pi)))
+            t = rng.uniform(0.0, 4.0)
+            try:
+                want = block_kappa(spec, init, t)
+            except DegenerateDrift:
+                with pytest.raises(DegenerateDrift):
+                    kappa(spec, init, t)
+                continue
+            assert kappa(spec, init, t) == pytest.approx(want, abs=1e-10, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("model", [sym(0.3), aniso(0.5)])
+    def test_refuses_bad_time(self, model, t):
+        with pytest.raises(InvalidArgument, match="must be finite and >= 0"):
+            kappa(*model, t)
+
+    def test_refuses_non_constant_coupling(self):
+        spec = ModelSpec(1.0, Scheduled(ScheduleSpec("late", 0.5, 1.0)), 2.0)
+        init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 0.0))
+        message = "kappa needs a constant coupling kind"
+        with pytest.raises(UnsupportedShape, match=message):
+            kappa(spec, init, 0.5)
+        with pytest.raises(UnsupportedShape, match=message):
+            speciation_time(spec, init)
 
     def test_anisotropic_at_zero_matches_closed(self):
         spec, init = aniso(0.5, theta=0.4)
@@ -335,12 +414,12 @@ class TestPhaseDiagram:
 
 
 def _oracle_cell(spec, init, t_max):
-    """Scan and bisection of one cell on the scalar Block2 kappa()."""
+    """Scan and bisection of one cell on ``block_kappa``."""
     grid = np.unique(np.concatenate(
         [np.linspace(0.0, t_max, 512), t_max * 0.5 ** np.arange(1, 41)]
     )).tolist()
     try:
-        values = [kappa(spec, init, t) for t in grid]
+        values = [block_kappa(spec, init, t) for t in grid]
         if max(values) <= 1.0 + 1e-12:
             return REGIME_NO_SPECIATION, None
         if values[-1] >= 1.0:
@@ -350,7 +429,7 @@ def _oracle_cell(spec, init, t_max):
         lo, hi = grid[i - 1], grid[i]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            val = kappa(spec, init, mid)
+            val = block_kappa(spec, init, mid)
             if abs(val - 1.0) <= 1e-11:
                 break
             lo, hi = (mid, hi) if val >= 1.0 else (lo, mid)
@@ -380,7 +459,9 @@ ORACLE_GRID_ARGS = "sw2, sx2, sy2, m_x2, m_y2, g_grid, theta_grid, t_max, kinds"
 
 
 class TestPhaseDiagramOracle:
-    """The batched phase-diagram solver against a per-cell scalar solver."""
+    """The batched phase-diagram solver against a per-cell scalar solver on
+    ``block_kappa``, and against ``speciation_time``, which bisects a lone
+    cell on Python floats."""
 
     @pytest.mark.parametrize(ORACLE_GRID_ARGS, ORACLE_GRIDS)
     def test_matches_scalar_bisection(
@@ -402,6 +483,17 @@ class TestPhaseDiagramOracle:
             seen.add(want.split(" at")[0])
             if t_s is not None:
                 assert abs(cell.result.t_s - t_s) <= 1e-10
+            cell_spec = ModelSpec(1.0, Anisotropic(cell.g), sw2)
+            cell_init = MixtureInit(sx2, sy2, AngledMeans(m_x2, m_y2, cell.theta))
+            if cell.result is None:
+                with pytest.raises((InvalidArgument, DegenerateDrift)) as info:
+                    speciation_time(cell_spec, cell_init, t_max)
+                assert str(info.value) == cell.error
+                continue
+            res = speciation_time(cell_spec, cell_init, t_max)
+            assert res.regime == cell.result.regime
+            if res.t_s is not None:
+                assert res.t_s == pytest.approx(cell.result.t_s, rel=1e-12, abs=0.0)
         assert seen == kinds
 
 
@@ -415,7 +507,11 @@ def _scalar_symmetric_t_s(spec, init, t_max):
     )
     if _scan_outcome(kappa0, sup_kappa, above_end, bracket) is not None:
         return None
-    kappa_at = _symmetric_kappa(spec, init)
+    def kappa_at(t):
+        return _symmetric_kappa(
+            spec.beta, spec.sigma_w2, init.sigma2_x, spec.coupling.g, t, init.channel_stats()
+        )
+
     lo, hi = grid[bracket - 1].item(), grid[bracket].item()
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -430,8 +526,8 @@ def _scalar_symmetric_t_s(spec, init, t_max):
 
 
 class TestSymmetricOracle:
-    """Symmetric speciation_time against the scalar Block2 kappa() solver,
-    and bit for bit against the scalar bisection."""
+    """Symmetric speciation_time against the scalar solver on
+    ``block_kappa``, and bit for bit against the scalar bisection."""
 
     def test_random_specs_match_scalar_bisection(self):
         rng = np.random.default_rng(23)

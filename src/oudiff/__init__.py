@@ -5,7 +5,7 @@ stability regions and phase diagrams, plus exact-score forward/reverse
 samplers and synchronization diagnostics on Gaussian-mixture data.
 """
 
-from .blockmat import Block2, ModeDecomposition, block_inverse, mat_exp, spectral_decompose
+from .blockmat import Block2, block_inverse, mat_exp
 from .collapse import (
     CollapseParams,
     CollapseResult,

@@ -335,8 +335,7 @@ def _label_modes(spec: ModelSpec, init: MixtureInit):
     mp2, mm2 = init.mode_norms()
     if mp2 <= 0.0 or mm2 <= 0.0:
         raise UndefinedLabel("both mode means must be nonzero for the clone labels")
-    modes = spec.modes()
-    taus = np.array([[modes.tau_plus], [modes.tau_minus]])
+    taus = np.array(spec.mode_rates())[:, None]
     amps = np.sqrt(np.array([[mp2], [mm2]]) * spec.dim_d)
     return taus, amps
 

@@ -4,10 +4,9 @@ Every operator in the coupled two-channel model (relaxation matrix, noise
 covariance, transition covariance, diffusion kernel) is a 2x2 matrix of
 scalar blocks on R^{2d}.  The d-fold tensor factor is implicit throughout,
 so all linear algebra reduces to closed-form arithmetic on four scalars:
-products, the exchange-symmetric eigenmode decomposition, inversion and
-Schur complements.  The model's transition kernel, e^{Mt} and Q(t), is
-``moments._transition``; ``mat_exp`` stays as an independent exponential
-for the acceptance tests.
+products, exponentials, inversion and Schur complements.  The model's
+transition kernel, e^{Mt} and Q(t), is ``moments._transition``; ``mat_exp``
+stays as an independent exponential for the acceptance tests.
 """
 
 from __future__ import annotations
@@ -106,67 +105,21 @@ class Block2:
         return Block2(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
 
 
-@dataclass(frozen=True)
-class ModeDecomposition:
-    """Eigenmodes of an exchange-symmetric block.
-
-    ``lambda_plus/minus`` are the eigenvalues along (1, 1)/sqrt(2) and
-    (1, -1)/sqrt(2); ``tau_plus/minus = -2*lambda_plus/minus`` are the
-    corresponding decay rates, positive whenever the block is stable.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    v_plus: tuple[float, float]
-    v_minus: tuple[float, float]
-    tau_plus: float
-    tau_minus: float
-
-
-def spectral_decompose(m: Block2) -> ModeDecomposition:
-    """Decompose an exchange-symmetric block [[a, b], [b, a]] into modes.
-
-    Eigenvalues are a + b (common mode) and a - b (difference mode); the
-    normalized eigenvectors are (1, 1)/sqrt(2) and (1, -1)/sqrt(2).
-    """
-    if not m.is_exchange_symmetric:
-        raise UnsupportedShape(
-            "spectral decomposition requires an exchange-symmetric block "
-            "[[a, b], [b, a]]"
-        )
-    lam_p = m.a11 + m.a12
-    lam_m = m.a11 - m.a12
-    return ModeDecomposition(
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-        v_plus=(SQRT1_2, SQRT1_2),
-        v_minus=(SQRT1_2, -SQRT1_2),
-        tau_plus=-2.0 * lam_p,
-        tau_minus=-2.0 * lam_m,
-    )
-
-
-def from_modes(value_plus: float, value_minus: float) -> Block2:
-    """Assemble a_plus*P_plus + a_minus*P_minus as an exchange-symmetric block."""
-    return Block2.exchange(
-        0.5 * (value_plus + value_minus), 0.5 * (value_plus - value_minus)
-    )
-
-
 def mat_exp(m: Block2, t: float) -> Block2:
     """exp(m * t) for the two structured shapes the model produces.
 
-    Exchange-symmetric blocks go through the eigenmode decomposition;
-    lower-triangular blocks with equal diagonal split into a scalar part
-    and a nilpotent part, giving exp(m t) = e^{a t} (I + N t).
+    An exchange-symmetric block [[a, b], [b, a]] has eigenvalues a +- b
+    along (1, +-1)/sqrt(2), so exp(m t) has entries (e_+ +- e_-)/2 with
+    e_pm = e^{(a +- b) t}; lower-triangular blocks with equal diagonal
+    split into a scalar part and a nilpotent part, giving
+    exp(m t) = e^{a t} (I + N t).
     """
     if not math.isfinite(t):
         raise InvalidArgument(f"non-finite time t={t!r}")
     if m.is_exchange_symmetric:
-        modes = spectral_decompose(m)
-        return from_modes(
-            math.exp(modes.lambda_plus * t), math.exp(modes.lambda_minus * t)
-        )
+        e_p = math.exp((m.a11 + m.a12) * t)
+        e_m = math.exp((m.a11 - m.a12) * t)
+        return Block2.exchange(0.5 * (e_p + e_m), 0.5 * (e_p - e_m))
     if m.a12 == 0.0 and m.a11 == m.a22:
         s = math.exp(m.a11 * t)
         return Block2(s, 0.0, s * m.a21 * t, s)

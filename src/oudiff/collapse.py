@@ -104,15 +104,6 @@ class CollapseResult:
     kind: str
 
 
-def _taus(params: CollapseParams) -> tuple[float, float]:
-    spec = params.spec
-    if not isinstance(spec.coupling, Symmetric):
-        raise UnsupportedShape("mode rates require symmetric coupling")
-    spec.require_stable()
-    modes = spec.modes()
-    return modes.tau_plus, modes.tau_minus
-
-
 def _over_expm1(num: float, x: float) -> float:
     """num / (e^x - 1); past e^709.8, where expm1 overflows, its limit
     num e^{-x}, and at x = 0 (where tau t underflows) its limit +inf."""
@@ -128,7 +119,7 @@ def chi(params: CollapseParams, t: float) -> tuple[float, float]:
     """chi_pm(t) = ratio * tau_pm / (e^{tau_pm t} - 1), strictly decreasing."""
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidArgument(f"t={t!r} must be positive")
-    tau_p, tau_m = _taus(params)
+    tau_p, tau_m = params.spec.mode_rates()
     ratio = params.ratio
     return _over_expm1(ratio * tau_p, tau_p * t), _over_expm1(ratio * tau_m, tau_m * t)
 
@@ -236,7 +227,7 @@ def collapse_time_symmetric(params: CollapseParams) -> CollapseResult:
     decreasing from +inf at t -> 0+ to below zero past the closed-form
     upper bound.
     """
-    _taus(params)
+    params.spec.mode_rates()
     target = 4.0 * params.alpha
 
     def f(t: float) -> float:
@@ -255,7 +246,7 @@ def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
     if mode not in ("+", "-"):
         raise InvalidArgument(f"mode must be '+' or '-', got {mode!r}")
     _require_alpha(params)
-    tau_p, tau_m = _taus(params)
+    tau_p, tau_m = params.spec.mode_rates()
     tau = tau_p if mode == "+" else tau_m
     t_c = math.log1p(_over_expm1(params.ratio * tau, 2.0 * params.alpha)) / tau
     if tau * t_c < sys.float_info.min:  # subnormal: the residual's expm1 loses it

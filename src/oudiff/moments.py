@@ -16,7 +16,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .blockmat import SQRT1_2, Block2, ModeDecomposition, spectral_decompose
+from .blockmat import SQRT1_2, Block2
 from .errors import DegenerateDrift, InvalidArgument, UnsupportedShape
 
 
@@ -139,10 +139,15 @@ class ModelSpec:
             return Block2.exchange(-self.beta, g)
         return Block2(-self.beta, 0.0, g, -self.beta)
 
-    def modes(self) -> ModeDecomposition:
+    def mode_rates(self) -> tuple[float, float]:
+        """Decay rates (tau_plus, tau_minus) = -2 (lambda_plus, lambda_minus)
+        of the common and difference eigenmodes, lambda_pm = -beta +- g, of a
+        stable symmetric spec."""
         if not isinstance(self.coupling, Symmetric):
-            raise UnsupportedShape("eigenmodes require symmetric coupling")
-        return spectral_decompose(self.relaxation())
+            raise UnsupportedShape("mode rates require symmetric coupling")
+        self.require_stable()
+        g = self.coupling.g
+        return -2.0 * (-self.beta + g), -2.0 * (-self.beta - g)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmat import Block2, block_inverse, from_modes, schur_complement
+from .blockmat import Block2, block_inverse, schur_complement
 from .errors import (
     InvalidArgument,
     KernelDegenerate,
@@ -35,6 +35,7 @@ from .moments import (
     Scheduled,
     ScheduleSpec,
     Symmetric,
+    _aniso_q,
     _kernel_blocks,
     diffusion_kernel,
     stacked_moments,
@@ -148,24 +149,21 @@ def split_channels(z: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stationary_cov(spec: ModelSpec) -> Block2:
-    """Stationary covariance block of the forward process; InvalidArgument
-    where an entry leaves the float range."""
-    sw2 = spec.sigma_w2
-    beta = spec.beta
+    """Stationary covariance block of the forward process, the t -> inf limit
+    of Q(t): symmetric coupling holds sW2 / tau_pm on its eigenmodes, and
+    one-way coupling ``_aniso_q`` at u = k = h = 1, in Python floats.
+    InvalidArgument where an entry leaves the float range (a variance
+    underflows to 0 or an entry overflows)."""
+    sw2, beta = spec.sigma_w2, spec.beta
     if isinstance(spec.coupling, Symmetric):
-        spec.require_stable()
-        modes = spec.modes()
-        return from_modes(sw2 / modes.tau_plus, sw2 / modes.tau_minus)
-    g = spec.coupling_at(math.inf)
-    try:
-        off = sw2 * g / (4.0 * beta * beta)
-        a22 = sw2 * (1.0 / (2.0 * beta) + g * g / (4.0 * beta**3))
-    except (ZeroDivisionError, OverflowError):  # beta^2 underflows or beta^3 overflows
-        raise InvalidArgument(
-            f"stationary covariance out of float range at beta={beta!r}"
-        ) from None
-    # Block2 refuses the entries that overflow to inf
-    return Block2(sw2 / (2.0 * beta), off, off, a22)
+        q_p, q_m = (sw2 / tau for tau in spec.mode_rates())
+        q11 = q22 = 0.5 * (q_p + q_m)
+        q12 = 0.5 * (q_p - q_m)
+    else:
+        q11, q12, q22 = _aniso_q(beta, sw2, spec.coupling_at(math.inf), (0.0, 1.0, 1.0, 1.0))
+    if not (q11 > 0.0 and abs(q12) < math.inf and q22 < math.inf):
+        raise InvalidArgument(f"stationary covariance out of float range at beta={beta!r}")
+    return Block2(q11, q12, q12, q22)
 
 
 def sample_block_gaussian(

@@ -68,19 +68,10 @@ class StabilityReport:
     monotonically from c_pm(0) = s2 toward sW2/tau_pm, which satisfies the
     condition, so a violation anywhere is a violation at t = 0.  There the
     condition reads s2 < sW2/tau_pm for both modes, which is the closed-form
-    bound s2 < sW2/(beta + |g|) (strict): ``sufficient`` is that bound, the
-    same predicate, and ``first_violation`` is 0.0 when it fails, else None.
+    bound s2 < sW2/(beta + |g|) (strict).
     """
 
     stable: bool
-
-    @property
-    def sufficient(self) -> bool:
-        return self.stable
-
-    @property
-    def first_violation(self) -> float | None:
-        return None if self.stable else 0.0
 
 
 def _kappa_form(spec: ModelSpec, init: MixtureInit):
@@ -177,8 +168,9 @@ def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
         raise UnsupportedShape("stability check applies to symmetric coupling")
     at, _ = _kappa_form(spec, init)  # refuses unequal variances
     # see StabilityReport for why t = 0 decides; at the exact stability
-    # boundary denom == 0, reported through bad
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # boundary denom == 0, reported through bad; only the mask is read, so
+    # an overflow of kappa's value is harmless
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, bad = at(0.0)(spec.coupling.g, init.channel_stats())
     return StabilityReport(stable=spec.is_stable and not bad)
 
@@ -215,8 +207,10 @@ def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, parts, stats):
     mxy_t = decay2 * (mxy + g * ts * mxx)
     myy_t = decay2 * (myy + 2.0 * g * ts * mxy + g * g * ts * ts * mxx)
     quad = n11 * mxx_t + (n12 + n21) * mxy_t + n22 * myy_t
-    # kappa is meaningless where D(t) vanishes; callers discard those points
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # kappa is meaningless where D(t) vanishes; callers discard those points.
+    # A +-inf kappa still compares with 1 correctly, and _scan_outcome
+    # refuses one that would be printed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return sw2 * quad * (1.0 / denom), degenerate
 
 
@@ -285,6 +279,10 @@ def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int
     if sup_kappa != sup_kappa:  # the grid maximum carries any nan
         return InvalidArgument(
             "kappa is nan on the scan grid; the closed forms left the float range"
+        )
+    if not (abs(kappa0) < math.inf and sup_kappa < math.inf):
+        return InvalidArgument(
+            "kappa is infinite on the scan grid; the closed forms left the float range"
         )
     if sup_kappa <= 1.0 + SUP_TOL:
         return SpeciationResult(
@@ -418,8 +416,8 @@ def speciation_time_pure_mode(
             "pure-mode form needs exactly one nonzero mode norm matching "
             f"mode {mode!r}"
         )
-    modes = spec.modes()
-    tau = modes.tau_plus if mode == "+" else modes.tau_minus
+    tau_p, tau_m = spec.mode_rates()
+    tau = tau_p if mode == "+" else tau_m
     s2 = init.sigma2_x
     sw2 = spec.sigma_w2
     b = s2 - sw2 / tau

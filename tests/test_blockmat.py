@@ -7,10 +7,8 @@ import pytest
 from oudiff.blockmat import (
     Block2,
     block_inverse,
-    from_modes,
     mat_exp,
     schur_complement,
-    spectral_decompose,
 )
 from oudiff.errors import (
     InvalidArgument,
@@ -88,42 +86,6 @@ class TestMatExp:
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(InvalidArgument):
             Block2(float("inf"), 0.0, 0.0, 1.0)
-
-
-class TestSpectral:
-    def test_decoupled(self):
-        modes = spectral_decompose(sym(1.0, 0.0))
-        assert modes.lambda_plus == modes.lambda_minus == -1.0
-        assert modes.tau_plus == modes.tau_minus == 2.0
-
-    def test_eigenvalues(self):
-        modes = spectral_decompose(sym(1.0, 0.5))
-        assert modes.lambda_plus == -0.5
-        assert modes.lambda_minus == -1.5
-        assert modes.tau_plus == 1.0
-        assert modes.tau_minus == 3.0
-
-    def test_reconstruction(self):
-        m = sym(1.3, 0.4)
-        modes = spectral_decompose(m)
-        rebuilt = from_modes(modes.lambda_plus, modes.lambda_minus)
-        assert np.max(np.abs(rebuilt.as_array() - m.as_array())) < 1e-14
-
-    def test_eigenvectors_orthonormal(self):
-        modes = spectral_decompose(sym(2.0, 0.7))
-        vp = np.array(modes.v_plus)
-        vm = np.array(modes.v_minus)
-        assert abs(vp @ vp - 1.0) < 1e-15
-        assert abs(vm @ vm - 1.0) < 1e-15
-        assert abs(vp @ vm) < 1e-15
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(UnsupportedShape):
-            spectral_decompose(lower(1.0, 0.5))
-
-    def test_mode_values_roundtrip(self):
-        modes = spectral_decompose(from_modes(-0.5, -1.5))
-        assert (modes.lambda_plus, modes.lambda_minus) == (-0.5, -1.5)
 
 
 class TestInverse:

@@ -728,7 +728,8 @@ class TestSweeps:
             (["--mode", "flow", "--beta", "1e-300", "--sigma-w2", "1e308"],
              "stationary covariance out of float range at beta=1e-300"),
             (["--mode", "reverse", "--beta", "1e150"],
-             "stationary covariance out of float range at beta=1e+150"),
+             "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
+             "cov_xy); the run diverged"),
             (["--mode", "forward", "--horizon", "1e308", "--dim", "2", "--paths", "2",
               "--steps", "3"],
              "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
@@ -737,8 +738,9 @@ class TestSweeps:
         ids=["flow-tiny-beta", "reverse-huge-beta", "forward-huge-horizon"],
     )
     def test_sample_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
-        # beta^2 underflows, beta^3 overflows or the paths overflow: refused
-        # on one line, with no file written
+        # the stationary law overflows, or the paths do (from a finite start
+        # law of variance 1e-150 at beta=1e150): refused on one line, with
+        # no file written
         out = tmp_path / "s.csv"
         code = dispatch(["sample", "--coupling", "anisotropic", *flags, "--out", str(out)])
         assert code == 2
@@ -923,12 +925,16 @@ def test_import_loads_no_scipy():
         (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
           "--sigma-w2", "1.001"],
          "kappa is nan on the scan grid; the closed forms left the float range"),
+        (["speciation", "--coupling", "anisotropic",
+          *(f"--{flag}=5.179327711732039e-81"
+            for flag in ("beta", "g", "sigma-w2", "sigma2", "m-plus2", "m-minus2"))],
+         "kappa is infinite on the scan grid; the closed forms left the float range"),
         (["sample", "--mode", "forward", "--coupling", "anisotropic", "--horizon", "1e308",
           "--dim", "2", "--paths", "2", "--steps", "3"],
          "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
          "cov_xy); the run diverged"),
     ],
-    ids=["speciation-huge-beta", "sample-huge-horizon"],
+    ids=["speciation-huge-beta", "speciation-tiny-everything", "sample-huge-horizon"],
 )
 def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from oudiff.analysis import CloneConfig, clone_agreement
-from oudiff.blockmat import Block2, from_modes, mat_exp
+from oudiff.blockmat import Block2, mat_exp
 from oudiff.collapse import CollapseParams, collapse_time_det, collapse_time_symmetric
 from oudiff.errors import InvalidArgument, UnsupportedShape
 from oudiff.moments import (
@@ -33,6 +33,7 @@ from oudiff.moments import (
     transition_cov,
 )
 from oudiff.sampler import forward_sample, stationary_cov
+from oudiff.speciation import speciation_time_pure_mode
 
 
 def quad_transition_cov(spec: ModelSpec, t: float) -> np.ndarray:
@@ -108,19 +109,24 @@ def _expm1_ratio(tau: float, t: float) -> float:
     return -math.expm1(-x) / tau
 
 
+def mode_rates(spec: ModelSpec) -> tuple[float, float]:
+    """The eigenmode decay rates tau_pm = 2 (beta -+ g) of a symmetric spec."""
+    return 2.0 * (spec.beta - spec.coupling.g), 2.0 * (spec.beta + spec.coupling.g)
+
+
 def block_chain(spec: ModelSpec, init: MixtureInit, t: float):
     """The former ``Block2`` chain of ``mean_at``, ``transition_cov`` and
     ``drifted_cov``, kept as the oracle of ``_transition``: Phi from
-    ``mat_exp``, symmetric Q from ``from_modes`` of ``_expm1_ratio``, the
-    one-way mean on ``math.exp``.  Returns (Phi, mu_x, mu_y, S, Q)."""
+    ``mat_exp``, symmetric Q assembled from the mode values
+    q_pm = sW2 ``_expm1_ratio``(tau_pm, t) as [[a, b], [b, a]] with
+    a, b = (q_+ +- q_-) / 2, the one-way mean on ``math.exp``.  Returns
+    (Phi, mu_x, mu_y, S, Q)."""
     phi = mat_exp(spec.relaxation(), t)
     beta, g, sw2 = spec.beta, spec.coupling.g, spec.sigma_w2
     mux, muy = init.mean_plane()
     if isinstance(spec.coupling, Symmetric):
-        modes = spec.modes()
-        q = from_modes(
-            sw2 * _expm1_ratio(modes.tau_plus, t), sw2 * _expm1_ratio(modes.tau_minus, t)
-        )
+        q_p, q_m = (sw2 * _expm1_ratio(tau, t) for tau in mode_rates(spec))
+        q = Block2.exchange(0.5 * (q_p + q_m), 0.5 * (q_p - q_m))
         mux, muy = phi.apply(mux, muy)
     else:
         q11, q12, q22 = (float(x) for x in _aniso_q(beta, sw2, g, _q_parts(beta, t)))
@@ -189,9 +195,12 @@ class TestModelSpec:
             lambda spec, init: clone_agreement(
                 spec, init, [0.5], CloneConfig(), np.random.default_rng(0)
             ),
+            lambda spec, init: speciation_time_pure_mode(
+                spec, MixtureInit(0.5, 0.5, ModeMeans(1.0, 0.0)), "+"
+            ),
         ],
         ids=["stationary_cov", "forward_sample", "collapse_mode_rates",
-             "collapse_time_det", "clone_agreement"],
+             "collapse_time_det", "clone_agreement", "speciation_time_pure_mode"],
     )
     @pytest.mark.parametrize("g", [1.0, -1.5])
     def test_unstable_refused_by_one_check(self, entry, g):
@@ -201,6 +210,20 @@ class TestModelSpec:
         with pytest.raises(InvalidArgument) as info:
             entry(spec, init)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("beta, g", [(1.0, 0.0), (1.0, 0.5), (1.3, -0.4), (2.0, 1.999)])
+    def test_mode_rates(self, beta, g):
+        # tau_pm = 2 (beta -+ g), the decay rates of the common and
+        # difference modes, to the last bit
+        spec = ModelSpec(beta, Symmetric(g), 1.0)
+        assert spec.mode_rates() == mode_rates(spec)
+
+    @pytest.mark.parametrize(
+        "coupling", [Anisotropic(0.5), Scheduled(ScheduleSpec("constant", 0.5))]
+    )
+    def test_mode_rates_need_symmetric_coupling(self, coupling):
+        with pytest.raises(UnsupportedShape, match="mode rates require symmetric coupling"):
+            ModelSpec(1.0, coupling, 1.0).mode_rates()
 
     def test_scheduled_value(self):
         sched = ScheduleSpec("late", 1.0, 1.0)
@@ -474,10 +497,9 @@ class TestDiffusionKernel:
 
 def mode_kernels(spec, init, t):
     """c_pm(t) of the plus and minus eigenmodes, from ``_mode_kernel``."""
-    modes = spec.modes()
     return tuple(
         float(_mode_kernel(init.sigma2_x, spec.sigma_w2, tau, t)[1])
-        for tau in (modes.tau_plus, modes.tau_minus)
+        for tau in mode_rates(spec)
     )
 
 

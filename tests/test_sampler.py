@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oudiff.blockmat import Block2, block_inverse, mat_exp, spectral_decompose
+from oudiff.blockmat import Block2, block_inverse, mat_exp
 from oudiff.errors import InvalidArgument, KernelDegenerate
 from oudiff.moments import (
     Anisotropic,
@@ -1113,10 +1114,9 @@ def _step_map_oracle(specs, init, grid):
         phi = np.empty(h.shape + (2, 2))
         q_h = np.empty(h.shape + (2, 2))
         if isinstance(spec.coupling, Symmetric):
-            modes = spec.modes()
             exps, qs = [], []
-            for lam, tau in ((modes.lambda_plus, modes.tau_plus),
-                             (modes.lambda_minus, modes.tau_minus)):
+            for lam in (spec.coupling.g - spec.beta, -spec.coupling.g - spec.beta):
+                tau = -2.0 * lam
                 exps.append(np.exp(lam * h))
                 qs.append(spec.sigma_w2 * (-np.expm1(-tau * h) / tau))
             for out, (plus, minus) in ((phi, exps), (q_h, qs)):
@@ -1143,16 +1143,30 @@ class TestStationary:
     def test_symmetric_blocks(self):
         spec, _ = sym_model(g=0.5, d=2)
         block = stationary_cov(spec)
-        # per-mode variances sW2/tau
-        modes = spectral_decompose(block)
-        assert modes.lambda_plus == pytest.approx(2.0)
-        assert modes.lambda_minus == pytest.approx(2.0 / 3.0)
+        # per-mode variances sW2/tau_pm, tau_pm = 2 (beta -+ g), along the
+        # eigenvectors (1, +-1)/sqrt(2): the eigenvalues a11 +- a12
+        assert block.a11 == block.a22 and block.a12 == block.a21
+        assert block.a11 + block.a12 == pytest.approx(2.0)
+        assert block.a11 - block.a12 == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("beta, sigma_w2", [(1e-300, 1e308), (1e150, 2.0), (1e-160, 2.0)])
+    @pytest.mark.parametrize("beta, sigma_w2", [(1e-300, 1e308), (1e-160, 2.0)])
     def test_out_of_range_refused(self, beta, sigma_w2):
-        # beta^2 underflows to 0, beta^3 overflows, or an entry is inf
+        # sW2 / (2 beta) or (g / beta)^2 overflows
         with pytest.raises(InvalidArgument):
             stationary_cov(ModelSpec(beta, Anisotropic(0.5), sigma_w2))
+
+    @pytest.mark.parametrize("beta, g", [(1e150, 0.5), (1e120, 1.0), (1e200, 1e200)])
+    def test_finite_past_beta_cubed_overflow(self, beta, g):
+        # beta^3 overflows, but every entry of Q(inf) = [[sW2/(2 beta),
+        # sW2 g/(4 beta^2)], [., sW2/(2 beta) + sW2 g^2/(4 beta^3)]] is a
+        # normal double: against those entries in exact rationals
+        block = stationary_cov(ModelSpec(beta, Anisotropic(g), 2.0))
+        b, g, sw2 = Fraction(beta), Fraction(g), Fraction(2.0)
+        want = [sw2 / (2 * b), sw2 * g / (4 * b**2), sw2 / (2 * b) + sw2 * g**2 / (4 * b**3)]
+        assert block.a12 == block.a21
+        assert [block.a11, block.a12, block.a22] == pytest.approx(
+            [float(w) for w in want], rel=1e-15
+        )
 
     def test_anisotropic_matches_long_time_q(self):
         from oudiff.moments import transition_cov

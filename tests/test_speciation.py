@@ -225,21 +225,20 @@ class TestStability:
     def test_stable_case(self):
         spec, init = sym(0.5)
         rep = stability_check(spec, init)
-        assert rep.stable and rep.sufficient and rep.first_violation is None
+        assert rep.stable
 
     def test_unstable_coupling(self):
         spec = ModelSpec(1.0, Symmetric(1.2), 2.0)
         init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 0.0))
         rep = stability_check(spec, init)
-        assert not rep.stable and not rep.sufficient
-        assert rep.first_violation == 0.0
+        assert not rep.stable
 
     def test_boundary_is_unstable(self):
-        # s2 exactly sW2/(beta+|g|): sufficient bound is strict
+        # s2 exactly sW2/(beta+|g|): the closed-form bound is strict
         spec = ModelSpec(1.0, Symmetric(0.5), 2.0)
         init = MixtureInit(4.0 / 3.0, 4.0 / 3.0, ModeMeans(1.0, 0.0))
         rep = stability_check(spec, init)
-        assert not rep.sufficient
+        assert not rep.stable
 
     def test_violation_starts_at_zero(self):
         # c_pm(t) moves from s2 toward sW2/tau_pm, so the tail condition
@@ -253,8 +252,6 @@ class TestStability:
             spec = ModelSpec(beta, Symmetric(g), rng.uniform(0.3, 3.0))
             rep = stability_check(spec, MixtureInit(s2, s2, ModeMeans(1.0, 0.5)))
             assert rep.stable == (spec.is_stable and s2 < spec.sigma_w2 / (beta + abs(g)))
-            assert rep.stable == rep.sufficient == (rep.first_violation is None)
-            assert rep.first_violation in (None, 0.0)
             kinds.add((rep.stable, spec.is_stable))
         assert kinds == {(True, True), (False, True), (False, False)}
 

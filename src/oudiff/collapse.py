@@ -36,6 +36,7 @@ from .moments import (
     ModelSpec,
     Scheduled,
     Symmetric,
+    _aniso_pivots,
     _mode_kernel,
     _q_parts,
 )
@@ -48,8 +49,9 @@ KIND_JOINT_ANISO = "joint-aniso"
 KIND_CONDITIONAL = "conditional-y-given-x"
 
 LOG_RESIDUAL_TOL = 1e-12
-# relative to alpha: the det and conditional routes' f rounds at about
-# 1e-16, so they solve down to alpha ~ 1e-8
+# relative to alpha: every route's f keeps its relative precision near the
+# root (the det and conditional routes as log1p of a gap over a pivot), so
+# each meets this at any alpha > 0
 ALPHA_RESIDUAL_TOL = 1e-8
 MAX_BISECT = 200
 
@@ -271,18 +273,15 @@ def _log_pivot_ratios(spec: ModelSpec, init: MixtureInit):
 
     det C / det Q = c1 c2 / (q1 q2) and C_y|x / Q_y|x = c2 / q2 do not
     change under the scaling, which keeps the pivots of order one where the
-    unscaled determinants are subnormal (beta ~ 1e158).  In a = 2 beta t,
-    gamma = g / beta and rho = 2 beta s2 / sW2, one-way coupling has
-    Q^ = [[u, gamma k / 2], [., u + gamma^2 h / 2]], with (e^{-a}, u, k, h)
-    from ``_q_parts``, and C^ = Q^ + e^{-a} [[rho_x, rho_x gamma a / 2],
-    [., rho_x gamma^2 a^2 / 4 + rho_y]].  With P = e^{-a} rho_x,
-    v = a (a u / 4 - k / 2) + h / 2 and w = u h / 2 - k^2 / 4 its pivots are
-    c1 = P + u, q1 = u, q2 = u + gamma^2 w / u and
-    c2 = e^{-a} rho_y + u + gamma^2 (P v + w) / c1, the rho_x^2 terms
-    cancelled.  Symmetric coupling takes the mode forms (e, q) of
-    ``_mode_kernel`` at rates 1 -+ gamma: q1 = q_+, q2 = q_-,
-    c1 = rho e_+ + q_+ and c2 = q_- + e_- (e_+ rho_x rho_y + rho q_+) / c1,
-    with rho = (rho_x + rho_y) / 2.  Where Q^ is degenerate, as where a
+    unscaled determinants are subnormal (beta ~ 1e158).  Each ratio is
+    log1p((c - q) / q) on the gap c - q in closed form, so it keeps its
+    relative precision where c ~ q, as near the root at small alpha.  In
+    a = 2 beta t, gamma = g / beta and rho = 2 beta s2 / sW2, one-way
+    coupling reads its pivots and gaps from ``_aniso_pivots``.  Symmetric
+    coupling takes the mode forms (e, q) of ``_mode_kernel`` at rates
+    1 -+ gamma: q1 = q_+, q2 = q_-, c1 - q1 = rho e_+ and
+    c2 - q2 = e_- (e_+ rho_x rho_y + rho q_+) / c1, with
+    rho = (rho_x + rho_y) / 2.  Where Q^ is degenerate, as where a
     underflows to 0, both ratios take their limit +inf.
     """
     if isinstance(spec.coupling, Scheduled):
@@ -305,22 +304,15 @@ def _log_pivot_ratios(spec: ModelSpec, init: MixtureInit):
         if symmetric:
             e_p, q1 = (float(x) for x in _mode_kernel(0.0, 1.0, 1.0 - gamma, a))
             e_m, q2 = (float(x) for x in _mode_kernel(0.0, 1.0, 1.0 + gamma, a))
-            c1 = rho * e_p + q1
-            c2 = q2 + e_m * (e_p * rho_x / c1 * rho_y + rho * (q1 / c1))
+            gap1 = rho * e_p
+            c1 = q1 + gap1
+            gap2 = e_m * (e_p * rho_x / c1 * rho_y + rho * (q1 / c1))
         else:
-            decay, q1, k, h = (float(x) for x in _q_parts(beta, t))
-            if q1 == 0.0:
-                return math.inf, math.inf
-            p = decay * rho_x
-            w = q1 * h / 2.0 - k * k / 4.0
-            v = a * (a * q1 / 4.0 - k / 2.0) + h / 2.0
-            c1 = p + q1
-            # where e^{-a} rho_x underflows to 0, a^2 in v may overflow: P v = 0
-            c2 = decay * rho_y + q1 + gamma2 * (((p * v if p else 0.0) + w) / c1)
-            q2 = q1 + gamma2 * (w / q1)
+            parts = tuple(float(x) for x in _q_parts(beta, t))
+            q1, q2, gap1, gap2, _ = _aniso_pivots(gamma, a, parts, rho_x, rho_y)
         if not (q1 > 0.0 and q2 > 0.0):
             return math.inf, math.inf
-        return math.log(c1) - math.log(q1), math.log(c2) - math.log(q2)
+        return math.log1p(gap1 / q1), math.log1p(gap2 / q2)
 
     return at
 

@@ -367,6 +367,32 @@ def _aniso_q(beta, sw2, g, parts):
     return q11, q12, q22
 
 
+def _aniso_pivots(gamma, a, parts, rho_x, rho_y):
+    """The LDL^T pivots of the one-way C(t) and Q(t) scaled by 2 beta / sW2,
+    on floats or broadcast arrays: (q1, q2, c1 - q1, c2 - q2, l).
+
+    In a = 2 beta t, gamma = g / beta and rho = 2 beta s2 / sW2 per
+    channel, with (e^{-a}, u, k, h) the time-only ``parts`` of ``_q_parts``,
+    Q^ = [[u, gamma k / 2], [., u + gamma^2 h / 2]] and
+    C^ = Q^ + e^{-a} [[rho_x, rho_x gamma a / 2], [., rho_x gamma^2 a^2 / 4 + rho_y]].
+    With P = e^{-a} rho_x and w = u h / 2 - k^2 / 4 the pivots are q1 = u,
+    q2 = u + gamma^2 w / u, c1 = P + u and c2 = q2 + e^{-a} rho_y
+    + gamma^2 P (a u - k)^2 / (4 u c1), the gaps in closed form, and
+    l = C^12 / C^11 = gamma (P a + k) / (2 c1).  At u = 0 (t = 0) Q^
+    vanishes, and so do w and a u - k: over u there they take their limit 0.
+    """
+    decay, u, k, h = parts
+    p = decay * rho_x
+    c1 = p + u
+    r = a * u - k
+    over_u = u + (u == 0.0)  # u, or 1 where u = 0
+    q2 = u + gamma * gamma * ((u * h / 2.0 - k * k / 4.0) / over_u)
+    # r^2 is not formed: it may overflow where e^{-a} rho_x underflows to 0,
+    # and u c1 may underflow where both are small
+    gap2 = decay * rho_y + gamma * gamma * (p / c1 * r * (r / (4.0 * over_u)))
+    return u, q2, p, gap2, gamma * (p * a + k) / (2.0 * c1)
+
+
 def _transition(symmetric: bool, beta, sw2, g, t):
     """The forward transition kernel over a time t at a constant coupling g:
     the entries (a11, a12, a21, a22) of Phi = e^{Mt} and of the noise Q(t),
@@ -440,45 +466,34 @@ def _mode_kernel(s2, sw2, tau, ts):
     return decay, s2 * decay + sw2 * (-np.expm1(-tau * ts)) / tau
 
 
-def _k_parts(beta, sw2, g, c11, c12, c22):
-    """K(t) = N / (Delta D) from the entries of C(t), on scalars or arrays:
-    the numerators (N11, N12, N21, N22), Delta D and the mask of D(t)
-    vanishing, with Delta = det C and
-    D = beta^2 Delta - beta sW2 (C11 + C22) + g sW2 C12 + sW2^2."""
-    delta = c11 * c22 - c12 * c12
-    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
-    d_scale = (
-        beta * beta * np.abs(delta)
-        + beta * sw2 * (np.abs(c11) + np.abs(c22))
-        + np.abs(g) * sw2 * np.abs(c12)
-        + sw2 * sw2
-    )
-    numerators = (
-        sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22,
-        c12 * (beta * (c11 + c22) - g * c12 - sw2),
-        beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22,
-        sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12,
-    )
-    return numerators, delta * dd, np.abs(dd) < 1e-12 * d_scale
-
-
 def kernel_K(spec: ModelSpec, init: MixtureInit, t: float) -> Block2:
     """Closed-form K(t) = C^-1 (M + sW2 C^-1)^-1 C^-1 for anisotropic coupling.
 
-    Assembled from the numerators N_ij over Delta(t) D(t) (``_k_parts``);
-    raises DegenerateDrift when D(t) vanishes.
+    K = N / (Delta D) on the unscaled C(t), with Delta = det C,
+    D = beta^2 Delta - beta sW2 (C11 + C22) + g sW2 C12 + sW2^2 and the
+    numerators N_ij below; raises DegenerateDrift when D(t) vanishes.  It
+    shares no algebra with the pivot form of kappa in ``speciation``, which
+    it checks.
     """
     _require_time(t)
     if not isinstance(spec.coupling, Anisotropic):
         raise UnsupportedShape("kernel_K is the anisotropic closed form")
+    beta, g, sw2 = spec.beta, spec.coupling.g, spec.sigma_w2
     c = diffusion_kernel(spec, init, t).c
-    numerators, denom, degenerate = _k_parts(
-        spec.beta, spec.sigma_w2, spec.coupling.g, c.a11, c.a12, c.a22
-    )
-    if degenerate:
+    c11, c12, c22 = c.a11, c.a12, c.a22
+    delta = c11 * c22 - c12 * c12
+    dd = beta * beta * delta - beta * sw2 * (c11 + c22) + g * sw2 * c12 + sw2 * sw2
+    d_scale = (beta * beta * abs(delta) + beta * sw2 * (abs(c11) + abs(c22))
+               + abs(g) * sw2 * abs(c12) + sw2 * sw2)
+    if abs(dd) < 1e-12 * d_scale:
         raise DegenerateDrift(t)
-    inv = 1.0 / denom
-    return Block2(*(n * inv for n in numerators))
+    inv = 1.0 / (delta * dd)
+    return Block2(
+        (sw2 * c22 - beta * (c22 * c22 + c12 * c12) + g * c12 * c22) * inv,
+        c12 * (beta * (c11 + c22) - g * c12 - sw2) * inv,
+        (beta * c12 * (c11 + c22) - sw2 * c12 - g * c11 * c22) * inv,
+        (sw2 * c11 - beta * (c11 * c11 + c12 * c12) + g * c11 * c12) * inv,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from .moments import (
     ModeMeans,
     ModelSpec,
     Symmetric,
-    _aniso_q,
-    _k_parts,
+    _aniso_pivots,
     _mode_kernel,
     _q_parts,
     _require_mode_kernels,
@@ -186,32 +185,46 @@ def _scan_grid(t_max: float) -> np.ndarray:
 
 
 def _aniso_kappa(beta, sw2, sx2, sy2, g, ts, parts, stats):
-    """Anisotropic kappa(t) through the closed-form K(t), on broadcast arrays.
+    """Anisotropic kappa(t) on the scaled pivots of C(t), on broadcast arrays.
+
+    In a = 2 beta t and gamma = g / beta, with M^ = M / beta and C(t) and
+    mu(t) scaled by 2 beta / sW2 and its root,
+    kappa = 2 mu^T (M^ C^ + 2)^-1 C^-1 mu^.  On the LDL^T pivots c1, c2
+    and l of C^ (``_aniso_pivots``) and nu = L^-1 mu^, that is
+    kappa = 2 [e11 nu1^2 + (2 l - gamma) nu1 nu2 + e22 nu2^2] / D^ with
+    e11 = (2 - c2) / c1, e22 = (2 - c1 - l (l - gamma) c1) / c2 and
+    D^ = det(M^ C^ + 2) = (2 - c1)(2 - c2) - 2 l (l - gamma) c1, the scaled
+    D(t); no product of more than two pivots is formed.  In the means at
+    t = 0, nu = sqrt(f) (mu_x, mu_y + lam mu_x) with f = (2 beta / sW2) e^{-a}
+    and lam = g t - l = gamma (a u - k) / (2 c1), so the statistics
+    ``stats = (mxx, myy, mxy)`` enter through three coefficients, into
+    which f is folded.
 
     ``parts`` are the time-only parts of Q(t) at ``ts`` (``_q_parts``),
-    which a scan computes once for all its couplings.  C(t) and the parts
-    of K(t) (``_k_parts``) take the broadcast shape of ``g`` and ``ts``;
-    only the mean terms broadcast further against the channel statistics
-    ``stats = (mxx, myy, mxy)``.  Returns kappa and the mask, in the shape
-    of (g, ts), of times at which D(t) vanishes and the drift operator is
-    degenerate.
+    which a scan computes once for all its couplings.  The pivots and
+    coefficients take the broadcast shape of ``g`` and ``ts``; only the
+    last sum broadcasts further against the statistics.  Returns kappa and
+    the mask, in the shape of (g, ts), of times at which D(t) vanishes and
+    the drift operator is degenerate.
     """
-    q11, q12, q22 = _aniso_q(beta, sw2, g, parts)
-    decay2 = parts[0]
-    c11 = decay2 * sx2 + q11
-    c12 = decay2 * g * ts * sx2 + q12
-    c22 = decay2 * (sy2 + g * g * ts * ts * sx2) + q22
-    (n11, n12, n21, n22), denom, degenerate = _k_parts(beta, sw2, g, c11, c12, c22)
-    mxx, myy, mxy = stats
-    mxx_t = decay2 * mxx
-    mxy_t = decay2 * (mxy + g * ts * mxx)
-    myy_t = decay2 * (myy + 2.0 * g * ts * mxy + g * g * ts * ts * mxx)
-    quad = n11 * mxx_t + (n12 + n21) * mxy_t + n22 * myy_t
     # kappa is meaningless where D(t) vanishes; callers discard those points.
-    # A +-inf kappa still compares with 1 correctly, and _scan_outcome
-    # refuses one that would be printed
+    # A +-inf or nan kappa still compares with 1 as it should, and
+    # _scan_outcome refuses one that would be printed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return sw2 * quad * (1.0 / denom), degenerate
+        scale, gamma, a = 2.0 * beta / sw2, g / beta, 2.0 * beta * ts
+        q1, q2, gap1, gap2, ell = _aniso_pivots(gamma, a, parts, scale * sx2, scale * sy2)
+        c1, c2 = q1 + gap1, q2 + gap2
+        skew = ell * (ell - gamma) * c1
+        d = (2.0 - c1) * (2.0 - c2) - 2.0 * skew
+        # the sum of |terms| of D^: kernel_K's degeneracy scale, scaled
+        d_scale = (2.0 + c1) * (2.0 + c2) + 2.0 * abs(ell * c1) * (abs(gamma) + abs(ell))
+        f = scale * parts[0]
+        e11, e22 = f * ((2.0 - c2) / c1), f * ((2.0 - c1 - skew) / c2)
+        e12 = f * (2.0 * ell - gamma)
+        lam = gamma * (a * q1 - parts[2]) / (2.0 * c1)
+        mxx, myy, mxy = stats
+        quad = (e11 + lam * (e12 + lam * e22)) * mxx + (e12 + 2.0 * lam * e22) * mxy
+        return 2.0 * (quad + e22 * myy) / d, abs(d) < 1e-12 * d_scale
 
 
 def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarray:
@@ -252,6 +265,11 @@ def _bisect(f, lo, hi, tol: float, max_iter: int):
 
 def _search_window(spec: ModelSpec, t_max_search: float | None) -> float:
     if t_max_search is None:
+        if 10.0 / spec.beta == math.inf:  # beta subnormal
+            raise InvalidArgument(
+                f"the default window 10 / beta overflows at beta={spec.beta!r}; "
+                "set t_max_search"
+            )
         return 10.0 / spec.beta
     if t_max_search <= 0.0:
         raise InvalidArgument("t_max_search must be positive")
@@ -309,18 +327,21 @@ def _speciation_cells(form, gs, stats, t_max_search: float) -> list:
     |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings: elementwise on
     arrays, or on Python floats for a lone cell, where that is several
     times faster.  A cell that meets a bad time on the grid or at a
-    midpoint stops there with the form's error.  Returns a SpeciationResult
-    or the cell's error for each pair, in (g, stats) order.
+    midpoint stops there with the form's error; one still above the
+    tolerance after 80 halvings, as where the crossing lies far below a
+    bracket of many decades, is an InvalidArgument, not a non-root.
+    Returns a SpeciationResult or the cell's error for each pair, in
+    (g, stats) order.
     """
     at, bad_time = form
     grid = _scan_grid(t_max_search)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes = []
     pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
-    # past the float range (2 beta overflows near 9e307) the closed forms
-    # hold NaN, which _scan_outcome refuses: numpy need not warn first; a
-    # bad time, where a denominator may vanish, is reported through bad
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # past the float range the closed forms hold inf or NaN, which
+    # _scan_outcome refuses: numpy need not warn first; a bad time, where a
+    # denominator may vanish, is reported through bad
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         on_grid = at(grid)
         for g in gs:
             values, bad = on_grid(g, columns)
@@ -355,9 +376,16 @@ def _speciation_cells(form, gs, stats, t_max_search: float) -> list:
     for c, t, e, k0, sk in zip(
         cell, np.atleast_1d(t_root).tolist(), np.atleast_1d(err).tolist(), kappa0, sup_kappa
     ):
-        outcomes[c] = bad_time(t) if math.isnan(e) else SpeciationResult(
-            t_s=t, kappa0=k0, sup_kappa=sk, regime=REGIME_SPECIATES
-        )
+        if math.isnan(e):
+            outcomes[c] = bad_time(t)
+        elif e > 0.1 * KAPPA_TOL:
+            outcomes[c] = InvalidArgument(
+                f"kappa = 1 not resolved after 80 halvings: |kappa - 1|={e!r} at t={t!r}"
+            )
+        else:
+            outcomes[c] = SpeciationResult(
+                t_s=t, kappa0=k0, sup_kappa=sk, regime=REGIME_SPECIATES
+            )
     return outcomes
 
 

@@ -928,13 +928,24 @@ def test_import_loads_no_scipy():
         (["speciation", "--coupling", "anisotropic",
           *(f"--{flag}=5.179327711732039e-81"
             for flag in ("beta", "g", "sigma-w2", "sigma2", "m-plus2", "m-minus2"))],
+         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=1.0 at "
+         "t=1.452536750710217e+45"),
+        (["speciation", "--beta=6.606718364637808e+16", "--g=1.959963984540054",
+          "--sigma-w2=1.5074266548272768e+23", "--sigma2=2.1566302402241094e-297",
+          "--m-plus2=1.5748310411821335e+134", "--m-minus2=2.1566302402241094e-297"],
          "kappa is infinite on the scan grid; the closed forms left the float range"),
+        (["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", "1e30"],
+         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=4.79676786735439e-07 at "
+         "t=0.34657335044163673"),
+        (["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", "1e40"],
+         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=1.0 at t=7523.16384526264"),
         (["sample", "--mode", "forward", "--coupling", "anisotropic", "--horizon", "1e308",
           "--dim", "2", "--paths", "2", "--steps", "3"],
          "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
          "cov_xy); the run diverged"),
     ],
-    ids=["speciation-huge-beta", "speciation-tiny-everything", "sample-huge-horizon"],
+    ids=["speciation-huge-beta", "speciation-tiny-everything", "speciation-symmetric-overflow",
+         "speciation-window-1e30", "speciation-window-1e40", "sample-huge-horizon"],
 )
 def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as
@@ -947,3 +958,4 @@ def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"oudiff: invalid configuration: {message}\n"
+

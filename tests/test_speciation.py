@@ -296,6 +296,27 @@ class TestSpeciationTime:
         vals = [kappa(spec, init, float(t)) for t in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("coupling", [Symmetric(0.0), Anisotropic(0.0)])
+    def test_overflowing_default_window_is_refused(self, coupling):
+        # 10 / beta overflows at a subnormal beta, and a scan on [0, inf]
+        # warned before a refusal at t = inf
+        spec = ModelSpec(2.225073858507e-311, coupling, 1.0)
+        init = MixtureInit(1.0, 1.0, ModeMeans(1.0, 1.0))
+        with pytest.raises(InvalidArgument, match="default window 10 / beta overflows"):
+            speciation_time(spec, init)
+
+    def test_huge_scaled_variances_stay_finite(self):
+        # 2 beta s2 / sW2 ~ 1e125: det C D(t) is of order 1e500 unscaled, and
+        # kappa(0) read -0.0 past its overflow; the pivot form gives the
+        # 50-digit mpmath value -1.21006149713296949e-234
+        spec = ModelSpec(9325181603957256.0, Anisotropic(3.149074702019571e16),
+                         6.076561898731563e16)
+        init = MixtureInit(3.1691313508028806e125, 3.1691313508028806e125,
+                           ModeMeans(9325181603957256.0, 9325181603957256.0))
+        res = speciation_time(spec, init)
+        assert res.regime == REGIME_NO_SPECIATION
+        assert res.kappa0 == pytest.approx(-1.2100614971329695e-234, rel=1e-12, abs=0.0)
+
     def test_no_speciation_boundary_consistency(self):
         # sup over the refined grid vs the returned regime
         spec, init = aniso(1.9, theta=0.0)
@@ -388,6 +409,19 @@ class TestPhaseDiagram:
         assert [c.error for c in cells] == [message] * 4
         with pytest.raises(InvalidArgument, match=message):
             speciation_time(spec, init, t_max)
+
+    def test_unresolved_bisection_recorded_in_the_cell(self):
+        # the crossings near t ~ 0.7 lie far below the first scan point past
+        # 0 (9e17 at t_max 1e30), so 80 halvings stop far above the
+        # tolerance: in the batched loop and in a lone cell's float loop
+        spec, init = aniso(0.0)
+        cells = phase_diagram(spec, init, [0.5], [0.0, 0.4], 1e30)
+        for cell in cells:
+            assert cell.result is None
+            assert cell.error.startswith("kappa = 1 not resolved after 80 halvings")
+            with pytest.raises(InvalidArgument) as info:
+                speciation_time(*aniso(cell.g, theta=cell.theta), 1e30)
+            assert str(info.value) == cell.error
 
     def test_errors_recorded_not_raised(self):
         # r = beta makes kappa0 degenerate but the sweep must not abort;

@@ -159,60 +159,34 @@ def collapse_bound(params: CollapseParams) -> float:
     return bound
 
 
-def _halve_down(f, hi: float):
-    """Bracket [t, 2t] with f(t) >= 0 > f(2t), halving down from hi with f(hi) < 0."""
-    lo = 0.5 * hi
-    while (f_lo := f(lo)) < 0.0:
-        hi, lo = lo, 0.5 * lo
-    return lo, hi, f_lo
-
-
 def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     """Root of a decreasing collapse equation f(t) = 0, bisected to
     |f| <= min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * alpha): past the root
     f tends to about -4 alpha, which lies inside 1e-12 once alpha is small.
 
-    The bracket is [1e-12 / beta, collapse_bound + 1 / beta], its top
-    doubled while f stays positive, up to 1e8 / beta.  f rises to +inf as
-    t -> 0+, so when f(1e-12 / beta) < 0 the root lies below it: unless
-    ``collapse_bound`` underflows to 0, the bracket is then [t, 2t] with
-    f(t) >= 0 > f(2t), found in steps of a factor 2 from the bound where
-    that is lower.  ``collapse_bound`` raises NoCollapse unless alpha > 0.
-    A root far inside a bracket of many decades is out of reach of
-    ``MAX_BISECT`` halvings; where the bisection stops above the tolerance,
-    the root is bracketed as [t, 2t] on the side of the last midpoint that
-    f's sign gives, and bisected once more.  A bisection that still stops
+    One bracketing rule: from ``collapse_bound`` (which raises NoCollapse
+    unless alpha > 0), t doubles while f(t) >= 0, up to 1e8 / beta, and
+    then halves while f(t) < 0, which brackets the root as [t, 2t] with
+    f(t) >= 0 > f(2t); f rises to +inf as t -> 0+, so the halving ends.
+    A bound that underflows to 0 (alpha above about 372.6) brackets
+    nothing and is refused.  A ratio-2 bracket reaches the ulp of t within
+    about 53 of the ``MAX_BISECT`` halvings; a bisection that still stops
     with |f| above the tolerance raises InvalidArgument, not a non-root.
     """
-    beta = params.spec.beta
-    bound = collapse_bound(params)
-    lo = 1e-12 / beta
-    hi = bound + 1.0 / beta
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e8 / beta:
-            raise NoCollapse("collapse equation has no root below the cap")
-    f_lo = f(lo)
-    if f_lo < 0.0 and bound > 0.0:
-        hi = min(lo, bound)
-        while f(hi) >= 0.0:
-            hi *= 2.0
-        lo, hi, f_lo = _halve_down(f, hi)
-    f_hi = f(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
+    hi = collapse_bound(params)
+    if hi == 0.0:
         raise InvalidArgument(
-            f"root not bracketed: f({lo!r})={f_lo!r}, f({hi!r})={f_hi!r}"
+            f"root not bracketed: collapse_bound underflows to 0 at alpha={params.alpha!r}"
         )
+    while f(hi) >= 0.0:
+        hi *= 2.0
+        if hi > 1e8 / params.spec.beta:
+            raise NoCollapse("collapse equation has no root below the cap")
+    lo = 0.5 * hi
+    while f(lo) < 0.0:
+        lo, hi = 0.5 * lo, lo
     tol = min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * params.alpha)
     t_c, residual = _bisect(f, lo, hi, tol, MAX_BISECT)
-    if residual > tol:
-        if f(t_c) < 0.0:
-            lo, hi, _ = _halve_down(f, t_c)
-        else:  # [t, 2t], doubling up from the last midpoint
-            lo, hi = t_c, 2.0 * t_c
-            while f(hi) > 0.0:
-                lo, hi = hi, 2.0 * hi
-        t_c, residual = _bisect(f, lo, hi, tol, MAX_BISECT)
     if not residual <= tol:
         raise InvalidArgument(
             f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r} "

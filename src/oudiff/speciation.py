@@ -175,10 +175,11 @@ def stability_check(spec: ModelSpec, init: MixtureInit) -> StabilityReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _scan_grid(t_max: float) -> np.ndarray:
-    """Linear scan grid refined geometrically toward t=0 (cached, read-only)."""
+def _scan_grid(t_max: float, halvings: int = 40) -> np.ndarray:
+    """Linear scan grid refined toward t=0 by ``halvings`` factors of 2
+    (cached, read-only)."""
     linear = np.linspace(0.0, t_max, _GRID_POINTS)
-    geometric = t_max * 0.5 ** np.arange(1, 41)
+    geometric = np.ldexp(t_max, -np.arange(1, halvings + 1))
     grid = np.unique(np.concatenate([linear, geometric]))
     grid.flags.writeable = False
     return grid
@@ -232,8 +233,9 @@ def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarra
     coupling kind (``_kappa_form``); raises its error at the first bad time."""
     at, bad_time = _kappa_form(spec, init)
     # kappa is meaningless at a bad time (a symmetric denominator may be 0
-    # there): reported through bad
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # there): reported through bad; past the float range it is inf or nan,
+    # which callers see in the values
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values, bad = at(ts)(spec.coupling.g, init.channel_stats())
     if np.any(bad):
         raise bad_time(float(ts[np.argmax(bad)]))
@@ -263,19 +265,31 @@ def _bisect(f, lo, hi, tol: float, max_iter: int):
     return mid, abs(val)
 
 
-def _search_window(spec: ModelSpec, t_max_search: float | None) -> float:
+def _search_grid(spec: ModelSpec, t_max_search: float | None) -> np.ndarray:
+    """The scan grid of the window (0, t_max_search], 10 / beta by default.
+
+    Its geometric refinement reaches (10 / beta) 2^-40, as the default
+    window's does: a wider window takes ceil(log2(t_max beta / 10)) more
+    halvings, summed as logarithms so that no product of inputs overflows.
+    """
+    model_window = 10.0 / spec.beta
     if t_max_search is None:
-        if 10.0 / spec.beta == math.inf:  # beta subnormal
+        if model_window == math.inf:  # beta subnormal
             raise InvalidArgument(
                 f"the default window 10 / beta overflows at beta={spec.beta!r}; "
                 "set t_max_search"
             )
-        return 10.0 / spec.beta
-    if t_max_search <= 0.0:
+        t_max = model_window
+    elif t_max_search <= 0.0:
         raise InvalidArgument("t_max_search must be positive")
-    if not math.isfinite(t_max_search):
+    elif not math.isfinite(t_max_search):
         raise InvalidArgument("t_max_search must be finite")
-    return float(t_max_search)
+    else:
+        t_max = float(t_max_search)
+    halvings = 40
+    if t_max > model_window:
+        halvings += math.ceil(math.log2(t_max) + math.log2(spec.beta) - math.log2(10.0))
+    return _scan_grid(t_max, halvings)
 
 
 def _scan(values: np.ndarray):
@@ -315,10 +329,11 @@ def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int
     return InvalidArgument("no kappa = 1 crossing found in the window")
 
 
-def _speciation_cells(form, gs, stats, t_max_search: float) -> list:
+def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
     """Speciation for every pair of a coupling in ``gs`` and channel
     statistics ``(mxx, myy, mxy)`` in ``stats``, on the kappa form and
-    bad-time error ``form`` of ``_kappa_form``.
+    bad-time error ``form`` of ``_kappa_form`` and the scan ``grid`` of
+    ``_search_grid``.
 
     The form broadcasts over couplings, times and statistics, so one grid
     scan per coupling covers all statistics at once, and its time-only
@@ -334,7 +349,6 @@ def _speciation_cells(form, gs, stats, t_max_search: float) -> list:
     (g, stats) order.
     """
     at, bad_time = form
-    grid = _scan_grid(t_max_search)
     columns = np.array(stats, dtype=float).reshape(-1, 3).T[:, :, None]
     outcomes = []
     pending = []  # (cell, g, stats index, kappa0, sup_kappa, bracket)
@@ -396,15 +410,15 @@ def speciation_time(
 ) -> SpeciationResult:
     """Largest root of kappa(t) = 1 in (0, t_max_search].
 
-    A grid scan (512 linear points plus geometric refinement near zero)
-    brackets the highest crossing, which bisection then sharpens to
-    |kappa - 1| <= 1e-10, as one cell of ``_speciation_cells``.  Returns
-    the no-speciation regime when the grid supremum of kappa stays below 1,
-    and the unstable regime at t = 0 when ``stability_check`` finds the
-    symmetric spec unstable (|g| >= beta, or tail confinement fails).
+    A grid scan (512 linear points plus geometric refinement toward zero,
+    ``_search_grid``) brackets the highest crossing, which bisection then
+    sharpens to |kappa - 1| <= 1e-10, as one cell of ``_speciation_cells``.
+    Returns the no-speciation regime when the grid supremum of kappa stays
+    below 1, and the unstable regime at t = 0 when ``stability_check`` finds
+    the symmetric spec unstable (|g| >= beta, or tail confinement fails).
     """
     form = _kappa_form(spec, init)  # refuses a non-constant coupling
-    t_max_search = _search_window(spec, t_max_search)
+    grid = _search_grid(spec, t_max_search)
     if isinstance(spec.coupling, Symmetric) and not stability_check(spec, init).stable:
         # see StabilityReport: confinement fails at t = 0 when anywhere
         return SpeciationResult(
@@ -415,7 +429,7 @@ def speciation_time(
             unstable_t=0.0,
         )
     (outcome,) = _speciation_cells(
-        form, [spec.coupling.g], [init.channel_stats()], t_max_search
+        form, [spec.coupling.g], [init.channel_stats()], grid
     )
     if isinstance(outcome, Exception):
         raise outcome
@@ -522,13 +536,13 @@ def phase_diagram(
         g_crit_aligned(spec_template, init, theta) for init, theta in zip(inits, thetas)
     ]
     try:
-        window = _search_window(spec_template, t_max_search)
+        grid = _search_grid(spec_template, t_max_search)
     except InvalidArgument as exc:  # recorded in every cell like any cell error
         outcomes = [exc] * (len(gs) * len(thetas))
     else:
         form = _kappa_form(replace(spec_template, coupling=Anisotropic(0.0)), init_template)
         outcomes = _speciation_cells(
-            form, gs, [init.channel_stats() for init in inits], window
+            form, gs, [init.channel_stats() for init in inits], grid
         )
     cells = []
     for (g, (theta, gc)), outcome in zip(

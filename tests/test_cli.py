@@ -73,16 +73,16 @@ class TestScalarCommands:
     @pytest.mark.parametrize(
         "coupling, expected",
         [
-            ([], '{\n  "t_c": 5.109089028062894e-12,\n  "t_c_plus": 5.109089028063325e-12,\n'
+            ([], '{\n  "t_c": 5.109089028061548e-12,\n  "t_c_plus": 5.109089028063325e-12,\n'
                  '  "t_c_minus": 5.109089028063325e-12,\n  "t_max": 5.109089028089428e-12\n}\n'),
             (["--coupling", "anisotropic", "--g", "0.5"],
-             '{\n  "t_c": 5.1090890280662025e-12,\n  "t_c_conditional": 5.1090890280662025e-12,\n'
+             '{\n  "t_c": 5.109089028070842e-12,\n  "t_c_conditional": 5.109089028070842e-12,\n'
              '  "t_max": 5.109089028089428e-12\n}\n'),
         ],
     )
     def test_collapse_past_the_bracket_floor(self, capsys, coupling, expected):
-        # alpha = 13 kept its bytes; from 14 on t_c lies below 1e-12 / beta,
-        # where the bracket used to stop
+        # the bracket [t, 2t] is found in factors of 2 from the bound, so t_c
+        # may lie far below 1 / beta: 5e-12 at alpha = 13, 4e-18 at 20
         assert dispatch(["collapse", "--alpha", "13", "--ratio", "1", *coupling]) == 0
         assert capsys.readouterr().out == expected
         for alpha in ("14", "20"):
@@ -237,6 +237,17 @@ class TestScalarCommands:
             assert code == 0, argv
 
 
+# the 384 runs of the collapse pin
+COLLAPSE_GRID = [
+    ["collapse", "--coupling", coupling, f"--beta={beta}", f"--g={g}",
+     f"--alpha={alpha}", f"--ratio={ratio}"]
+    for coupling, beta, g, alpha, ratio in itertools.product(
+        ("symmetric", "anisotropic"), ("0.5", "1", "3", "7"),
+        ("0", "0.2", "-0.4", "1.5"), ("0.1", "1", "5", "13"), ("0.3", "1", "4"),
+    )
+]
+
+
 class TestOutputBytes:
     """Output bytes pinned before the speciation closed forms were shared
     and before the samplers shared one Euler-Maruyama loop; a change to the
@@ -341,25 +352,70 @@ class TestOutputBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_collapse_grid(self, capsys):
-        # pinned before the det and conditional routes moved onto the scaled
-        # blocks.  alpha = 20 is left out: its root lies below 1e-12 / beta,
-        # where f is a difference of logarithms near 76 that rounds at ~1e-14,
-        # so which midpoint first meets |f| <= 1e-12 can change with the
-        # rounding.  At ratio 4 the det t_c moved from 1.6993417021135448e-17
-        # to 1.699341702119727e-17, both 1.8e-12 (relative) from the 50-digit
-        # root 1.69934170211664e-17, with |f| = 9.1e-13;
-        # test_root_below_the_default_floor checks alpha = 20 to rel 1e-9
+        # pinned when the collapse solver took its one [t, 2t] bracket, which
+        # moved t_c and t_c_conditional by at most 1.3e-11 relative, each
+        # within 5e-11 of its 50-digit root (test_collapse_grid_against_mpmath).
+        # alpha = 20 is left out: f is a difference of logarithms near 76
+        # that rounds at ~1e-14, so which midpoint first meets |f| <= 1e-12
+        # can change with the rounding; test_root_below_the_default_floor
+        # checks alpha = 20 to rel 1e-9
         digest = hashlib.sha256()
-        for coupling, beta, g, alpha, ratio in itertools.product(
-            ("symmetric", "anisotropic"), ("0.5", "1", "3", "7"),
-            ("0", "0.2", "-0.4", "1.5"), ("0.1", "1", "5", "13"), ("0.3", "1", "4"),
-        ):
-            code = dispatch(["collapse", "--coupling", coupling, f"--beta={beta}",
-                             f"--g={g}", f"--alpha={alpha}", f"--ratio={ratio}"])
+        for argv in COLLAPSE_GRID:
+            code = dispatch(argv)
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
         assert digest.hexdigest() == (
-            "fbd805198536ad11496cbdcaca3d7ba9d65350175f76b0cb3690cd8d32261791"
+            "7fb40e1ff53885d8f1408feada58e75a344bbfc7bf4d60f0b431c2ab0c2d66ee"
         )
+
+    def test_collapse_grid_against_mpmath(self, capsys):
+        # every solved run of the pinned grid, against the 50-digit root of
+        # its closed form: chi_pm for the symmetric route, and for the det
+        # and conditional routes C = Phi Sigma0 Phi^T + Q with
+        # Phi = e^{-beta t} [[1, 0], [g t, 1]], Sigma0 = ratio I and sW2 = 1
+        mp = pytest.importorskip("mpmath")
+        solved = 0
+        for argv in COLLAPSE_GRID:
+            if dispatch(argv) != 0:
+                continue
+            out = json.loads(capsys.readouterr().out)
+            coupling = argv[2]
+            beta, g, alpha, ratio = (float(a.split("=")[1]) for a in argv[3:])
+            with mp.workdps(50):
+                b, gg, al, r = (mp.mpf(v) for v in (beta, g, alpha, ratio))
+
+                def f_sym(t):
+                    return sum(mp.log1p(r * tau / mp.expm1(tau * t))
+                               for tau in (2 * (b - gg), 2 * (b + gg))) - 4 * al
+
+                def blocks(t):
+                    a = 2 * b * t
+                    e = mp.exp(-a)
+                    q11 = -mp.expm1(-a) / (2 * b)
+                    q12 = gg * (1 - e * (1 + a)) / (4 * b**2)
+                    q22 = q11 + gg**2 * (1 - e * (1 + a + a * a / 2)) / (4 * b**3)
+                    c11, c12 = q11 + r * e, q12 + r * e * gg * t
+                    c22 = q22 + r * e * (1 + (gg * t) ** 2)
+                    return (c11, c12, c22), (q11, q12, q22)
+
+                def f_det(t):
+                    (c11, c12, c22), (q11, q12, q22) = blocks(t)
+                    return mp.log((c11 * c22 - c12**2) / (q11 * q22 - q12**2)) / 4 - al
+
+                def f_cond(t):
+                    (c11, c12, c22), (q11, q12, q22) = blocks(t)
+                    return mp.log((c22 - c12**2 / c11) / (q22 - q12**2 / q11)) / 2 - al
+
+                routes = (
+                    [("t_c", f_sym)] if coupling == "symmetric"
+                    else [("t_c", f_det), ("t_c_conditional", f_cond)]
+                )
+                for key, f in routes:
+                    # in x = beta t, secant steps from the solver's root
+                    x0 = mp.mpf(out[key]) * b
+                    root = mp.findroot(lambda x: f(x / b), (x0, x0 * (1 + mp.mpf(1e-9)))) / b
+                    assert abs(out[key] - root) <= 5e-11 * root, (argv, key)
+            solved += 1
+        assert solved == 360
 
     @pytest.mark.parametrize(
         "config, jobs, csv_digest, json_digest",
@@ -934,18 +990,13 @@ def test_import_loads_no_scipy():
           "--sigma-w2=1.5074266548272768e+23", "--sigma2=2.1566302402241094e-297",
           "--m-plus2=1.5748310411821335e+134", "--m-minus2=2.1566302402241094e-297"],
          "kappa is infinite on the scan grid; the closed forms left the float range"),
-        (["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", "1e30"],
-         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=4.79676786735439e-07 at "
-         "t=0.34657335044163673"),
-        (["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", "1e40"],
-         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=1.0 at t=7523.16384526264"),
         (["sample", "--mode", "forward", "--coupling", "anisotropic", "--horizon", "1e308",
           "--dim", "2", "--paths", "2", "--steps", "3"],
          "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
          "cov_xy); the run diverged"),
     ],
     ids=["speciation-huge-beta", "speciation-tiny-everything", "speciation-symmetric-overflow",
-         "speciation-window-1e30", "speciation-window-1e40", "sample-huge-horizon"],
+         "sample-huge-horizon"],
 )
 def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as
@@ -959,3 +1010,13 @@ def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == f"oudiff: invalid configuration: {message}\n"
 
+
+@pytest.mark.parametrize("window", ["1e30", "1e40", "1e300"])
+def test_wide_speciation_window_solves(capsys, window):
+    # the scan refines down to (10 / beta) 2^-40 in any window, so the
+    # crossing at ln(2) / 2 is bracketed closely enough for 80 halvings
+    code, payload = run_json(
+        capsys, ["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", window]
+    )
+    assert (code, payload["regime"]) == (0, "speciates")
+    assert payload["t_s"] == pytest.approx(math.log(2.0) / 2.0, rel=1e-9)

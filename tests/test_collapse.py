@@ -226,9 +226,9 @@ class TestBound:
          (collapse_time_det, Anisotropic), (collapse_time_conditional, Anisotropic)],
     )
     def test_root_below_the_default_floor(self, solve, coupling, alpha):
-        # at ratio 1, t_c falls below the bracket floor 1e-12 / beta past
-        # alpha ~ 13.8; there tau t_c << 1, so every route's root sits at
-        # the closed-form bound ratio / (e^{2 alpha} - 1)
+        # at ratio 1, t_c falls below 1e-12 / beta past alpha ~ 13.8, where a
+        # bracket floor used to refuse it; there tau t_c << 1, so every
+        # route's root sits at the closed-form bound ratio / (e^{2 alpha} - 1)
         p = params(alpha=alpha, g=0.5, coupling=coupling)
         result = solve(p)
         assert result.residual <= LOG_RESIDUAL_TOL
@@ -236,9 +236,9 @@ class TestBound:
 
     @pytest.mark.parametrize("solve", [collapse_time_det, collapse_time_conditional])
     def test_root_below_the_reach_of_linear_halvings(self, solve):
-        # at beta = 1e70 the root (~8e-69) lies below what 200 halvings of
-        # [1e-82, 0.16] reach; the solver brackets it as [t, 2t] below the
-        # last midpoint and bisects again
+        # at beta = 1e70 the root (~8e-69) lies 67 decades below the bound
+        # 0.16; 200 halvings of one bracket spanning them would not reach
+        # it, so the bracket is [t, 2t], found in factors of 2 from the bound
         result = solve(params(g=0.5, beta=1e70, coupling=Anisotropic))
         assert result.residual <= LOG_RESIDUAL_TOL
         assert result.t_c == pytest.approx(8.000975857400566e-69, rel=1e-9)
@@ -252,11 +252,10 @@ class TestBound:
          ("symmetric", 26.240882573093707, 27.549353016708338, 3.996618513992128e81, 0.0)],
     )
     def test_root_above_the_last_midpoint(self, capsys, coupling, alpha, ratio, beta, g):
-        # the bracket [1e-12 / beta, bound + 1 / beta] spans some 60 to 74
-        # decades, so 200 linear halvings stop short with f > 0 at the last
-        # midpoint; the solver brackets the root as [t, 2t] above it and
-        # bisects again.  g / beta < 2e-60, so every route meets the
-        # per-mode closed form at g = 0
+        # a bracket [1e-12 / beta, bound + 1 / beta] would span some 60 to
+        # 74 decades, and 200 linear halvings of it stop short with f > 0 at
+        # the last midpoint; a [t, 2t] bracket does not.  g / beta < 2e-60,
+        # so every route meets the per-mode closed form at g = 0
         argv = ["collapse", "--coupling", coupling, f"--alpha={alpha!r}",
                 f"--ratio={ratio!r}", f"--beta={beta!r}", f"--g={g!r}"]
         assert dispatch(argv) == 0

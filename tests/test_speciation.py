@@ -317,6 +317,15 @@ class TestSpeciationTime:
         assert res.regime == REGIME_NO_SPECIATION
         assert res.kappa0 == pytest.approx(-1.2100614971329695e-234, rel=1e-12, abs=0.0)
 
+    def test_overflowing_kappa_is_inf_without_a_warning(self):
+        # the symmetric closed form overflows here; kappa() returns inf, as
+        # the speciation scan sees it, and numpy must not warn first
+        spec = ModelSpec(6.606718364637808e16, Symmetric(1.959963984540054),
+                         1.5074266548272768e23)
+        tiny = 2.1566302402241094e-297
+        init = MixtureInit(tiny, tiny, ModeMeans(1.5748310411821335e134, tiny))
+        assert kappa(spec, init, 0.0) == math.inf
+
     def test_no_speciation_boundary_consistency(self):
         # sup over the refined grid vs the returned regime
         spec, init = aniso(1.9, theta=0.0)
@@ -411,16 +420,18 @@ class TestPhaseDiagram:
             speciation_time(spec, init, t_max)
 
     def test_unresolved_bisection_recorded_in_the_cell(self):
-        # the crossings near t ~ 0.7 lie far below the first scan point past
-        # 0 (9e17 at t_max 1e30), so 80 halvings stop far above the
-        # tolerance: in the batched loop and in a lone cell's float loop
-        spec, init = aniso(0.0)
-        cells = phase_diagram(spec, init, [0.5], [0.0, 0.4], 1e30)
+        # with every value 5.18e-81, the crossings lie some 80 decades below
+        # 1 / beta, far below the first scan point past 0 (1.8e69), so 80
+        # halvings stop far above the tolerance: in the batched loop and in
+        # a lone cell's float loop
+        v = 5.179327711732039e-81
+        spec = ModelSpec(v, Anisotropic(v), v)
+        cells = phase_diagram(spec, MixtureInit(v, v, AngledMeans(v, v, 0.0)), [v], [0.0, 0.4])
         for cell in cells:
             assert cell.result is None
             assert cell.error.startswith("kappa = 1 not resolved after 80 halvings")
             with pytest.raises(InvalidArgument) as info:
-                speciation_time(*aniso(cell.g, theta=cell.theta), 1e30)
+                speciation_time(spec, MixtureInit(v, v, AngledMeans(v, v, cell.theta)))
             assert str(info.value) == cell.error
 
     def test_errors_recorded_not_raised(self):

@@ -159,6 +159,12 @@ def collapse_bound(params: CollapseParams) -> float:
     return bound
 
 
+def _underflow(params: CollapseParams) -> InvalidArgument:
+    return InvalidArgument(
+        f"collapse time underflows at alpha={params.alpha!r}, ratio={params.ratio!r}"
+    )
+
+
 def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     """Root of a decreasing collapse equation f(t) = 0, bisected to
     |f| <= min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * alpha): past the root
@@ -169,15 +175,20 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
     then halves while f(t) < 0, which brackets the root as [t, 2t] with
     f(t) >= 0 > f(2t); f rises to +inf as t -> 0+, so the halving ends.
     A bound that underflows to 0 (alpha above about 372.6) brackets
-    nothing and is refused.  A ratio-2 bracket reaches the ulp of t within
-    about 53 of the ``MAX_BISECT`` halvings; a bisection that still stops
-    with |f| above the tolerance raises InvalidArgument, not a non-root.
+    nothing and is refused; a subnormal one (alpha above about 354.2 at
+    ratio 1) bounds a subnormal root, refused as an underflow, as
+    ``collapse_time_mode`` refuses it.  A ratio-2 bracket reaches the ulp
+    of t within about 53 of the ``MAX_BISECT`` halvings; a bisection that
+    still stops with |f| above the tolerance raises InvalidArgument, not a
+    non-root.
     """
     hi = collapse_bound(params)
     if hi == 0.0:
         raise InvalidArgument(
             f"root not bracketed: collapse_bound underflows to 0 at alpha={params.alpha!r}"
         )
+    if hi < sys.float_info.min:  # t_c <= hi is subnormal too
+        raise _underflow(params)
     while f(hi) >= 0.0:
         hi *= 2.0
         if hi > 1e8 / params.spec.beta:
@@ -226,9 +237,7 @@ def collapse_time_mode(params: CollapseParams, mode: str) -> CollapseResult:
     tau = tau_p if mode == "+" else tau_m
     t_c = math.log1p(_over_expm1(params.ratio * tau, 2.0 * params.alpha)) / tau
     if tau * t_c < sys.float_info.min:  # subnormal: the residual's expm1 loses it
-        raise InvalidArgument(
-            f"collapse time underflows at alpha={params.alpha!r}, ratio={params.ratio!r}"
-        )
+        raise _underflow(params)
     if t_c == math.inf:
         raise InvalidArgument(
             f"ratio tau / (e^(2 alpha) - 1) overflows at alpha={params.alpha!r}, "

@@ -264,14 +264,22 @@ class _Recorder:
 def _euler_maruyama(spec, z, grid, h, drift, rng, record, noiseless_last):
     """Euler-Maruyama steps z <- z + h drift(z, t_k) + sW sqrt(h) xi_k at
     the times t_k of ``grid`` but its last, passing each state to
-    ``record``; with ``noiseless_last`` the final step adds no noise."""
+    ``record``; with ``noiseless_last`` the final step adds no noise.
+
+    ``z`` is the sampler's own array and is stepped in place: the scaled
+    drift is added from its own array, and the noise is drawn into one
+    buffer, scaled and added, with the operands and order of the
+    out-of-place step, so the states keep their bits."""
     noise_sd = math.sqrt(spec.sigma_w2) * math.sqrt(h)
     steps = len(grid) - 1
+    noise = np.empty(z.shape)
     record(0, z)
     for k in range(steps):
-        z = z + h * drift(z, float(grid[k]))
+        z += h * drift(z, float(grid[k]))
         if not (noiseless_last and k == steps - 1):
-            z = z + noise_sd * rng.standard_normal(z.shape)
+            rng.standard_normal(out=noise)
+            noise *= noise_sd
+            z += noise
         record(k + 1, z)
     return record.trajectory()
 
@@ -377,23 +385,23 @@ def population_log_density(
 # empirical score
 
 
-def empirical_score(
-    dataset: DatasetEmpirical,
-    spec: ModelSpec,
-    z: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact score of the drifted empirical mixture, with posterior weights.
+def _empirical_table(points: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the (n, 2d) training points as the first 2d columns of an
+    (n, 2d + 1) table, whose last column ``_empirical_kernel`` fills with
+    each point's bias, and the per-point statistics |x_j|^2, x_j . y_j and
+    |y_j|^2, shaped (3, n)."""
+    x, y = split_channels(points, d)
+    table = np.empty((points.shape[0], 2 * d + 1))
+    table[:, :-1] = points
+    stats = np.stack([np.einsum("ij,ij->i", u, v) for u, v in ((x, x), (x, y), (y, y))])
+    return table, stats
 
-    With drifted points p_i = e^{Mt} x_i and P_i = Q(t)^-1 p_i, the log
-    kernel -|z - p_i|^2_Q / 2 is z.P_i - p_i.P_i / 2 less |z|^2_Q / 2, which
-    is the same for every point and cancels in the softmax.  So the weights
-    take one (m, 2d) @ (2d, n) product, the working set is O(m n), and the
-    score is sum_i w_i P_i - Q^-1 z.  The log kernels carry a rounding
-    error of order eps (2d) |z| |P_i|, which grows like 1/q(t) as t -> 0.
-    ``z`` is one state (2d,) or a batch (m, 2d).  Undefined at t = 0 where
-    the kernel width vanishes.
-    """
+
+def _empirical_kernel(table, stats, spec: ModelSpec, z, t: float):
+    """(score, e, total): the score of ``empirical_score`` and its weights
+    before normalisation, e (m, n) with row sums ``total`` (m, 1), so the
+    weights are e / total.  The score has z's shape; e and total are 2-D.
+    Writes the biases at t into the table's last column."""
     if t <= 0.0:
         raise KernelDegenerate("empirical kernel has zero width at t=0")
     z = np.asarray(z, dtype=float)
@@ -405,20 +413,60 @@ def empirical_score(
     d = spec.dim_d
     phi, q = _kernel_blocks(spec, t)
     qinv = block_inverse(q)
-    qinv_z = _block_apply_state(qinv, zb, d)  # (m, 2d)
-    drifted = _block_apply_state(phi, dataset.points, d)
-    proj = _block_apply_state(qinv, drifted, d)  # (n, 2d)
+    b = qinv.matmul(phi)  # B = Q^-1 Phi
+    a = phi.transpose().matmul(b)  # A = Phi^T Q^-1 Phi
+    left = np.empty((zb.shape[0], 2 * d + 1))
+    left[:, :d], left[:, d:-1] = b.transpose().apply(*split_channels(zb, d))
+    left[:, -1] = 1.0
+    table[:, -1] = -0.5 * (
+        a.a11 * stats[0] + (a.a12 + a.a21) * stats[1] + a.a22 * stats[2]
+    )
 
-    log_k = zb @ proj.T  # (m, n)
-    log_k -= 0.5 * np.einsum("ij,ij->i", drifted, proj)
+    log_k = left @ table.T  # (m, n)
     log_k -= log_k.max(axis=1, keepdims=True)
-    w = np.exp(log_k, out=log_k)
-    w /= w.sum(axis=1, keepdims=True)
+    e = np.exp(log_k, out=log_k)
+    total = e.sum(axis=1, keepdims=True)
+    mean = e @ table[:, :-1]  # (m, 2d), the weighted mean of the raw points
+    mean /= total
+    score = _block_apply_state(b, mean, d) - _block_apply_state(qinv, zb, d)
+    return (score[0] if z.ndim == 1 else score), e, total
 
-    score = w @ proj - qinv_z
-    if z.ndim == 1:
-        return score[0], w[0]
-    return score, w
+
+def empirical_score(
+    dataset: DatasetEmpirical,
+    spec: ModelSpec,
+    z: np.ndarray,
+    t: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact score of the drifted empirical mixture, with posterior weights.
+
+    With B = Q(t)^-1 Phi(t) and A = Phi^T B, 2x2 blocks acting as (x) I_d,
+    the log kernel -|z - Phi x_j|^2_Q / 2 is (B^T z).x_j - x_j^T A x_j / 2
+    less |z|^2_Q / 2, which is the same for every point and cancels in the
+    softmax.  So one (m, 2d + 1) @ (2d + 1, n) product on the raw training
+    points gives every log kernel, the bias folded in as a last column
+    from the per-point |x_j|^2, x_j.y_j and |y_j|^2; the working set is
+    O(m n), and the score is B (sum_j e_j x_j / sum_j e_j) - Q^-1 z for
+    the exponentiated kernels e, normalised on that (m, 2d) mean.
+
+    Rounding: the product sums 2d + 1 terms, the bias adds the d-term
+    statistics, and forming B, A, B^T z and the bias adds a few roundings
+    more, so with lam and phi the spectral norms of |Q^-1| and |Phi| a log
+    kernel is off by at most (3d + 9) u lam phi |x_j| (|z| + phi |x_j| / 2)
+    for the unit roundoff u, less a per-row constant.  phi |x_j| is
+    |Phi x_j| where Phi is a multiple of an orthogonal map (as t -> 0) and
+    at most cond(Phi) times it elsewhere, so this is the error of the
+    drifted-point form z.Q^-1 p_j - p_j.Q^-1 p_j / 2 up to those factors;
+    it grows like 1/q(t) as t -> 0.
+
+    ``z`` is one state (2d,) or a batch (m, 2d).  Undefined at t = 0 where
+    the kernel width vanishes.
+    """
+    score, w, total = _empirical_kernel(
+        *_empirical_table(dataset.points, spec.dim_d), spec, z, t
+    )
+    w /= total
+    return score, (w[0] if score.ndim == 1 else w)
 
 
 def population_score_fn(spec: ModelSpec, init: MixtureInit) -> ScoreFn:
@@ -426,7 +474,12 @@ def population_score_fn(spec: ModelSpec, init: MixtureInit) -> ScoreFn:
 
 
 def empirical_score_fn(dataset: DatasetEmpirical, spec: ModelSpec) -> ScoreFn:
-    return lambda z, t: empirical_score(dataset, spec, z, t)[0]
+    """The score of ``empirical_score``, bit for bit, from one snapshot of
+    the dataset's points and statistics taken here; the weights are never
+    normalised.  The snapshot's bias column is rewritten on each call, so
+    one fn is not for concurrent use from several threads."""
+    table, stats = _empirical_table(dataset.points, spec.dim_d)
+    return lambda z, t: _empirical_kernel(table, stats, spec, z, t)[0]
 
 
 # ---------------------------------------------------------------------------

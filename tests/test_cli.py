@@ -71,6 +71,18 @@ class TestScalarCommands:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "coupling", [[], ["--coupling", "anisotropic", "--g", "0.5"]]
+    )
+    def test_collapse_last_normal_root_solves(self, capsys, coupling):
+        # the bound e^-708 ~ 3.3e-308 is still normal; a little further out
+        # the root is subnormal and refused as an underflow
+        code, payload = run_json(
+            capsys, ["collapse", "--alpha", "354", "--ratio", "1", *coupling]
+        )
+        assert code == 0
+        assert payload["t_c"] == pytest.approx(math.exp(-708.0), rel=1e-9)
+
+    @pytest.mark.parametrize(
         "coupling, expected",
         [
             ([], '{\n  "t_c": 5.109089028061548e-12,\n  "t_c_plus": 5.109089028063325e-12,\n'
@@ -113,10 +125,11 @@ class TestScalarCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # tau t underflows to 0 in chi, and 2 beta t in the scaled blocks
+            # tau t underflows to 0 in chi
             (["--beta=2.7e-165", "--ratio=6.4e-259"], "collapse equation not solved"),
+            # the bound ratio / (e^(2 alpha) - 1) ~ 5e-315, and with it t_c, is subnormal
             (["--coupling", "anisotropic", "--beta=1e-10", "--ratio=1e-290",
-              "--alpha=28"], "collapse equation not solved"),
+              "--alpha=28"], "collapse time underflows at alpha=28.0, ratio=1e-290"),
             # 2 beta s2 / sW2 below the normal range, (g / beta)^2 past it
             (["--coupling", "anisotropic", "--beta=2.7e-165", "--ratio=6.4e-259"],
              "leave the float range"),
@@ -994,9 +1007,15 @@ def test_import_loads_no_scipy():
           "--dim", "2", "--paths", "2", "--steps", "3"],
          "sample statistics hold non-finite values (mean_x, mean_y, var_x, var_y, "
          "cov_xy); the run diverged"),
+        # the root, below the bound ratio e^(-2 alpha) ~ 5e-313, is subnormal
+        (["collapse", "--alpha", "360", "--ratio", "1"],
+         "collapse time underflows at alpha=360.0, ratio=1.0"),
+        (["collapse", "--alpha", "360", "--ratio", "1", "--coupling", "anisotropic",
+          "--g", "0.5"],
+         "collapse time underflows at alpha=360.0, ratio=1.0"),
     ],
     ids=["speciation-huge-beta", "speciation-tiny-everything", "speciation-symmetric-overflow",
-         "sample-huge-horizon"],
+         "sample-huge-horizon", "collapse-subnormal-root", "collapse-subnormal-root-anisotropic"],
 )
 def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as

@@ -220,6 +220,82 @@ class TestRecorder:
         assert np.array_equal(short.final, traj.final)
 
 
+class TestInPlaceStep:
+    """The Euler-Maruyama loop steps its own array in place."""
+
+    @staticmethod
+    def _samplers(spec, init, start, n_paths, **kw):
+        rng = np.random.default_rng(4)
+        return (
+            forward_sample(spec, start, 5, rng, n_paths=n_paths, **kw),
+            reverse_sample(
+                spec, population_score_fn(spec, init), 5, rng,
+                start=start, n_paths=n_paths, **kw,
+            ),
+        )
+
+    @pytest.mark.parametrize("shape, n_paths", [((4,), 3), ((3, 4), 3), ((3, 4), 1)])
+    def test_caller_start_states_unchanged(self, shape, n_paths):
+        spec, init = sym_model(d=2)
+        start = np.random.default_rng(3).standard_normal(shape)
+        kept = start.copy()
+        for traj in self._samplers(spec, init, start, n_paths, record_path=True):
+            assert not np.array_equal(traj.final, traj.states[0])
+            assert not np.shares_memory(traj.states, start)
+        assert start.tobytes() == kept.tobytes()
+
+    def test_recorded_states_do_not_share_memory(self):
+        spec, init = sym_model(d=2)
+        start = np.random.default_rng(3).standard_normal((3, 4))
+        times = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
+        for traj in self._samplers(
+            spec, init, start, 3, record_path=True, record_times=times
+        ):
+            snaps = [traj.scan_cache[t] for t in times]
+            held = snaps + list(traj.states)
+            for i, a in enumerate(held):
+                for b in held[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+            # each snapshot holds its own step, and no two steps are equal
+            for t, snap in zip(times, snaps):
+                k = int(np.argmin(np.abs(traj.times - t)))
+                assert snap.tobytes() == traj.states[k].tobytes()
+            assert len({s.tobytes() for s in traj.states}) == len(traj.states)
+
+    def test_steps_keep_the_out_of_place_bits(self):
+        # z <- z + h drift(z, t_k) + sW sqrt(h) xi_k, drawn one (m, 2d)
+        # array per step, the last reverse step without noise
+        spec, init = aniso_model(d=2)
+        start = np.random.default_rng(3).standard_normal((3, 4))
+        score = population_score_fn(spec, init)
+        h = 2.0 / 5
+        noise_sd = math.sqrt(spec.sigma_w2) * math.sqrt(h)
+
+        def forward_drift(z, t):
+            m = spec.relaxation(t)
+            return np.concatenate(m.apply(*split_channels(z, 2)), axis=-1)
+
+        def reverse_drift(z, t):
+            return -forward_drift(z, t) + spec.sigma_w2 * score(z, t)
+
+        rng = np.random.default_rng(4)
+        expected = []
+        for drift, grid, noiseless_last in (
+            (forward_drift, np.linspace(0.0, 2.0, 6), False),
+            (reverse_drift, 2.0 * (1.0 - np.arange(6) / 5), True),
+        ):
+            z = start
+            states = [z]
+            for k in range(5):
+                z = z + h * drift(z, float(grid[k]))
+                if not (noiseless_last and k == 4):
+                    z = z + noise_sd * rng.standard_normal(z.shape)
+                states.append(z)
+            expected.append(np.stack(states))
+        for traj, states in zip(self._samplers(spec, init, start, 3, record_path=True), expected):
+            assert traj.states.tobytes() == states.tobytes()
+
+
 class TestPopulationScore:
     def test_odd_symmetry_at_origin(self):
         spec, init = sym_model()
@@ -371,9 +447,10 @@ class TestEmpiricalScore:
 
     def test_working_set_is_paths_times_points(self):
         # the peak stays below four (m, n) float64 arrays plus eight
-        # (m + n, 2d) ones (points drifted and projected, their channel
-        # halves, Q^-1 z, the score); the difference-tensor form held two
-        # (m, n, 2d) arrays, 2 x 537 MB at this size
+        # (m + n, 2d) ones (the kernel holds one (m, n) array, the
+        # (n, 2d + 1) table of the points and arrays of (m, 2d + 1) or
+        # less); the difference-tensor form held two (m, n, 2d) arrays,
+        # 2 x 537 MB at this size
         m, n, d = 256, 4096, 32
         spec, init = sym_model(g=0.3, d=d)
         rng = np.random.default_rng(18)
@@ -388,6 +465,55 @@ class TestEmpiricalScore:
         assert score.shape == (m, 2 * d) and w.shape == (m, n)
         assert peak < 4 * m * n * 8 + 8 * (m + n) * 2 * d * 8
 
+    @pytest.mark.parametrize("kind", ["symmetric", "anisotropic"])
+    def test_fn_is_the_public_score_bit_for_bit(self, kind):
+        spec, init = sym_model() if kind == "symmetric" else aniso_model()
+        rng = np.random.default_rng(20)
+        ds = draw_mixture(init, 40, rng)
+        fn = empirical_score_fn(ds, spec)
+        for z in (rng.standard_normal((7, 2 * D)), rng.standard_normal(2 * D)):
+            for t in (1e-3, 0.3, 2.0):
+                got = fn(z, t)
+                assert got.shape == z.shape
+                assert got.tobytes() == empirical_score(ds, spec, z, t)[0].tobytes()
+
+    def test_fn_refusals(self):
+        spec, init = sym_model()
+        fn = empirical_score_fn(draw_mixture(init, 4, np.random.default_rng(9)), spec)
+        for t in (0.0, -1.0):
+            with pytest.raises(KernelDegenerate):
+                fn(np.zeros(2 * D), t)
+        with pytest.raises(InvalidArgument, match="z must be"):
+            fn(np.zeros((2, 4, 2 * D)), 0.5)
+
+    def test_fn_reads_a_snapshot_of_the_points(self):
+        spec, init = sym_model()
+        rng = np.random.default_rng(21)
+        ds = draw_mixture(init, 16, rng)
+        z = rng.standard_normal((5, 2 * D))
+        fn = empirical_score_fn(ds, spec)
+        before = fn(z, 0.4)
+        ds.points[:] = 0.0
+        assert fn(z, 0.4).tobytes() == before.tobytes()
+
+    def test_fn_working_set_is_one_weight_matrix(self):
+        # the (n, 2d + 1) table and the statistics are built with the fn;
+        # a call holds the (m, n) log kernels, exponentiated in place, and
+        # (m, 2d + 1)-sized arrays
+        m, n, d = 256, 4096, 32
+        spec, init = sym_model(g=0.3, d=d)
+        rng = np.random.default_rng(18)
+        fn = empirical_score_fn(draw_mixture(init, n, rng), spec)
+        z = rng.standard_normal((m, 2 * d))
+        tracemalloc.start()
+        try:
+            score = fn(z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert score.shape == (m, 2 * d)
+        assert peak < 3 * m * n * 8
+
 
 class TestEmpiricalOracle:
     """The GEMM kernel against the difference-tensor oracle, within the
@@ -396,30 +522,41 @@ class TestEmpiricalOracle:
     Notation: u is the unit roundoff, for which ``np.finfo(float).eps``
     (2u) is used so that second-order terms are covered; k = 2d; lam is
     the spectral norm of the entrywise absolute 2x2 block |Q^-1|, about
-    1/q(t); p is max_i |p_i| over the drifted points (computed the same
-    way by both forms, as is Q^-1); r = |z| for the row.  A dot product
-    of length k adds at most k u times the product of the norms, and a
-    block application 2u times lam times the norm, so the log kernels
-    carry errors of at most
+    1/q(t); p is max_i |p_i| over the drifted points p_i = Phi x_i; r = |z|
+    for the row.  The GEMM form works on the raw points x_i, with B =
+    Q^-1 Phi and A = Phi^T B; let phi be the spectral norm of |Phi| and
+    xi = max_i |x_i|.  A dot product of length k adds at most k u times
+    the product of the norms, and a block application or product 2u
+    times the norms, so the log kernels carry errors of at most
 
-      GEMM form        (k + 3) u (r + p/2) lam p
+      GEMM form        (3k/2 + 9) u lam phi xi (r + phi xi / 2)
       oracle form      (k + 4) u lam (r + p)^2 / 2
 
-    less a per-row constant, both below delta = (k + 4) u lam (r + p)^2
-    together.  That is eps (2d) |z| |Q^-1 p| to leading order and grows
-    like 1/q(t).  Moving every log kernel by at most delta moves each
-    weight by a factor within exp(+-2 delta).  The max shift (|x| u for
-    a shifted log kernel x >= log(tiny) = -708.4, where a weight is a
-    normal number), exp (2u), a sum of n terms and a division add at
-    most (n + 712) u per form, so
+    less a per-row constant: the GEMM sums k + 1 terms, the bias
+    x^T A x / 2 adds the d-term statistics, and forming B, A, B^T z and
+    the bias adds the rest.  Where Phi is a multiple of an orthogonal map
+    (t -> 0) phi xi is p, and then both lie below delta = (k + 4) u lam
+    (r + p)^2 together up to the factor 3/2 of the GEMM's extra terms;
+    elsewhere phi xi exceeds p by at most cond(Phi), below 5 on this
+    grid.  So delta bounds the worst case only to within those factors,
+    but a sum's rounding grows like sqrt(k) u, not k u, in practice, and
+    the errors seen here stay below 3% of it.  delta is eps (2d) |z|
+    |Q^-1 p| to leading order and grows like 1/q(t).  Moving every log
+    kernel by at most delta moves each weight by a factor within
+    exp(+-2 delta).  The max shift (|x| u for a shifted log kernel
+    x >= log(tiny) = -708.4, where a weight is a normal number), exp
+    (2u), a sum of n terms and a division add at most (n + 712) u per
+    form, so
 
       |w - w_oracle| <= rho w_oracle + tiny,
       rho = expm1(2 delta) + 2 (n + 712) u,
 
     with tiny the smallest normal double, below which exp rounds in
-    absolute terms.  The score sum_i w_i P_i - Q^-1 z (GEMM form) and
-    Q^-1 (sum_i w_i p_i - z) (oracle) each add (n + 3) u lam p + 3 u lam r
-    of their own, so their rows differ in norm by at most
+    absolute terms.  The score B (sum_i e_i x_i / sum_i e_i) - Q^-1 z
+    (GEMM form, e the unnormalised weights) and Q^-1 (sum_i w_i p_i - z)
+    (oracle) each add about (n + 3) u lam p + 3 u lam r of their own (p
+    read as phi xi for the GEMM form, as above), so their rows differ in
+    norm by at most
 
       lam ((rho + (2n + 6) u) p + 6 u r).
     """
@@ -427,11 +564,11 @@ class TestEmpiricalOracle:
     T_GRID = np.geomspace(1e-3, 2.0, 12)
 
     @staticmethod
-    def _case(model, t):
+    def _case(model, t, n_base=30, n_random=6):
         spec, init = model
         d2 = 2 * spec.dim_d
         rng = np.random.default_rng(19)
-        base = draw_mixture(init, 30, rng)
+        base = draw_mixture(init, n_base, rng)
         # three points appear twice
         ds = DatasetEmpirical(
             np.concatenate([base.points, base.points[:3]]),
@@ -440,22 +577,30 @@ class TestEmpiricalOracle:
         drifted = _empirical_oracle(ds, spec, np.zeros((1, d2)), t)[3]
         far = rng.standard_normal((4, d2))
         z = np.concatenate([
-            1.3 * rng.standard_normal((6, d2)),
+            1.3 * rng.standard_normal((n_random, d2)),
             # midpoints of two drifted points: near-ties of two weights
-            0.5 * (drifted[[0, 4, 7, 11]] + drifted[[1, 5, 9, 30]]),
+            0.5 * (drifted[[0, 4, 7, 11]] + drifted[[1, 5, 9, n_base]]),
             # on a duplicated point
             drifted[[0, 2]],
             10.0 * far / np.linalg.norm(far, axis=1, keepdims=True),
         ])
         return spec, ds, z
 
-    @pytest.mark.parametrize("kind", ["symmetric", "anisotropic"])
+    # the memorize benchmark's model at a smaller size: 64 states, 512
+    # points (three of them twice), d = 8
+    CASES = {
+        "symmetric": (sym_model(g=0.4), {}),
+        "anisotropic": (aniso_model(), {}),
+        "memorize": (sym_model(g=0.3, d=8), {"n_base": 509, "n_random": 54}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
     def test_matches_difference_tensor(self, kind):
-        model = sym_model(g=0.4) if kind == "symmetric" else aniso_model()
+        model, sizes = self.CASES[kind]
         u = np.finfo(float).eps
         tiny = np.finfo(float).tiny
         for t in self.T_GRID:
-            spec, ds, z = self._case(model, float(t))
+            spec, ds, z = self._case(model, float(t), **sizes)
             score, w = empirical_score(ds, spec, z, float(t))
             _, w_or, score_or, drifted, qinv = _empirical_oracle(ds, spec, z, float(t))
             n, k = ds.n, 2 * spec.dim_d

@@ -143,16 +143,20 @@ def toy_metrics(pairs, init: MixtureInit, moments0: MomentState) -> MetricRecord
     if bad:
         raise InvalidArgument(f"pairs hold {bad} non-finite values; the run diverged")
     mu_x, mu_y = materialize_means(init)
-    if np.linalg.norm(mu_x) == 0.0 or np.linalg.norm(mu_y) == 0.0:
-        raise UndefinedLabel("mean directions vanish; signs are undefined")
-    s_x = np.where(x0 @ mu_x > 0.0, 1.0, -1.0)
-    s_y = np.where(y0 @ mu_y > 0.0, 1.0, -1.0)
+    # an overflow here keeps what is read of it (a nonzero norm, a sign) or
+    # leaves the mse or the nll non-finite, which the check below refuses: at
+    # t = 0 the nll's u and r . delta read the labels' x0 . mu_x and y0 . mu_y
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.linalg.norm(mu_x) == 0.0 or np.linalg.norm(mu_y) == 0.0:
+            raise UndefinedLabel("mean directions vanish; signs are undefined")
+        s_x = np.where(x0 @ mu_x > 0.0, 1.0, -1.0)
+        s_y = np.where(y0 @ mu_y > 0.0, 1.0, -1.0)
+        mse = 0.5 * float(np.mean(np.sum((y0 - s_x[:, None] * mu_y) ** 2, axis=1)))
+        # moments0 fully determines the conditional law, so no spec is needed
+        nll = float(np.mean(-conditional_log_density(None, init, x0, y0, 0.0, moments0)))
     matches = int(np.sum(s_x == s_y))
     n = x0.shape[0]
     accuracy = matches / n
-    mse = 0.5 * float(np.mean(np.sum((y0 - s_x[:, None] * mu_y) ** 2, axis=1)))
-    # moments0 fully determines the conditional law, so no spec is needed
-    nll = float(np.mean(-conditional_log_density(None, init, x0, y0, 0.0, moments0)))
     values = {"accuracy": accuracy, "mse": mse, "nll": nll}
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
@@ -429,6 +433,11 @@ def clone_agreement(
     """
     taus, amps = _label_modes(spec, init)
     h = config.horizon / config.steps
+    if not 0.0 < h * config.steps < math.inf:  # the grid times k h, k <= steps
+        raise InvalidArgument(
+            f"grid times k * horizon / steps leave the float range at "
+            f"horizon={config.horizon!r}"
+        )
     scan_times = np.asarray(sorted(scan_times), dtype=float)
     scan_steps = np.clip(np.rint(scan_times / h).astype(int), 0, config.steps)
     scan_times = scan_steps * h  # snapped to the integration grid
@@ -437,9 +446,14 @@ def clone_agreement(
     n_base = config.baseline_factor * n_pairs
     n_top = 2 * n_base + n_pairs
 
-    labels = _clone_states(
-        taus, amps, init.sigma2_x, spec.sigma_w2, scan_steps, config, rng
-    ) > 0.0
+    # an overflow saturates tanh at its exact +-1 or leaves a state non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _clone_states(
+            taus, amps, init.sigma2_x, spec.sigma_w2, scan_steps, config, rng
+        )
+    if not np.isfinite(states).all():
+        raise InvalidArgument("clone states hold non-finite values; the run diverged")
+    labels = states > 0.0
     base = np.count_nonzero(labels[:, :n_base] == labels[:, n_base:2 * n_base], axis=1)
     clones = labels[:, n_top:].reshape(2, n_scan, 2, n_pairs)[:, ::-1]
     agree = np.count_nonzero(clones[:, :, 0] == clones[:, :, 1], axis=2)

@@ -148,7 +148,8 @@ def schur_complement(c11, c12, c22):
     and finite.
     """
     _require_positive("c11", c11)
-    c_yx = c22 - c12 * c12 / c11
+    with np.errstate(over="ignore", invalid="ignore"):  # refused on the next line
+        c_yx = c22 - c12 * c12 / c11
     _require_positive("c22 - c12^2/c11", c_yx)
     return c_yx, c12 / c11
 

@@ -74,16 +74,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(records, header, path=None) -> None:
-    lines = [",".join(header)]
-    for rec in records:
-        lines.append(",".join(_fmt(rec.get(col)) for col in header))
-    text = "\n".join(lines) + "\n"
+def _write(text: str, path=None) -> None:
+    """``text`` to stdout, or to the file at ``path``."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def write_csv(records, header, path=None) -> None:
+    lines = [",".join(header)]
+    for rec in records:
+        lines.append(",".join(_fmt(rec.get(col)) for col in header))
+    _write("\n".join(lines) + "\n", path)
 
 
 def _json_safe(obj):
@@ -97,12 +101,7 @@ def _json_safe(obj):
 
 
 def write_json(obj, path=None) -> None:
-    text = json.dumps(_json_safe(obj), indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(json.dumps(_json_safe(obj), indent=2) + "\n", path)
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -126,7 +125,8 @@ def _resolve_seed(args, config: dict) -> int:
 
 
 def _load_config(args, allowed: set[str], flags: tuple[str, ...]) -> dict:
-    """The --config JSON object with every given flag in ``flags`` laid over it."""
+    """The --config JSON object with every given flag in ``flags`` laid over it,
+    and its arrays as the tuples that the frozen config dataclasses hold."""
     config = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -139,7 +139,7 @@ def _load_config(args, allowed: set[str], flags: tuple[str, ...]) -> dict:
     for name in flags:
         if getattr(args, name) is not None:
             config[name] = getattr(args, name)
-    return config
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
 
 
 def _mean_spec(args):
@@ -178,13 +178,13 @@ def _build_model(args, dim_d=1):
     return spec, init
 
 
-def _add_model_flags(p: argparse.ArgumentParser, coupling_default="symmetric"):
+def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--sigma-w2", dest="sigma_w2", type=float, default=2.0)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument(
-        "--coupling", choices=("symmetric", "anisotropic"), default=coupling_default
+        "--coupling", choices=("symmetric", "anisotropic"), default="symmetric"
     )
     p.add_argument("--m-plus2", dest="m_plus2", type=float, default=None)
     p.add_argument("--m-minus2", dest="m_minus2", type=float, default=None)
@@ -281,66 +281,51 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-PHASE_FLAGS = (
-    "beta", "sigma_w2", "sigma2", "m_x2", "m_y2",
-    "g_min", "g_max", "g_points", "theta_min", "theta_max", "theta_points",
-    "t_max_search",
-)
+# the phase-diagram fields and their defaults, in the order of their flags
+PHASE_FIELDS = {
+    "beta": 1.0, "sigma_w2": 2.0, "sigma2": 1.0, "m_x2": 1.0, "m_y2": 1.0,
+    "g_min": 0.0, "g_max": 2.0, "theta_min": 0.0, "theta_max": math.pi,
+    "t_max_search": None, "g_points": 21, "theta_points": 9,
+}
 
 
 def _cmd_phase_diagram(args) -> int:
-    config = _load_config(args, {*PHASE_FLAGS, "seed"}, PHASE_FLAGS)
-    pick = config.get
-    beta = pick("beta", 1.0)
-    sigma_w2 = pick("sigma_w2", 2.0)
-    sigma2 = pick("sigma2", 1.0)
-    m_x2 = pick("m_x2", 1.0)
-    m_y2 = pick("m_y2", 1.0)
-    g_points = pick("g_points", 21)
-    theta_points = pick("theta_points", 9)
-    _check_size("g_points", g_points)
-    _check_size("theta_points", theta_points)
-    g_grid = np.linspace(pick("g_min", 0.0), pick("g_max", 2.0), g_points)
-    theta_grid = np.linspace(
-        pick("theta_min", 0.0), pick("theta_max", math.pi), theta_points
-    )
-    t_max_search = pick("t_max_search", None)
+    config = _load_config(args, {*PHASE_FIELDS, "seed"}, tuple(PHASE_FIELDS))
+    cfg = {name: config.get(name, default) for name, default in PHASE_FIELDS.items()}
+    _check_size("g_points", cfg["g_points"])
+    _check_size("theta_points", cfg["theta_points"])
+    # phase_diagram's checks on g and theta refuse a non-finite grid point
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_grid = np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
+        theta_grid = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_points"])
     resolved = {
-        "command": "phase-diagram", "beta": beta, "sigma_w2": sigma_w2,
-        "sigma2": sigma2, "m_x2": m_x2, "m_y2": m_y2,
+        "command": "phase-diagram", "beta": cfg["beta"], "sigma_w2": cfg["sigma_w2"],
+        "sigma2": cfg["sigma2"], "m_x2": cfg["m_x2"], "m_y2": cfg["m_y2"],
         "g_grid": [float(g) for g in g_grid],
         "theta_grid": [float(t) for t in theta_grid],
     }
     if args.dry_run:
         return _dry_run(args, resolved)
 
-    spec = ModelSpec(beta=beta, coupling=Anisotropic(0.0), sigma_w2=sigma_w2)
+    spec = ModelSpec(beta=cfg["beta"], coupling=Anisotropic(0.0), sigma_w2=cfg["sigma_w2"])
     init = MixtureInit(
-        sigma2_x=sigma2, sigma2_y=sigma2,
-        mean_spec=AngledMeans(m_x2=m_x2, m_y2=m_y2, theta=0.0),
+        sigma2_x=cfg["sigma2"], sigma2_y=cfg["sigma2"],
+        mean_spec=AngledMeans(m_x2=cfg["m_x2"], m_y2=cfg["m_y2"], theta=0.0),
     )
-    cells = phase_diagram(spec, init, g_grid, theta_grid, t_max_search)
+    cells = phase_diagram(spec, init, g_grid, theta_grid, cfg["t_max_search"])
     rows = []
     for cell in cells:
-        if cell.result is not None:
-            rows.append(
-                {
-                    "g": cell.g, "theta": cell.theta,
-                    "regime": cell.result.regime, "t_s": cell.result.t_s,
-                    "kappa0": cell.result.kappa0, "g_crit": cell.g_crit,
-                }
-            )
-        else:
+        row = {"g": cell.g, "theta": cell.theta, "regime": "error", "g_crit": cell.g_crit}
+        if cell.result is None:
             print(
                 f"oudiff: phase cell g={cell.g!r}, theta={cell.theta!r}: {cell.error}",
                 file=sys.stderr,
             )
-            rows.append(
-                {
-                    "g": cell.g, "theta": cell.theta, "regime": "error",
-                    "t_s": None, "kappa0": None, "g_crit": cell.g_crit,
-                }
+        else:
+            row.update(
+                regime=cell.result.regime, t_s=cell.result.t_s, kappa0=cell.result.kappa0
             )
+        rows.append(row)
     write_csv(rows, PHASE_HEADER, args.out)
     return 0
 
@@ -409,26 +394,14 @@ TOY_FIELDS = {f.name for f in fields(analysis.ToyExperimentConfig)}
 def _cmd_toy(args) -> int:
     config = _load_config(args, TOY_FIELDS, ("trials", "steps", "theta_points"))
     config["seed"] = _resolve_seed(args, config)
-    if "g0_set" in config:
-        config["g0_set"] = tuple(config["g0_set"])
-    if "schedules" in config:
-        config["schedules"] = tuple(config["schedules"])
     toy = analysis.ToyExperimentConfig(**config)
     if args.dry_run:
         return _dry_run(args, {"command": "toy-conditional", **asdict(toy)})
     records = analysis.run_toy_experiment(toy, jobs=args.jobs)
+    # write_csv takes the header's columns from each record's fields
     rows = [
-        {
-            "theta": rec.coordinates["theta"],
-            "g0": rec.coordinates["g0"],
-            "schedule": rec.coordinates["schedule"],
-            "d_accuracy": rec.values["d_accuracy"],
-            "d_mse": rec.values["d_mse"],
-            "d_nll": rec.values["d_nll"],
-            "acc_ci_lo": rec.ci_low,
-            "acc_ci_hi": rec.ci_high,
-            "n": rec.n_effective,
-        }
+        {**rec.coordinates, **rec.values,
+         "acc_ci_lo": rec.ci_low, "acc_ci_hi": rec.ci_high, "n": rec.n_effective}
         for rec in records
     ]
     write_csv(rows, TOY_HEADER, args.out)
@@ -446,8 +419,6 @@ def _cmd_clone(args) -> int:
     seed = _resolve_seed(args, config)
     config.pop("seed", None)
     clone_kwargs = {k: config.pop(k) for k in CLONE_PROTOCOL_FIELDS if k in config}
-    if "g_list" in config:
-        config["g_list"] = tuple(config["g_list"])
     sweep = analysis.CloneSweepConfig(
         seed=seed, clone=analysis.CloneConfig(**clone_kwargs), **config
     )
@@ -459,20 +430,13 @@ def _cmd_clone(args) -> int:
     for res in results:
         cu, cv = res.curves["u"], res.curves["v"]
         for j in range(cu.scan_times.size):
-            rows.append(
-                {
-                    "g": res.g,
-                    "scan_t": float(cu.scan_times[j]),
-                    "phi_u": float(cu.phi_raw[j]),
-                    "phi_u_lo": float(cu.wilson_low[j]),
-                    "phi_u_hi": float(cu.wilson_high[j]),
-                    "phi_u_ex": float(cu.phi_ex[j]),
-                    "phi_v": float(cv.phi_raw[j]),
-                    "phi_v_lo": float(cv.wilson_low[j]),
-                    "phi_v_hi": float(cv.wilson_high[j]),
-                    "phi_v_ex": float(cv.phi_ex[j]),
-                }
-            )
+            row = {"g": res.g, "scan_t": float(cu.scan_times[j])}
+            for mode, curve in res.curves.items():
+                row[f"phi_{mode}"] = float(curve.phi_raw[j])
+                row[f"phi_{mode}_lo"] = float(curve.wilson_low[j])
+                row[f"phi_{mode}_hi"] = float(curve.wilson_high[j])
+                row[f"phi_{mode}_ex"] = float(curve.phi_ex[j])
+            rows.append(row)
         summary.append(
             {
                 "g": res.g,
@@ -510,11 +474,9 @@ def _collapse_args(p: argparse.ArgumentParser):
 
 def _phase_args(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None)
-    for name in ("beta", "sigma-w2", "sigma2", "m-x2", "m-y2",
-                 "g-min", "g-max", "theta-min", "theta-max", "t-max-search"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float, default=None)
-    p.add_argument("--g-points", dest="g_points", type=int, default=None)
-    p.add_argument("--theta-points", dest="theta_points", type=int, default=None)
+    for name, default in PHASE_FIELDS.items():
+        kind = int if isinstance(default, int) else float
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
 
 
 def _sample_args(p: argparse.ArgumentParser):

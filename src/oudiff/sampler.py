@@ -326,8 +326,8 @@ def _log_cosh(u: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _population_parts(spec, init, t, moments):
-    ms = moments if moments is not None else diffusion_kernel(spec, init, t)
+def _population_parts(spec, init, t):
+    ms = diffusion_kernel(spec, init, t)
     cinv = block_inverse(ms.c)
     if ms.c.a11 <= 0.0 or ms.c.det <= 0.0:
         raise NotPositiveDefinite(f"diffusion kernel not SPD at t={t!r}")
@@ -342,17 +342,13 @@ def _block_apply_state(block: Block2, z: np.ndarray, d: int) -> np.ndarray:
 
 
 def population_score(
-    spec: ModelSpec,
-    init: MixtureInit,
-    z: np.ndarray,
-    t: float,
-    moments: MomentState | None = None,
+    spec: ModelSpec, init: MixtureInit, z: np.ndarray, t: float
 ) -> np.ndarray:
     """Exact score of the population mixture:
     -C^-1 z + C^-1 mu tanh(mu^T C^-1 z)."""
     z = np.asarray(z, dtype=float)
     d = init.dim_d
-    _, cinv, mu = _population_parts(spec, init, t, moments)
+    _, cinv, mu = _population_parts(spec, init, t)
     cinv_z = _block_apply_state(cinv, z, d)
     cinv_mu = _block_apply_state(cinv, mu, d)
     u = z @ cinv_mu  # == mu^T C^-1 z by symmetry of C
@@ -360,16 +356,12 @@ def population_score(
 
 
 def population_log_density(
-    spec: ModelSpec,
-    init: MixtureInit,
-    z: np.ndarray,
-    t: float,
-    moments: MomentState | None = None,
+    spec: ModelSpec, init: MixtureInit, z: np.ndarray, t: float
 ) -> np.ndarray:
     """Normalized log density of the population mixture at z."""
     z = np.asarray(z, dtype=float)
     d = init.dim_d
-    ms, cinv, mu = _population_parts(spec, init, t, moments)
+    ms, cinv, mu = _population_parts(spec, init, t)
     cinv_z = _block_apply_state(cinv, z, d)
     cinv_mu = _block_apply_state(cinv, mu, d)
     quad = np.sum(z * cinv_z, axis=-1)
@@ -572,30 +564,13 @@ def flow_sample(
 
 
 def _mixture_law(c11, c12, c22, px, py, d: int):
-    """The x-free terms of ``_mixture`` in plane coordinates: (ex, gain,
+    """The x-free terms of ``_cell_mixture`` in plane coordinates: (ex, gain,
     e_delta, c_yx) with mu_x = _plane_vectors(ex) and delta =
     _plane_vectors(e_delta), over the leading axes of the blocks and
     coordinates.  Past the plane delta holds +0.0, as mu_y - gain mu_x does."""
     c_yx, gain = schur_complement(c11, c12, c22)
     ex, ey = _plane_coords(px, py, d)
     return ex, gain, ey - gain * ex, c_yx
-
-
-def _mixture(c11, c12, c22, px, py, d: int, x: np.ndarray):
-    """P_t(y | x) in closed form: the law is
-    sum_{s=+-1} sigmoid(2 s u) N(y; gain x + s delta, c_yx I).
-
-    The one implementation of the conditional mixture algebra.  Scalars
-    ``c11, c12, c22`` and plane coordinates ``px, py`` of shape (2,)
-    describe one cell, with ``x`` shaped (m, d); for a stack of cells pass
-    the blocks shaped (cells, 1, 1) and the coordinates (cells, 1, 2), and
-    every result gains that leading cell axis.  Returns u = mu_x . x / C11
-    (..., m, 1), half the class log-odds, gain = C12 / C11, the component
-    offset delta = mu_y - gain mu_x (..., d) and the variance c_yx.
-    """
-    ex, gain, e_delta, c_yx = _mixture_law(c11, c12, c22, px, py, d)
-    u = _dot(x, _plane_vectors(ex, d)) / c11
-    return u, gain, _plane_vectors(e_delta, d), c_yx
 
 
 def _dot(a, b):
@@ -616,7 +591,7 @@ def _class_weights(u: np.ndarray) -> np.ndarray:
 
 def _mixture_at(u, gain, delta, c_yx, x, y):
     """Residual r = y - gain x and tanh argument a = u + r . delta / c_yx of a
-    ``_mixture`` at y, over the same leading axes."""
+    ``_cell_mixture`` at y, over the same leading axes."""
     r = y - gain * x
     return r, u + _dot(r, delta) / c_yx
 
@@ -631,9 +606,18 @@ def _mixture_score(u, gain, delta, c_yx, x, y):
 
 
 def _cell_mixture(spec, init: MixtureInit, x: np.ndarray, t: float, moments):
-    """``_mixture`` of one cell at time t; its moments default to the closed form."""
+    """P_t(y | x) of one cell at time t in closed form: the law is
+    sum_{s=+-1} sigmoid(2 s u) N(y; gain x + s delta, c_yx I).
+
+    Its moments default to the closed form.  Returns u = mu_x . x / C11 (..., 1), half
+    the class log-odds, gain = C12 / C11, the component offset
+    delta = mu_y - gain mu_x (d,) and the variance c_yx.
+    """
     ms = moments if moments is not None else diffusion_kernel(spec, init, t)
-    return _mixture(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, init.dim_d, x)
+    d = init.dim_d
+    ex, gain, e_delta, c_yx = _mixture_law(ms.c.a11, ms.c.a12, ms.c.a22, ms.mu_x, ms.mu_y, d)
+    u = _dot(x, _plane_vectors(ex, d)) / ms.c.a11
+    return u, gain, _plane_vectors(e_delta, d), c_yx
 
 
 def conditional_score(
@@ -870,14 +854,17 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
             + np.sqrt(c_yx[n_steps]) * x_path[1, :, :p]
         )
 
-        for k in range(n_steps):
-            idx = n_steps - k  # grid index of the current reverse time
-            x_t = x_plane[idx]
-            u = _dot(x_t, ex[idx]) / c11[idx]
-            score = _mixture_score(u, gain[idx], e_delta[idx], c_yx[idx], x_t, y)
-            y += h * (beta * y - g[idx] * x_t + sw2 * score)
-            if k < n_steps - 1:
-                y += noise_sd * x_path[k + 2, :, :p]
+        # an overflow saturates tanh at its exact +-1 or leaves y0 non-finite,
+        # which toy_metrics refuses
+        with np.errstate(over="ignore"):
+            for k in range(n_steps):
+                idx = n_steps - k  # grid index of the current reverse time
+                x_t = x_plane[idx]
+                u = _dot(x_t, ex[idx]) / c11[idx]
+                score = _mixture_score(u, gain[idx], e_delta[idx], c_yx[idx], x_t, y)
+                y += h * (beta * y - g[idx] * x_t + sw2 * score)
+                if k < n_steps - 1:
+                    y += noise_sd * x_path[k + 2, :, :p]
 
         y0_out[:, lo : lo + m, :p] = y
         if d > p:

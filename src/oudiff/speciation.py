@@ -143,7 +143,8 @@ def _kappa0_terms(spec: ModelSpec, init: MixtureInit, mxx: float, myy: float):
     beta = spec.beta
     if abs(r - beta) <= 1e-12 * max(r, beta):
         raise DegenerateRate(f"sW2/s2 = {r!r} coincides with beta = {beta!r}")
-    return r, r * (mxx + myy) / (s2 * (r - beta)), s2 * (r - beta) ** 2
+    # a product, not ** 2, which raises OverflowError past the float range
+    return r, r * (mxx + myy) / (s2 * (r - beta)), s2 * ((r - beta) * (r - beta))
 
 
 def kappa0_aniso(spec: ModelSpec, init: MixtureInit) -> float:
@@ -414,23 +415,20 @@ def speciation_time(
     ``_search_grid``) brackets the highest crossing, which bisection then
     sharpens to |kappa - 1| <= 1e-10, as one cell of ``_speciation_cells``.
     Returns the no-speciation regime when the grid supremum of kappa stays
-    below 1, and the unstable regime at t = 0 when ``stability_check`` finds
-    the symmetric spec unstable (|g| >= beta, or tail confinement fails).
+    below 1, and the unstable regime at t = 0 when the symmetric spec has
+    |g| >= beta or the scan finds tail confinement failing at its first
+    point, t = 0 (see StabilityReport: a violation anywhere is one there).
     """
     form = _kappa_form(spec, init)  # refuses a non-constant coupling
     grid = _search_grid(spec, t_max_search)
-    if isinstance(spec.coupling, Symmetric) and not stability_check(spec, init).stable:
-        # see StabilityReport: confinement fails at t = 0 when anywhere
+    outcome = UnstableAtTime(0.0)  # |g| >= beta: no stationary law
+    if spec.is_stable:
+        (outcome,) = _speciation_cells(form, [spec.coupling.g], [init.channel_stats()], grid)
+    if isinstance(outcome, UnstableAtTime) and outcome.t == 0.0:
         return SpeciationResult(
-            t_s=None,
-            kappa0=float("nan"),
-            sup_kappa=float("nan"),
-            regime=REGIME_UNSTABLE,
+            t_s=None, kappa0=math.nan, sup_kappa=math.nan, regime=REGIME_UNSTABLE,
             unstable_t=0.0,
         )
-    (outcome,) = _speciation_cells(
-        form, [spec.coupling.g], [init.channel_stats()], grid
-    )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -492,7 +490,8 @@ def g_crit_aligned(
         r, first, scale = _kappa0_terms(spec_template, init, mxx, myy)
     except DegenerateRate:
         return None
-    g = (first - 1.0) * scale / (r * mx_my * c)
+    denom = r * mx_my * c  # 0 where r mx my underflows, as if g were past the range
+    g = (first - 1.0) * scale / denom if denom else math.inf
     return g if math.isfinite(g) and g > 0.0 else None
 
 

@@ -193,8 +193,6 @@ class TestToyMetrics:
         with pytest.raises(InvalidArgument, match="1 non-finite"):
             toy_metrics(tuple(pairs), init, ms)
 
-    # the run overflows on purpose, and numpy warns as it does
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_metrics_rejected(self):
         # means at the edge of the float range keep the pairs finite, but
         # the log-density overflows: the metrics are refused, not reported

@@ -160,7 +160,6 @@ class TestSchur:
             (math.inf, 0.0, 1.0, "c11"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow case
     def test_non_finite_entries_named(self, c11, c12, c22, name):
         # an overflow or a nan is named as such, not printed as a value
         message = f"block not SPD: {name} holds non-finite values"

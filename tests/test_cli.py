@@ -459,6 +459,61 @@ class TestOutputBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == json_digest
 
+    # pinned before the phase-diagram flags and fields became one table:
+    # the help text keeps each subcommand's flag order, the dry run its
+    # resolved config
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("speciation",
+             "4561daeb3fd081ea05bf53774a838e14d225e26f0c83026177abcc8a24574bef"),
+            ("collapse",
+             "29f4790589ad915da48b5deb66a6237854542d0d14e3717a3dfa159267802ae4"),
+            ("stability",
+             "19dce1ab1ba74c312041b9c0294338786962595d39bd061592b46f12fa5e226c"),
+            ("phase-diagram",
+             "ae212a709d0be798eda1b8e0f1f79abefc38317d54f6a614a61f5f6a5f956138"),
+            ("sample",
+             "8d0f7bfed9a70a8b34cf2a4033ebe7c11870577089b19a3547d940413b7c8209"),
+            ("toy-conditional",
+             "3010b008eb854bc18cc6a4c616c6412a8b9dfcdd195ea42099cf8e8a1596f3db"),
+            ("clone-speciation",
+             "607f113c9d67957765066af45c092511851f8e016d20d5b9b9cd56d79daee433"),
+        ],
+    )
+    def test_help_text(self, capsys, monkeypatch, command, digest):
+        # argparse wraps its help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        assert dispatch([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["speciation"],
+             "688f23b42777f6884be377385448d7f2b4a49a4fefa32ff8d77f1668ee2861a2"),
+            (["collapse", "--alpha", "1", "--ratio", "1"],
+             "e399b1ea3d2e6daa0bb7c7a4f3e4b066c5810b7c5c4c0fefec8c72be1ce46244"),
+            (["stability"],
+             "c44965f78a5ef9970a6affefa5d84e8339e54d88a2a4f698955131880da1246c"),
+            (["phase-diagram"],
+             "22436ad702dc59971b62a74e32ac24962f6a485fb9374410ad47092da343a382"),
+            (["sample"],
+             "0c78f8527139050c47e49a94ef3ba4080c026180a044144d078681664fbcc4d9"),
+            (["toy-conditional"],
+             "25cae4728b029f608797850338f841aed1ba316337ba96f1c0c6e851eecef6b3"),
+            (["clone-speciation"],
+             "0746f2825a3fdd634dc9734c12bc23354e54bc7b00bdf4ce5876b8bb255072dd"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_dry_run_json(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("OUDIFF_SEED", raising=False)
+        assert dispatch([*argv, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSweeps:
     def test_phase_diagram_header_and_values(self, tmp_path):
@@ -681,8 +736,6 @@ class TestSweeps:
         assert f"{empty} must hold at least one value" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
-    # the run overflows on purpose, and numpy warns as it does
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_toy_run_exits_2(self, tmp_path, capsys):
         # a noise variance at the edge of the float range drives the
         # reverse loop to inf and nan, and means there overflow the

@@ -3,10 +3,7 @@ whole double range, with derandomized examples so that every run draws the
 same inputs: each run exits 0, 2 or 3, a refusal is one stderr line, and a
 result holds only finite numbers."""
 
-import contextlib
-import io
 import math
-import warnings
 
 import pytest
 
@@ -14,22 +11,11 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oudiff.cli import dispatch  # noqa: E402
+from cli_contract import run_cli  # noqa: E402
 
 # every double: +-0, subnormals, nan and +-inf included, or the flag left
 # out for its default, so that some runs of every mode get to sample
 ANY_FLOAT = st.none() | st.floats()
-
-
-def _run(argv):
-    """(exit code, stdout, stderr lines); a warning counts as a stderr line."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = dispatch(argv)
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-    return code, out.getvalue(), lines
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -49,7 +35,7 @@ def test_sample_contract(
     argv = ["sample", "--mode", mode, "--coupling", coupling, "--seed", "0",
             f"--dim={dim}", f"--paths={paths}", f"--steps={steps}",
             *(f"--{flag}={value!r}" for flag, value in floats.items() if value is not None)]
-    code, out, err = _run(argv)
+    code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, code, err)
     if code != 0:
         assert len(err) == 1, (argv, err)

@@ -3,11 +3,8 @@ whole double range, with derandomized examples so that every run draws the
 same inputs: each run exits 0, 2 or 3, a refusal is one stderr line, and a
 result holds only finite numbers or null."""
 
-import contextlib
-import io
 import json
 import math
-import warnings
 
 import pytest
 
@@ -15,21 +12,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oudiff.cli import dispatch  # noqa: E402
+from cli_contract import run_cli  # noqa: E402
 
 # every double: +-0, subnormals, nan and +-inf included
 ANY_FLOAT = st.floats()
-
-
-def _run(argv):
-    """(exit code, stdout, stderr lines); a warning counts as a stderr line."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = dispatch(argv)
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-    return code, out.getvalue(), lines
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -43,7 +29,7 @@ def test_speciation_contract(coupling, beta, g, sigma_w2, sigma2, m_plus2, m_min
     argv = ["speciation", "--coupling", coupling, f"--beta={beta!r}", f"--g={g!r}",
             f"--sigma-w2={sigma_w2!r}", f"--sigma2={sigma2!r}",
             f"--m-plus2={m_plus2!r}", f"--m-minus2={m_minus2!r}"]
-    code, out, err = _run(argv)
+    code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, code, err)
     if code == 2:
         assert len(err) == 1, (argv, err)

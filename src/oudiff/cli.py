@@ -48,6 +48,7 @@ from .sampler import (
 )
 from .speciation import (
     REGIME_UNSTABLE,
+    _phase_axes,
     phase_diagram,
     speciation_time,
     stability_check,
@@ -294,7 +295,7 @@ def _cmd_phase_diagram(args) -> int:
     cfg = {name: config.get(name, default) for name, default in PHASE_FIELDS.items()}
     _check_size("g_points", cfg["g_points"])
     _check_size("theta_points", cfg["theta_points"])
-    # phase_diagram's checks on g and theta refuse a non-finite grid point
+    # _phase_axes's checks on g and theta refuse a non-finite grid point
     with np.errstate(over="ignore", invalid="ignore"):
         g_grid = np.linspace(cfg["g_min"], cfg["g_max"], cfg["g_points"])
         theta_grid = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_points"])
@@ -304,14 +305,14 @@ def _cmd_phase_diagram(args) -> int:
         "g_grid": [float(g) for g in g_grid],
         "theta_grid": [float(t) for t in theta_grid],
     }
-    if args.dry_run:
-        return _dry_run(args, resolved)
-
     spec = ModelSpec(beta=cfg["beta"], coupling=Anisotropic(0.0), sigma_w2=cfg["sigma_w2"])
     init = MixtureInit(
         sigma2_x=cfg["sigma2"], sigma2_y=cfg["sigma2"],
         mean_spec=AngledMeans(m_x2=cfg["m_x2"], m_y2=cfg["m_y2"], theta=0.0),
     )
+    if args.dry_run:
+        _phase_axes(spec, init, g_grid, theta_grid)  # the run's checks on g and theta
+        return _dry_run(args, resolved)
     cells = phase_diagram(spec, init, g_grid, theta_grid, cfg["t_max_search"])
     rows = []
     for cell in cells:

@@ -357,13 +357,14 @@ def _aniso_q(beta, sw2, g, parts):
     q11 = sW2 u / (2 beta), q12 = sW2 gamma k / (4 beta),
     q22 = q11 + sW2 gamma^2 h / (4 beta).
     Finite wherever gamma^2 h / beta is, also past the overflow of g^2 and
-    beta^3.
+    beta^3.  Halving first rounds as dividing by 2 beta does (outside the
+    subnormal range), and does not overflow where 4 beta would.
     """
     _, u, k, h = parts
     gamma = g / beta
-    q11 = sw2 * u / (2.0 * beta)
-    q12 = sw2 * gamma * k / (4.0 * beta)
-    q22 = sw2 * (u / (2.0 * beta) + gamma * gamma * h / (4.0 * beta))
+    q11 = sw2 * u / 2.0 / beta
+    q12 = sw2 * gamma * k / 4.0 / beta
+    q22 = sw2 * (u / 2.0 / beta + gamma * gamma * h / 4.0 / beta)
     return q11, q12, q22
 
 

@@ -326,13 +326,17 @@ def _log_cosh(u: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _population_parts(spec, init, t):
+def _population_law(spec, init, z, t):
+    """(C, z, C^-1 z, mu, C^-1 mu) of the population mixture at t: its
+    covariance block C(t), z as floats and the + component's 2d-vector mu."""
+    z = np.asarray(z, dtype=float)
+    d = init.dim_d
     ms = diffusion_kernel(spec, init, t)
     cinv = block_inverse(ms.c)
     if ms.c.a11 <= 0.0 or ms.c.det <= 0.0:
         raise NotPositiveDefinite(f"diffusion kernel not SPD at t={t!r}")
-    mu = np.concatenate(_plane_means(ms.mu_x, ms.mu_y, init.dim_d))
-    return ms, cinv, mu
+    mu = np.concatenate(_plane_means(ms.mu_x, ms.mu_y, d))
+    return ms.c, z, _block_apply_state(cinv, z, d), mu, _block_apply_state(cinv, mu, d)
 
 
 def _block_apply_state(block: Block2, z: np.ndarray, d: int) -> np.ndarray:
@@ -346,11 +350,7 @@ def population_score(
 ) -> np.ndarray:
     """Exact score of the population mixture:
     -C^-1 z + C^-1 mu tanh(mu^T C^-1 z)."""
-    z = np.asarray(z, dtype=float)
-    d = init.dim_d
-    _, cinv, mu = _population_parts(spec, init, t)
-    cinv_z = _block_apply_state(cinv, z, d)
-    cinv_mu = _block_apply_state(cinv, mu, d)
+    _, z, cinv_z, _, cinv_mu = _population_law(spec, init, z, t)
     u = z @ cinv_mu  # == mu^T C^-1 z by symmetry of C
     return -cinv_z + np.tanh(u)[..., None] * cinv_mu
 
@@ -359,15 +359,12 @@ def population_log_density(
     spec: ModelSpec, init: MixtureInit, z: np.ndarray, t: float
 ) -> np.ndarray:
     """Normalized log density of the population mixture at z."""
-    z = np.asarray(z, dtype=float)
+    c, z, cinv_z, mu, cinv_mu = _population_law(spec, init, z, t)
     d = init.dim_d
-    ms, cinv, mu = _population_parts(spec, init, t)
-    cinv_z = _block_apply_state(cinv, z, d)
-    cinv_mu = _block_apply_state(cinv, mu, d)
     quad = np.sum(z * cinv_z, axis=-1)
     const = (
         -d * math.log(2.0 * math.pi)
-        - 0.5 * d * math.log(ms.c.det)
+        - 0.5 * d * math.log(c.det)
         - 0.5 * float(mu @ cinv_mu)
     )
     return const - 0.5 * quad + _log_cosh(z @ cinv_mu)
@@ -478,6 +475,13 @@ def empirical_score_fn(dataset: DatasetEmpirical, spec: ModelSpec) -> ScoreFn:
 # reverse-time integrators
 
 
+def _reverse_drift(spec: ModelSpec, score: ScoreFn, weight: float):
+    """The drift -M z + weight sW2 score(z, t) in elapsed reverse time: of
+    the reverse SDE at weight 1, of the probability flow at weight 1/2."""
+    d, scale = spec.dim_d, weight * spec.sigma_w2
+    return lambda z, t: -_block_apply_state(spec.relaxation(t), z, d) + scale * score(z, t)
+
+
 def reverse_sample(
     spec: ModelSpec,
     score: ScoreFn,
@@ -504,11 +508,7 @@ def reverse_sample(
         z = _start_states(start, d, n_paths)
 
     grid = horizon * (1.0 - np.arange(steps + 1) / steps)
-
-    def drift(state: np.ndarray, t: float) -> np.ndarray:
-        m = spec.relaxation(t)
-        return -_block_apply_state(m, state, d) + spec.sigma_w2 * score(state, t)
-
+    drift = _reverse_drift(spec, score, 1.0)
     record = _Recorder(grid, record_times, record_path)
     return _euler_maruyama(spec, z, grid, horizon / steps, drift, rng, record, True)
 
@@ -532,17 +532,10 @@ def flow_sample(
         raise InvalidArgument("steps must be >= 1")
     if not 0.0 <= t_end < horizon:
         raise InvalidArgument("need 0 <= t_end < horizon")
-    d = spec.dim_d
-    z = _start_states(start, d)
+    z = _start_states(start, spec.dim_d)
     grid = np.linspace(horizon, t_end, steps + 1)
     h = (horizon - t_end) / steps
-
-    def rhs(state: np.ndarray, t: float) -> np.ndarray:
-        m = spec.relaxation(t)
-        return -_block_apply_state(m, state, d) + 0.5 * spec.sigma_w2 * population_score(
-            spec, init, state, t
-        )
-
+    rhs = _reverse_drift(spec, population_score_fn(spec, init), 0.5)
     record = _Recorder(grid, record_path=record_path)
     record(0, z)
     for k in range(steps):
@@ -750,8 +743,9 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     need the nonlinear score: the X recursion and the reverse y loop run
     on the plane, as (steps + 1, m, p) and (cells, m, p) arrays.  Past the
     plane every coordinate of y0 is a fixed linear function of that
-    coordinate's own normals (``_off_plane_weights``), filled in by one
-    contraction per cell over the time axis of the very same draws: the
+    coordinate's own normals (``_off_plane_weights``), filled in for all
+    cells at once by one contraction over the time axis of the very same
+    draws, summed in time order as one contraction per cell would be: the
     X normals before the y noise overwrites them in the X-path buffer,
     then the y noise.  The contraction runs in einsum's own loop, not in
     BLAS, whose threads would compete with the sweep's worker processes.
@@ -778,9 +772,13 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     n_steps = config.steps
     horizon = config.horizon
     h = horizon / n_steps
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-
-    mu, c, q = stacked_moments(specs, init, grid)
+    # near the float maximum linspace overflows in its last point, which it
+    # then sets to the horizon; a moment past the float range is inf or nan,
+    # in C, which schur_complement refuses below, or in the means, which
+    # leave y0 non-finite, which toy_metrics refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(0.0, horizon, n_steps + 1)
+        mu, c, q = stacked_moments(specs, init, grid)
     moments0 = [
         MomentState.from_arrays(grid[0], mu[0, j], c[0, j], q[0, j])
         for j in range(len(specs))
@@ -806,15 +804,17 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
     decay = math.exp(-beta * h)
     trans_sd = math.sqrt(sw2 * -math.expm1(-2.0 * beta * h) / (2.0 * beta))
     noise_sd = math.sqrt(sw2) * math.sqrt(h)
-    n_cells = len(configs)
     if d > p:
-        x_weights, noise_weights = _off_plane_weights(
-            gain[:, :, 0, 0], c_yx[:, :, 0, 0], g, h, beta, sw2, decay, trans_sd, noise_sd
-        )
+        # a weight past the float range (inf, or nan from inf * 0 or inf - inf)
+        # leaves the cell's y0 non-finite, which toy_metrics refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_weights, noise_weights = _off_plane_weights(
+                gain[:, :, 0, 0], c_yx[:, :, 0, 0], g, h, beta, sw2, decay, trans_sd, noise_sd
+            )
     g = g[:, :, None, None]
 
     x0_out = np.empty((config.trials, d))
-    y0_out = np.empty((n_cells, config.trials, d))
+    y0_out = np.empty((len(configs), config.trials, d))
     s_out = np.empty(config.trials)
     lo = 0
     x_path = None
@@ -824,7 +824,6 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
             # chunks of one size share the X path and its plane
             x_path = np.empty((n_steps + 1, m, d))
             x_plane = np.empty((n_steps + 1, m, p))
-            off = np.empty((m, d))
         s = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
         x_path[0] = s[:, None] * mu_x0 + init_sd * rng.standard_normal((m, d))
         # one call draws what n_steps calls of (m, d) draw in turn
@@ -835,28 +834,25 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
             x_plane[k + 1] += x_plane[k] * decay
         y_off = y0_out[:, lo : lo + m, p:]
         if d > p:
-            draws = x_path.reshape(n_steps + 1, m * d)
-            for j in range(n_cells):
-                np.einsum("k,kn->n", x_weights[j], draws, out=off.reshape(-1))
-                y_off[j] = off[:, p:]
+            y_off[...] = np.einsum("jk,kmd->jmd", x_weights, x_path)[..., p:]
 
-        # exact conditional mixture draw at t = horizon
-        x_t = x_plane[n_steps]
-        u = _dot(x_t, ex[n_steps]) / c11[n_steps]
-        pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
-        # the y noise, start draw first, as the loop's calls would draw it;
-        # the plane of the X path is in x_plane, the rest is read above
-        rng.standard_normal(out=x_path[1:])
-        delta = e_delta[n_steps]
-        y = (
-            gain[n_steps] * x_t
-            + np.where(pick_plus[..., None], delta, -delta)
-            + np.sqrt(c_yx[n_steps]) * x_path[1, :, :p]
-        )
-
-        # an overflow saturates tanh at its exact +-1 or leaves y0 non-finite,
-        # which toy_metrics refuses
-        with np.errstate(over="ignore"):
+        # an overflow saturates the class weights and tanh at their exact
+        # limits or leaves y0 non-finite, and an invalid value (inf - inf past
+        # the float range) leaves it nan, which toy_metrics refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            # exact conditional mixture draw at t = horizon
+            x_t = x_plane[n_steps]
+            u = _dot(x_t, ex[n_steps]) / c11[n_steps]
+            pick_plus = rng.uniform(size=m) < _class_weights(u)[..., 0]
+            # the y noise, start draw first, as the loop's calls would draw it;
+            # the plane of the X path is in x_plane, the rest is read above
+            rng.standard_normal(out=x_path[1:])
+            delta = e_delta[n_steps]
+            y = (
+                gain[n_steps] * x_t
+                + np.where(pick_plus[..., None], delta, -delta)
+                + np.sqrt(c_yx[n_steps]) * x_path[1, :, :p]
+            )
             for k in range(n_steps):
                 idx = n_steps - k  # grid index of the current reverse time
                 x_t = x_plane[idx]
@@ -865,13 +861,9 @@ def conditional_reverse_group(configs, rng: np.random.Generator) -> dict:
                 y += h * (beta * y - g[idx] * x_t + sw2 * score)
                 if k < n_steps - 1:
                     y += noise_sd * x_path[k + 2, :, :p]
-
-        y0_out[:, lo : lo + m, :p] = y
-        if d > p:
-            draws = x_path[1:].reshape(n_steps, m * d)
-            for j in range(n_cells):
-                np.einsum("k,kn->n", noise_weights[j], draws, out=off.reshape(-1))
-                y_off[j] += off[:, p:]
+            y0_out[:, lo : lo + m, :p] = y
+            if d > p:
+                y_off += np.einsum("jk,kmd->jmd", noise_weights, x_path[1:])[..., p:]
         x0_out[lo : lo + m] = x_path[0]
         s_out[lo : lo + m] = s
         lo += m

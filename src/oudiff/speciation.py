@@ -296,18 +296,18 @@ def _search_grid(spec: ModelSpec, t_max_search: float | None) -> np.ndarray:
 def _scan(values: np.ndarray):
     """Reduce kappa on the scan grid along its last axis.
 
-    Returns kappa(0), the grid supremum, whether kappa >= 1 at the end of
-    the window, and the index i of the last grid step with kappa >= 1 at
-    grid[i - 1] and kappa < 1 at grid[i] (0 when there is none).
+    Returns kappa(0), the grid supremum and the index i of the last grid
+    step with kappa >= 1 at grid[i - 1] and kappa < 1 at grid[i] (0 when
+    there is none).
     """
     above = values >= 1.0
     cross = above[..., :-1] & ~above[..., 1:]
     last = cross.shape[-1] - np.argmax(cross[..., ::-1], axis=-1)
     bracket = np.where(cross.any(axis=-1), last, 0)
-    return values[..., 0], values.max(axis=-1), above[..., -1], bracket
+    return values[..., 0], values.max(axis=-1), bracket
 
 
-def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int):
+def _scan_outcome(kappa0: float, sup_kappa: float, bracket: int):
     """The result or error a scan settles on its own; None when bisection must."""
     if sup_kappa != sup_kappa:  # the grid maximum carries any nan
         return InvalidArgument(
@@ -323,11 +323,8 @@ def _scan_outcome(kappa0: float, sup_kappa: float, above_end: bool, bracket: int
         )
     if bracket:
         return None
-    if above_end:
-        return InvalidArgument(
-            "kappa > 1 at the end of the search window; increase t_max_search"
-        )
-    return InvalidArgument("no kappa = 1 crossing found in the window")
+    # a maximum above 1 with no later fall below 1 ends the window at kappa >= 1
+    return InvalidArgument("kappa > 1 at the end of the search window; increase t_max_search")
 
 
 def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
@@ -366,7 +363,7 @@ def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
             for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
                 outcome = _scan_outcome(*scanned)
                 if outcome is None:
-                    kappa0, sup_kappa, _, bracket = scanned
+                    kappa0, sup_kappa, bracket = scanned
                     pending.append((len(outcomes), g, j, kappa0, sup_kappa, bracket))
                 outcomes.append(outcome)
         if not pending:
@@ -504,6 +501,19 @@ class PhaseCell:
     error: str | None = None
 
 
+def _phase_axes(spec_template: ModelSpec, init_template: MixtureInit, g_grid, theta_grid):
+    """The couplings of ``g_grid`` and initial laws of ``theta_grid`` that
+    ``phase_diagram`` sweeps, through their constructors' validation."""
+    if isinstance(init_template.mean_spec, ModeMeans):
+        raise UnsupportedShape("phase diagram sweeps angled means")
+    gs = [replace(spec_template, coupling=Anisotropic(float(g))).coupling.g for g in g_grid]
+    inits = [
+        replace(init_template, mean_spec=replace(init_template.mean_spec, theta=float(theta)))
+        for theta in theta_grid
+    ]
+    return gs, inits
+
+
 def phase_diagram(
     spec_template: ModelSpec,
     init_template: MixtureInit,
@@ -519,17 +529,7 @@ def phase_diagram(
     Each cell also carries the kappa(0) = 1 boundary estimate
     g_crit(theta) where cos(theta) > 0.
     """
-    if isinstance(init_template.mean_spec, ModeMeans):
-        raise UnsupportedShape("phase diagram sweeps angled means")
-    # replace() runs the constructors' validation on every g and theta
-    gs = [
-        replace(spec_template, coupling=Anisotropic(float(g))).coupling.g
-        for g in g_grid
-    ]
-    inits = [
-        replace(init_template, mean_spec=replace(init_template.mean_spec, theta=float(theta)))
-        for theta in theta_grid
-    ]
+    gs, inits = _phase_axes(spec_template, init_template, g_grid, theta_grid)
     thetas = [init.mean_spec.theta for init in inits]
     g_crits = [
         g_crit_aligned(spec_template, init, theta) for init, theta in zip(inits, thetas)

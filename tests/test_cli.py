@@ -738,14 +738,15 @@ class TestSweeps:
 
     def test_diverged_toy_run_exits_2(self, tmp_path, capsys):
         # a noise variance at the edge of the float range drives the
-        # reverse loop to inf and nan, and means there overflow the
-        # log-density; the pairs or the metrics are refused, not reduced
-        # to nan metrics
+        # reverse loop to inf and nan, means there overflow the
+        # log-density, and a relaxation rate there overflows the off-plane
+        # weights; the pairs or the metrics are refused, not reduced to
+        # nan metrics
         base = {"theta_points": 1, "g0_set": [0.5], "schedules": ["constant"],
                 "trials": 4, "steps": 4, "dim_d": 4, "chunk": 4}
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "o.csv"
-        for extra in ({"sigma_w2": 1e308}, {"m2": 1e308}):
+        for extra in ({"sigma_w2": 1e308}, {"m2": 1e308}, {"beta": 1e300}):
             cfg_path.write_text(json.dumps({**base, **extra}))
             code = dispatch(
                 ["toy-conditional", "--config", str(cfg_path), "--out", str(out)]
@@ -1066,9 +1067,13 @@ def test_import_loads_no_scipy():
         (["collapse", "--alpha", "360", "--ratio", "1", "--coupling", "anisotropic",
           "--g", "0.5"],
          "collapse time underflows at alpha=360.0, ratio=1.0"),
+        # linspace(0, inf, 2) is [nan, inf]: the dry run checks the grid as the run does
+        (["phase-diagram", "--theta-max=inf", "--theta-points=2", "--g-points=1", "--dry-run"],
+         "theta=nan outside [0, pi]"),
     ],
     ids=["speciation-huge-beta", "speciation-tiny-everything", "speciation-symmetric-overflow",
-         "sample-huge-horizon", "collapse-subnormal-root", "collapse-subnormal-root-anisotropic"],
+         "sample-huge-horizon", "collapse-subnormal-root", "collapse-subnormal-root-anisotropic",
+         "phase-diagram-infinite-theta-dry-run"],
 )
 def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr as

@@ -982,29 +982,37 @@ class TestConditionalReverse:
         assert np.all(np.isfinite(out["y0"]))
 
     def test_each_cell_matches_its_group_slice(self):
-        # several chunks, odd d, a switch time off the grid: every cell run
-        # alone equals its slice of the group run bit for bit
-        cfgs = [
-            ConditionalRunConfig(
-                dim_d=5, theta=0.9, schedule=ScheduleSpec(kind, g0, 0.7),
-                steps=12, trials=23, chunk=10,
-            )
-            for kind, g0 in (("constant", 0.0), ("constant", 0.5),
-                             ("late", 1.0), ("early", 0.5))
-        ]
-        group = conditional_reverse_group(cfgs, np.random.default_rng(5))
-        assert group["y0"].shape == (len(cfgs), 23, 5)
-        for j, cfg in enumerate(cfgs):
-            alone = conditional_reverse_sample(cfg, np.random.default_rng(5))
-            assert np.array_equal(alone["x0"], group["x0"])
-            assert np.array_equal(alone["labels"], group["labels"])
-            assert np.array_equal(alone["y0"], group["y0"][j])
-            m_alone, m_group = alone["moments0"], group["moments0"][j]
-            assert np.array_equal(m_alone.mu_y, m_group.mu_y)
-            assert (m_alone.s, m_alone.q, m_alone.c) == (m_group.s, m_group.q, m_group.c)
-            assert alone["spec"] == group["specs"][j]
-        # the cells really differ, so the comparison above has teeth
-        assert not np.array_equal(group["y0"][0], group["y0"][2])
+        # every cell run alone equals its slice of the group run bit for bit:
+        # several chunks, odd d and a switch time off the grid; one off-plane
+        # column (d = 3) in a 12-cell group; a single step with a chunk that
+        # does not divide the trials
+        four = (("constant", 0.0), ("constant", 0.5), ("late", 1.0), ("early", 0.5))
+        twelve = tuple(
+            (kind, g0) for kind in ("constant", "late", "early") for g0 in (0.0, 0.3, 0.6, 1.0)
+        )
+        for d, schedules, steps, trials, chunk in (
+            (5, four, 12, 23, 10), (3, twelve, 12, 23, 10), (5, twelve, 1, 7, 3),
+        ):
+            cfgs = [
+                ConditionalRunConfig(
+                    dim_d=d, theta=0.9, schedule=ScheduleSpec(kind, g0, 0.7),
+                    steps=steps, trials=trials, chunk=chunk,
+                )
+                for kind, g0 in schedules
+            ]
+            group = conditional_reverse_group(cfgs, np.random.default_rng(5))
+            assert group["y0"].shape == (len(cfgs), trials, d)
+            for j, cfg in enumerate(cfgs):
+                alone = conditional_reverse_sample(cfg, np.random.default_rng(5))
+                assert np.array_equal(alone["x0"], group["x0"])
+                assert np.array_equal(alone["labels"], group["labels"])
+                assert np.array_equal(alone["y0"], group["y0"][j])
+                m_alone, m_group = alone["moments0"], group["moments0"][j]
+                assert np.array_equal(m_alone.mu_y, m_group.mu_y)
+                assert (m_alone.s, m_alone.q, m_alone.c) == (m_group.s, m_group.q, m_group.c)
+                assert alone["spec"] == group["specs"][j]
+            # the cells really differ, so the comparison above has teeth
+            assert not np.array_equal(group["y0"][0], group["y0"][2])
 
     def test_group_cells_differ_only_in_schedule(self):
         a = ConditionalRunConfig(dim_d=4, steps=4, trials=4, chunk=4)

@@ -544,10 +544,10 @@ def _scalar_symmetric_t_s(spec, init, t_max):
     bisection of kappa - 1 on the eigenmode closed form.  A change to the
     symmetric solver loop must reproduce it bit for bit."""
     grid = _scan_grid(t_max)
-    kappa0, sup_kappa, above_end, bracket = (
+    kappa0, sup_kappa, bracket = (
         r.item() for r in _scan(_kappa_grid(spec, init, grid))
     )
-    if _scan_outcome(kappa0, sup_kappa, above_end, bracket) is not None:
+    if _scan_outcome(kappa0, sup_kappa, bracket) is not None:
         return None
     def kappa_at(t):
         return _symmetric_kappa(
@@ -619,7 +619,7 @@ def _batched_oracle(spec, init, gs, stats, t_max):
         for j, scanned in enumerate(zip(*(r.tolist() for r in _scan(values)))):
             outcome = _scan_outcome(*scanned)
             if outcome is None:
-                pending.append((len(outcomes), g, j, scanned[3]))
+                pending.append((len(outcomes), g, j, scanned[2]))
             outcomes.append(outcome if outcome is None else getattr(outcome, "t_s", str(outcome)))
     if not pending:
         return outcomes

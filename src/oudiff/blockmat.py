@@ -66,9 +66,6 @@ class Block2:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def __matmul__(self, other: "Block2") -> "Block2":
-        return self.matmul(other)
-
     def add(self, other: "Block2") -> "Block2":
         return Block2(
             self.a11 + other.a11,

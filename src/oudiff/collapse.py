@@ -53,7 +53,6 @@ LOG_RESIDUAL_TOL = 1e-12
 # root (the det and conditional routes as log1p of a gap over a pivot), so
 # each meets this at any alpha > 0
 ALPHA_RESIDUAL_TOL = 1e-8
-MAX_BISECT = 200
 
 
 def _require_ratio(ratio: float) -> None:
@@ -172,14 +171,14 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
 
     One bracketing rule: from ``collapse_bound`` (which raises NoCollapse
     unless alpha > 0), t doubles while f(t) >= 0, up to 1e8 / beta, and
-    then halves while f(t) < 0, which brackets the root as [t, 2t] with
-    f(t) >= 0 > f(2t); f rises to +inf as t -> 0+, so the halving ends.
+    the root lies in [0, t] with f(t) < 0.  ``_bisect`` on that bracket
+    first halves t while f(t) < 0, since f rises to +inf as t -> 0+, and
+    then bisects the ratio-2 bracket [t, 2t] with f(t) >= 0 > f(2t).
     A bound that underflows to 0 (alpha above about 372.6) brackets
     nothing and is refused; a subnormal one (alpha above about 354.2 at
     ratio 1) bounds a subnormal root, refused as an underflow, as
-    ``collapse_time_mode`` refuses it.  A ratio-2 bracket reaches the ulp
-    of t within about 53 of the ``MAX_BISECT`` halvings; a bisection that
-    still stops with |f| above the tolerance raises InvalidArgument, not a
+    ``collapse_time_mode`` refuses it.  A bisection whose float bracket
+    is used up with |f| above the tolerance raises InvalidArgument, not a
     non-root.
     """
     hi = collapse_bound(params)
@@ -193,15 +192,11 @@ def _solve(params: CollapseParams, f, kind: str) -> CollapseResult:
         hi *= 2.0
         if hi > 1e8 / params.spec.beta:
             raise NoCollapse("collapse equation has no root below the cap")
-    lo = 0.5 * hi
-    while f(lo) < 0.0:
-        lo, hi = 0.5 * lo, lo
     tol = min(LOG_RESIDUAL_TOL, ALPHA_RESIDUAL_TOL * params.alpha)
-    t_c, residual = _bisect(f, lo, hi, tol, MAX_BISECT)
+    t_c, residual = _bisect(f, 0.0, hi, tol)
     if not residual <= tol:
         raise InvalidArgument(
-            f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r} "
-            f"after {MAX_BISECT} halvings"
+            f"collapse equation not solved: |f|={float(residual)!r} at t={float(t_c)!r}"
         )
     # a numpy alpha makes f, and with it the bisection, numpy-scalar valued
     return CollapseResult(t_c=float(t_c), residual=residual, kind=kind)

@@ -243,35 +243,39 @@ def _kappa_grid(spec: ModelSpec, init: MixtureInit, ts: np.ndarray) -> np.ndarra
     return values
 
 
-def _bisect(f, lo, hi, tol: float, max_iter: int):
+def _bisect(f, lo, hi, tol: float):
     """Bisect f with f(lo) >= 0 >= f(hi); returns the last midpoint and |f| there.
 
     ``lo`` and ``hi`` are floats, or arrays of brackets that f maps
-    elementwise.  A bracket stops at its first midpoint where |f| <= tol
-    or f is NaN, closing onto that midpoint so that later halvings keep
-    it; f(mid) >= 0 moves lo.  The loop ends once every bracket has
-    stopped or after ``max_iter`` halvings.  Float brackets stay on
-    Python bools, so f should return Python floats for them.
+    elementwise.  A bracket stops at its first midpoint where |f| <= tol,
+    f is NaN, or the midpoint is no longer strictly inside the bracket
+    (the float bracket is used up, or the midpoint is NaN), closing onto
+    that midpoint so that later halvings keep it; f(mid) >= 0 moves lo.
+    Every finite float bracket stops on its own, within about 2,150
+    halvings across the whole double range, so the loop ends once every
+    bracket has stopped.  Float brackets stay on Python bools, so f should
+    return Python floats for them.
     """
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         val = f(mid)
-        stop = (abs(val) <= tol) | (val != val)
-        if stop if isinstance(stop, bool) else stop.all():
-            break
-        up = stop | (val >= 0.0)
-        down = stop | (val < 0.0)
-        lo = up * mid + (1 - up) * lo
-        hi = down * mid + (1 - down) * hi
-    return mid, abs(val)
+        # a NaN value or midpoint fails every comparison, so it stops too
+        halve = (abs(val) > tol) & (lo < mid) & (mid < hi)
+        if not (halve if isinstance(halve, bool) else halve.any()):
+            return mid, abs(val)
+        keep_lo, keep_hi = halve & (val < 0.0), halve & (val >= 0.0)
+        lo = keep_lo * lo + (1 - keep_lo) * mid
+        hi = keep_hi * hi + (1 - keep_hi) * mid
 
 
 def _search_grid(spec: ModelSpec, t_max_search: float | None) -> np.ndarray:
     """The scan grid of the window (0, t_max_search], 10 / beta by default.
 
     Its geometric refinement reaches (10 / beta) 2^-40, as the default
-    window's does: a wider window takes ceil(log2(t_max beta / 10)) more
-    halvings, summed as logarithms so that no product of inputs overflows.
+    window's does, since a wide window must sample near 0 as densely as
+    the default one or it misses a kappa hump there: a wider window takes
+    ceil(log2(t_max beta / 10)) more halvings, summed as logarithms so
+    that no product of inputs overflows.
     """
     model_window = 10.0 / spec.beta
     if t_max_search is None:
@@ -337,12 +341,11 @@ def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
     scan per coupling covers all statistics at once, and its time-only
     parts on the grid serve every coupling.  One ``_bisect`` call then
     sharpens every bracket, each cell stopping on its own once
-    |kappa - 1| <= 0.1 * KAPPA_TOL or after 80 halvings: elementwise on
-    arrays, or on Python floats for a lone cell, where that is several
-    times faster.  A cell that meets a bad time on the grid or at a
-    midpoint stops there with the form's error; one still above the
-    tolerance after 80 halvings, as where the crossing lies far below a
-    bracket of many decades, is an InvalidArgument, not a non-root.
+    |kappa - 1| <= 0.1 * KAPPA_TOL or its float bracket is used up:
+    elementwise on arrays, or on Python floats for a lone cell, where that
+    is several times faster.  A cell that meets a bad time on the grid or
+    at a midpoint stops there with the form's error; one whose bracket is
+    used up above the tolerance is an InvalidArgument, not a non-root.
     Returns a SpeciationResult or the cell's error for each pair, in
     (g, stats) order.
     """
@@ -384,7 +387,7 @@ def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
                 return math.nan if bad else float(values) - 1.0
             return np.where(bad, np.nan, values - 1.0)
 
-        t_root, err = _bisect(residual, lo, hi, 0.1 * KAPPA_TOL, 80)
+        t_root, err = _bisect(residual, lo, hi, 0.1 * KAPPA_TOL)
     for c, t, e, k0, sk in zip(
         cell, np.atleast_1d(t_root).tolist(), np.atleast_1d(err).tolist(), kappa0, sup_kappa
     ):
@@ -392,7 +395,7 @@ def _speciation_cells(form, gs, stats, grid: np.ndarray) -> list:
             outcomes[c] = bad_time(t)
         elif e > 0.1 * KAPPA_TOL:
             outcomes[c] = InvalidArgument(
-                f"kappa = 1 not resolved after 80 halvings: |kappa - 1|={e!r} at t={t!r}"
+                f"kappa = 1 not resolved: |kappa - 1|={e!r} at t={t!r}"
             )
         else:
             outcomes[c] = SpeciationResult(

@@ -260,7 +260,7 @@ def test_criterion_05_closed_forms_vs_integration():
         c = diffusion_kernel(spec, init, float(t)).c
         cinv = block_inverse(c)
         inner = spec.relaxation().add(cinv.scale(sw2))
-        want = (cinv @ block_inverse(inner) @ cinv).as_array()
+        want = cinv.matmul(block_inverse(inner)).matmul(cinv).as_array()
         scale = np.max(np.abs(want))
         worst_k = max(worst_k, np.max(np.abs(got - want)) / scale)
 

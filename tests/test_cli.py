@@ -1048,11 +1048,6 @@ def test_import_loads_no_scipy():
         (["speciation", "--coupling", "anisotropic", "--beta", "1e308", "--g", "1",
           "--sigma-w2", "1.001"],
          "kappa is nan on the scan grid; the closed forms left the float range"),
-        (["speciation", "--coupling", "anisotropic",
-          *(f"--{flag}=5.179327711732039e-81"
-            for flag in ("beta", "g", "sigma-w2", "sigma2", "m-plus2", "m-minus2"))],
-         "kappa = 1 not resolved after 80 halvings: |kappa - 1|=1.0 at "
-         "t=1.452536750710217e+45"),
         (["speciation", "--beta=6.606718364637808e+16", "--g=1.959963984540054",
           "--sigma-w2=1.5074266548272768e+23", "--sigma2=2.1566302402241094e-297",
           "--m-plus2=1.5748310411821335e+134", "--m-minus2=2.1566302402241094e-297"],
@@ -1071,7 +1066,7 @@ def test_import_loads_no_scipy():
         (["phase-diagram", "--theta-max=inf", "--theta-points=2", "--g-points=1", "--dry-run"],
          "theta=nan outside [0, pi]"),
     ],
-    ids=["speciation-huge-beta", "speciation-tiny-everything", "speciation-symmetric-overflow",
+    ids=["speciation-huge-beta", "speciation-symmetric-overflow",
          "sample-huge-horizon", "collapse-subnormal-root", "collapse-subnormal-root-anisotropic",
          "phase-diagram-infinite-theta-dry-run"],
 )
@@ -1088,10 +1083,57 @@ def test_out_of_range_refusal_is_one_stderr_line(argv, message):
     assert done.stderr == f"oudiff: invalid configuration: {message}\n"
 
 
+def _mp_aniso_kappa(mp, beta, g, sw2, s2, stats, t):
+    """50-digit kappa(t) = sW2 mu^T C^-1 (M + sW2 C^-1)^-1 C^-1 mu of one-way
+    coupling, with C(t) = Phi diag(s2, s2) Phi^T + Q(t) and Q(t) by
+    quadrature; ``stats`` are (mxx, myy, mxy) at t = 0."""
+    b, g, sw2, s2, t = (mp.mpf(x) for x in (beta, g, sw2, s2, t))
+    mxx, myy, mxy = (mp.mpf(x) for x in stats)
+    phi = mp.exp(-b * t) * mp.matrix([[1, 0], [g * t, 1]])
+    # the means at t are Phi mu, so their statistics are quadratic in Phi
+    mxx, myy, mxy = (
+        phi[0, 0] ** 2 * mxx,
+        phi[1, 0] ** 2 * mxx + 2 * phi[1, 0] * phi[1, 1] * mxy + phi[1, 1] ** 2 * myy,
+        phi[0, 0] * (phi[1, 0] * mxx + phi[1, 1] * mxy),
+    )
+    q = mp.matrix(2, 2)
+    for i, j, w in ((0, 0, lambda s: 1), (0, 1, lambda s: g * s),
+                    (1, 1, lambda s: 1 + g * g * s * s)):
+        q[i, j] = q[j, i] = sw2 * mp.quad(lambda s: w(s) * mp.exp(-2 * b * s), [0, t])
+    cinv = (s2 * phi * phi.T + q) ** -1
+    k = cinv * (mp.matrix([[-b, 0], [g, -b]]) + sw2 * cinv) ** -1 * cinv * sw2
+    return k[0, 0] * mxx + (k[0, 1] + k[1, 0]) * mxy + k[1, 1] * myy
+
+
+def test_crossing_far_below_the_scan_solves():
+    # with every value 5.18e-81 the crossing lies some 80 decades below
+    # 1 / beta and below the deepest scan point (10 / beta) 2^-40 ~ 1.8e69;
+    # the bisection follows its bracket down to it, in a fresh interpreter
+    # so that a numpy RuntimeWarning would reach stderr
+    mp = pytest.importorskip("mpmath")
+    v = 5.179327711732039e-81
+    src = Path(oudiff.__file__).resolve().parents[1]
+    flags = ("beta", "g", "sigma-w2", "sigma2", "m-plus2", "m-minus2")
+    done = subprocess.run(
+        [sys.executable, "-c", "from oudiff.cli import main; main()", "speciation",
+         "--coupling", "anisotropic", *(f"--{flag}={v!r}" for flag in flags)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    assert payload["regime"] == "speciates"
+    stats = MixtureInit(v, v, ModeMeans(v, v)).channel_stats()
+    with mp.workdps(50):
+        root = mp.findroot(lambda t: _mp_aniso_kappa(mp, v, v, v, v, stats, t) - 1, 1.0)
+        assert abs(payload["t_s"] - root) <= 1e-10 * root
+
+
 @pytest.mark.parametrize("window", ["1e30", "1e40", "1e300"])
 def test_wide_speciation_window_solves(capsys, window):
-    # the scan refines down to (10 / beta) 2^-40 in any window, so the
-    # crossing at ln(2) / 2 is bracketed closely enough for 80 halvings
+    # the scan refines down to (10 / beta) 2^-40 in any window, as densely
+    # near 0 as the default window, so it brackets the crossing at
+    # ln(2) / 2 and the bisection sharpens it to the tolerance
     code, payload = run_json(
         capsys, ["speciation", "--m-plus2", "1", "--m-minus2", "0", "--t-max-search", window]
     )

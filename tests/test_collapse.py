@@ -237,8 +237,9 @@ class TestBound:
     @pytest.mark.parametrize("solve", [collapse_time_det, collapse_time_conditional])
     def test_root_below_the_reach_of_linear_halvings(self, solve):
         # at beta = 1e70 the root (~8e-69) lies 67 decades below the bound
-        # 0.16; 200 halvings of one bracket spanning them would not reach
-        # it, so the bracket is [t, 2t], found in factors of 2 from the bound
+        # 0.16; the bisection's first midpoints halve the bound down to a
+        # [t, 2t] bracket of the root, and bisecting that stops at the
+        # tolerance or once the float bracket is used up
         result = solve(params(g=0.5, beta=1e70, coupling=Anisotropic))
         assert result.residual <= LOG_RESIDUAL_TOL
         assert result.t_c == pytest.approx(8.000975857400566e-69, rel=1e-9)
@@ -252,10 +253,12 @@ class TestBound:
          ("symmetric", 26.240882573093707, 27.549353016708338, 3.996618513992128e81, 0.0)],
     )
     def test_root_above_the_last_midpoint(self, capsys, coupling, alpha, ratio, beta, g):
-        # a bracket [1e-12 / beta, bound + 1 / beta] would span some 60 to
-        # 74 decades, and 200 linear halvings of it stop short with f > 0 at
-        # the last midpoint; a [t, 2t] bracket does not.  g / beta < 2e-60,
-        # so every route meets the per-mode closed form at g = 0
+        # the bracket [0, t] from the doubling phase spans some 60 to 74
+        # decades above the root; the bisection halves it down to a [t, 2t]
+        # bracket of the root and sharpens that until |f| meets the
+        # tolerance, so it does not stop at a midpoint with f > 0.
+        # g / beta < 2e-60, so every route meets the per-mode closed form
+        # at g = 0
         argv = ["collapse", "--coupling", coupling, f"--alpha={alpha!r}",
                 f"--ratio={ratio!r}", f"--beta={beta!r}", f"--g={g!r}"]
         assert dispatch(argv) == 0

@@ -491,7 +491,7 @@ class TestDiffusionKernel:
         pp, pm = Block2.exchange(0.5, 0.5), Block2.exchange(0.5, -0.5)
         for t in (0.1, 0.9, 3.0):
             c = diffusion_kernel(spec, init, t).c
-            resid = (pp @ c @ pm).as_array()
+            resid = pp.matmul(c).matmul(pm).as_array()
             assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -541,7 +541,7 @@ class TestKernelK:
         c = diffusion_kernel(spec, init, t).c
         cinv = block_inverse(c)
         inner = spec.relaxation().add(cinv.scale(spec.sigma_w2))
-        return (cinv @ block_inverse(inner) @ cinv).as_array()
+        return cinv.matmul(block_inverse(inner)).matmul(cinv).as_array()
 
     def scalar_K(self, spec, init, t):
         """K(t) by the scalar formula kernel_K was first written as."""

@@ -419,20 +419,19 @@ class TestPhaseDiagram:
         with pytest.raises(InvalidArgument, match=message):
             speciation_time(spec, init, t_max)
 
-    def test_unresolved_bisection_recorded_in_the_cell(self):
+    def test_crossing_far_below_the_scan_solves_in_the_cell(self):
         # with every value 5.18e-81, the crossings lie some 80 decades below
-        # 1 / beta, far below the first scan point past 0 (1.8e69), so 80
-        # halvings stop far above the tolerance: in the batched loop and in
-        # a lone cell's float loop
+        # 1 / beta, far below the first scan point past 0 (1.8e69); the
+        # bisection follows its bracket down to them, in the batched loop
+        # and in a lone cell's float loop alike, to the 50-digit mpmath root 1
         v = 5.179327711732039e-81
         spec = ModelSpec(v, Anisotropic(v), v)
         cells = phase_diagram(spec, MixtureInit(v, v, AngledMeans(v, v, 0.0)), [v], [0.0, 0.4])
         for cell in cells:
-            assert cell.result is None
-            assert cell.error.startswith("kappa = 1 not resolved after 80 halvings")
-            with pytest.raises(InvalidArgument) as info:
-                speciation_time(spec, MixtureInit(v, v, AngledMeans(v, v, cell.theta)))
-            assert str(info.value) == cell.error
+            assert cell.error is None and cell.result.regime == REGIME_SPECIATES
+            lone = speciation_time(spec, MixtureInit(v, v, AngledMeans(v, v, cell.theta)))
+            assert np.float64(cell.result.t_s).tobytes() == np.float64(lone.t_s).tobytes()
+            assert lone.t_s == pytest.approx(1.0, rel=1e-10)
 
     def test_errors_recorded_not_raised(self):
         # r = beta makes kappa0 degenerate but the sweep must not abort;
@@ -687,27 +686,65 @@ class TestBisect:
 
     def test_array_matches_float_cells_bit_for_bit(self):
         lo, hi, r, a, b, nan_lo, nan_hi = self._cells()
-        tol, max_iter = 1e-9, 40
-        t_arr, err_arr = _bisect(self._f(r, a, b, nan_lo, nan_hi), lo, hi, tol, max_iter)
+        tol = 1e-9
+        t_arr, err_arr = _bisect(self._f(r, a, b, nan_lo, nan_hi), lo, hi, tol)
         assert t_arr.shape == err_arr.shape == lo.shape
         for k, cell in enumerate(zip(lo.tolist(), hi.tolist(), r.tolist(), a.tolist(),
                                      b.tolist(), nan_lo.tolist(), nan_hi.tolist())):
-            t, err = _bisect(self._f(*cell[2:]), cell[0], cell[1], tol, max_iter)
+            t, err = _bisect(self._f(*cell[2:]), cell[0], cell[1], tol)
             assert t_arr[k].tobytes() == np.float64(t).tobytes(), k
             assert err_arr[k].tobytes() == np.float64(err).tobytes(), k
         assert (t_arr[0], err_arr[0]) == (0.5, 0.0)
         assert t_arr[1] == 0.375 and math.isnan(err_arr[1])
         calls = []
         f = self._f(0.35, 1.0, 0.0, 0.3, 0.4)
-        _bisect(lambda t: calls.append(t) or f(t), 0.0, 1.0, tol, max_iter)
+        _bisect(lambda t: calls.append(t) or f(t), 0.0, 1.0, tol)
         assert calls == [0.5, 0.25, 0.375]  # a NaN stops the float cell
-        assert err_arr[2] > tol  # exhausted max_iter
-        assert np.all(err_arr[3:] <= tol)
+        assert np.all(err_arr[2:] <= tol)
 
     def test_float_call_returns_python_floats(self):
-        for tol, max_iter in ((1e-12, 80), (0.0, 5)):
-            t, err = _bisect(lambda x: 0.7 - x, 0.0, 2.0, tol, max_iter)
+        # tol = 0 runs the bracket down to its last double
+        for tol in (1e-12, 0.0):
+            t, err = _bisect(lambda x: 0.7 - x, 0.0, 2.0, tol)
             assert type(t) is float and type(err) is float
+
+    def test_used_up_bracket_stops_above_tol(self):
+        # 1e20 (1/2 - t^2) steps by about 1.1e4 between adjacent doubles at
+        # its root sqrt(1/2), so no double in [0, 1] meets tol: the bracket
+        # stops once its midpoint is no longer strictly inside it
+        def f(t):
+            return 1e20 * (0.5 - t * t)
+
+        calls = []
+        t, err = _bisect(lambda x: calls.append(x) or f(x), 0.0, 1.0, 1e-9)
+        assert err > 1e-9 and len(calls) <= 64
+        assert abs(t - math.sqrt(0.5)) <= 2.0 * math.ulp(0.7)
+        t_arr, err_arr = _bisect(f, np.array([0.0]), np.array([1.0]), 1e-9)
+        assert t_arr[0].tobytes() == np.float64(t).tobytes()
+        assert err_arr[0].tobytes() == np.float64(err).tobytes()
+
+    def test_root_600_decades_below_the_bracket_end(self):
+        # about 2,000 halvings bring [0, 1e300] down to a root at 1e-300
+        root = 1e-300
+        t, err = _bisect(lambda x: math.log(root) - math.log(x), 0.0, 1e300, 1e-12)
+        assert err <= 1e-12 and t == pytest.approx(root, rel=1e-11)
+        t_arr, err_arr = _bisect(
+            lambda x: np.log(root) - np.log(x), np.array([0.0]), np.array([1e300]), 1e-12
+        )
+        assert err_arr[0] <= 1e-12 and t_arr[0] == pytest.approx(root, rel=1e-11)
+
+    def test_nan_midpoint_stops_its_bracket(self):
+        # f is finite and far from 0 at the NaN midpoint of [nan, 1], so only
+        # the midpoint test stops that bracket; the other one still solves
+        calls = []
+        t, err = _bisect(lambda x: calls.append(x) or 1.0, math.nan, 1.0, 1e-9)
+        assert math.isnan(t) and err == 1.0 and len(calls) == 1
+        t_arr, err_arr = _bisect(
+            lambda x: np.where(np.isnan(x), 1.0, 0.25 - x),
+            np.array([math.nan, 0.0]), np.array([1.0, 1.0]), 1e-9,
+        )
+        assert math.isnan(t_arr[0]) and err_arr[0] == 1.0
+        assert (t_arr[1], err_arr[1]) == (0.25, 0.0)
 
     @pytest.mark.parametrize(ORACLE_GRID_ARGS, ORACLE_GRIDS)
     def test_phase_diagram_matches_batched_loop(
